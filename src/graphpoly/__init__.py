@@ -16,8 +16,8 @@ from .euler import (EulerDigraph, all_euler_circuits, chord_diagram_from_circuit
                     circuit_partition_polynomial, euler_circuit, graph_states,
                     martin_polynomial, verify_circuit_partition_identity)
 from .graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from .interlace import (InterlaceResult, coefficient_checks, gamma_invariant,
-                        q_recursive, q_state_sum, qn_from_q, qn_recursive)
+from .interlace import (coefficient_checks, gamma_invariant, q_recursive,
+                        q_state_sum, qn_from_q, qn_recursive)
 from .planar import (PlaneMultigraph, SPSequence, beta_invariant, build_sp,
                      diagonal, medial_digraph, sp_diagonal_tutte,
                      tutte_polynomial, verify_medial_tutte_identity)
@@ -34,7 +34,7 @@ __all__ = [
     "circuit_partition_polynomial", "euler_circuit", "graph_states",
     "martin_polynomial", "verify_circuit_partition_identity",
     "Graph", "complete_graph", "cycle_graph", "path_graph", "star_graph",
-    "InterlaceResult", "coefficient_checks", "gamma_invariant",
+    "coefficient_checks", "gamma_invariant",
     "q_recursive", "q_state_sum", "qn_from_q", "qn_recursive",
     "PlaneMultigraph", "SPSequence", "beta_invariant", "build_sp",
     "diagonal", "medial_digraph", "sp_diagonal_tutte",

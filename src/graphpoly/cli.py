@@ -107,7 +107,7 @@ def cmd_tutte_diag_sp(args) -> int:
     args.input_desc = args.sp
     seq = fileio.parse_sp_sequence(_read(args.sp))
     t0 = time.perf_counter()
-    _emit(args, sp_diagonal_tutte(seq), "weighted-reduction", t0)
+    _emit(args, sp_diagonal_tutte(seq), "two-terminal-dp", t0)
     return OK
 
 

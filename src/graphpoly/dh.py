@@ -164,6 +164,8 @@ def recognize_dh(g: Graph, rng: random.Random | None = None) -> DHRecognition:
     that the number of true twins does not depend on the peel order.
     """
     g.require_simple("distance-hereditary recognition")
+    if g.n == 0:
+        raise ValueError("empty graph")
     ids = list(g.ids)
     rows = list(g.rows)
     removed_ops = []

@@ -269,35 +269,3 @@ def coefficient_checks(g: Graph) -> CoefficientReport:
     a1 = qn.coefficient({"x": 1})
     weighted = sum(c * 2 ** e[0] for e, c in q.terms.items() if e[1] == 1)
     return CoefficientReport(a10, a01, anti, a1, weighted, a1 == weighted)
-
-
-# -- result bundle ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InterlaceResult:
-    """Bundled interlace data for one graph, used by the CLI."""
-
-    q: SparsePoly | None
-    qn: SparsePoly | None
-    gamma: int
-    method: str
-
-    def __post_init__(self):
-        if self.qn is not None and self.gamma != self.qn.coefficient({"x": 1}):
-            raise ValueError("gamma does not match the x^1 coefficient of q_N")
-        if self.q is not None and self.qn is not None:
-            if self.q.subs_int("x", 2).rename_var("y", "x") != self.qn:
-                raise ValueError("q_N is not the x=2 specialization of q")
-
-
-def interlace_summary(g: Graph, method: str = "state-sum") -> InterlaceResult:
-    if method == "state-sum":
-        q = q_state_sum(g)
-    elif method == "recursion":
-        q = q_recursive(g)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    qn = q.subs_int("x", 2).rename_var("y", "x") if g.is_simple() else None
-    gamma = qn.coefficient({"x": 1}) if qn is not None else 0
-    return InterlaceResult(q=q, qn=qn, gamma=gamma, method=method)

@@ -14,21 +14,16 @@ out-degree 2.
 
 Tutte polynomials are computed two ways: plain deletion/contraction with
 eager loop and bridge peeling (any multigraph), and for series-parallel
-construction sequences a polynomial-time diagonal evaluator that reduces
-the edge-weighted partition function
-
-    Z(G; q, w) = sum over edge subsets A of q^{components(A)} * prod w_e
-
-by parallel merge (w <- w1 + w2 + w1*w2), series merge at a degree-2 vertex
-(w <- w1*w2 / (q + w1 + w2), global factor q + w1 + w2) and loop removal
-(factor 1 + w), then recovers t(G; x0, x0) = Z / (x0-1)^{|V|+1} at integer
-points x0 and interpolates.
+construction sequences a polynomial-time diagonal evaluator.  The latter
+composes a two-terminal (terminals joined, terminals apart) pair per edge
+over the construction script, in plain integers at the single point
+x0 = 2^(|E|+1), and reads the coefficients of t(G; x, x) off as the base-x0
+digits of t(G; x0, x0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -217,6 +212,8 @@ def medial_digraph(g: PlaneMultigraph) -> EulerDigraph:
         raise ValueError("medial digraph needs a connected plane graph")
     if g.m == 0:
         raise ValueError("medial digraph needs at least one edge")
+    if not g.euler_formula_ok():
+        raise ValueError("rotation system is not a plane embedding (V - E + F != 2)")
     has_loop = any(u == v for u, v in g.edge_map.values())
     if g.m < 2 and not has_loop:
         raise ValueError("medial of a bridge-only graph with fewer than 2 edges degenerates")
@@ -456,112 +453,46 @@ def spanning_tree_count(edges: Sequence[tuple]) -> int:
 # -- fast diagonal Tutte for series-parallel sequences ------------------------------
 
 
-def _sp_partition_value(edges: dict, nv: int, x0: int) -> Fraction:
-    """Z(G; (x0-1)^2, x0-1) by series/parallel/loop reduction, exact rationals."""
-    q = Fraction((x0 - 1) ** 2)
-    w0 = Fraction(x0 - 1)
-    inc: dict[str, list] = {}
-    weight = {}
-    ends = {}
-    for e, (u, v) in edges.items():
-        weight[e] = w0
-        ends[e] = (u, v)
-        inc.setdefault(u, []).append(e)
-        if v != u:
-            inc.setdefault(v, []).append(e)
-    vertices = set(inc)
-    extra_isolated = nv - len(vertices)
-    prefactor = Fraction(1)
-
-    def drop_edge(e):
-        u, v = ends[e]
-        inc[u].remove(e)
-        if v != u:
-            inc[v].remove(e)
-        del ends[e], weight[e]
-
-    while True:
-        # loops
-        loop = next((e for e, (u, v) in ends.items() if u == v), None)
-        if loop is not None:
-            prefactor *= 1 + weight[loop]
-            u = ends[loop][0]
-            inc[u].remove(loop)
-            del ends[loop], weight[loop]
-            continue
-        # parallel pair
-        par = None
-        for v, es in inc.items():
-            seen: dict = {}
-            for e in es:
-                key = frozenset(ends[e])
-                if key in seen:
-                    par = (seen[key], e)
-                    break
-                seen[key] = e
-            if par:
-                break
-        if par:
-            e1, e2 = par
-            weight[e1] = weight[e1] + weight[e2] + weight[e1] * weight[e2]
-            drop_edge(e2)
-            continue
-        if len(ends) <= 1:
-            break
-        # series merge at a degree-2 vertex
-        mid = next((v for v, es in inc.items() if len(es) == 2), None)
-        if mid is None:
-            raise ValueError("series-parallel reduction is stuck (input not series-parallel?)")
-        e1, e2 = inc[mid]
-        u = ends[e1][0] if ends[e1][1] == mid else ends[e1][1]
-        z = ends[e2][0] if ends[e2][1] == mid else ends[e2][1]
-        denom = q + weight[e1] + weight[e2]
-        if denom == 0:
-            raise ZeroDivisionError("vanishing series denominator")
-        prefactor *= denom
-        wnew = weight[e1] * weight[e2] / denom
-        drop_edge(e2)
-        # retarget e1 to (u, z)
-        inc[mid].remove(e1)
-        vertices.discard(mid)
-        del inc[mid]
-        ends[e1] = (u, z)
-        weight[e1] = wnew
-        if z != u:
-            inc[z].append(e1)
-        # u keeps e1 in its list already
-        if z == u:
-            pass  # became a loop; next pass removes it
-        continue
-
-    remaining = len([v for v in vertices if v in inc]) + extra_isolated
-    if not ends:
-        return prefactor * q ** remaining
-    (e,) = ends
-    return prefactor * q ** (remaining - 1) * (q + weight[e])
-
-
 def sp_diagonal_tutte(seq: SPSequence) -> SparsePoly:
     """t(G; x, x) of a series-parallel construction, in polynomial time.
 
-    Evaluates the weighted partition function at |E| + 2 integer points and
-    interpolates; the interpolation must come out with integer coefficients.
+    Every edge id carries the pair (c, d) of its two-terminal network: the
+    partition function with the terminals joined and apart, normalised so
+    that a single edge is (1, 1).  With s = x - 1,
+
+        series:   (c1*c2, c1*d2 + d1*c2 + s*d1*d2)
+        parallel: (s*c1*c2 + c1*d2 + d1*c2, d1*d2).
+
+    The k-th op after the digon splits edge e into e and e{k+2}, so replaying
+    the script backwards composes the pair of e{k+2} into e.  The digon is
+    the parallel composition of e1 and e2, and t(G; x, x) = c + s*d.
+
+    The coefficients of t(G; x, x) are non-negative and sum to the number of
+    spanning trees, which is below 2^|E|.  So one evaluation in plain
+    integers at x0 = 2^(|E|+1) holds each coefficient as one base-x0 digit.
     """
-    g = build_sp(seq)
-    m = g.m
-    nv = g.n
-    points = []
-    x0 = 2
-    while len(points) < m + 2:
-        try:
-            z = _sp_partition_value(dict(g.edge_map), nv, x0)
-        except ZeroDivisionError:
-            x0 += 1
-            continue
-        value = z / Fraction((x0 - 1) ** (nv + 1))
-        points.append((x0, value))
-        x0 += 1
-    return SparsePoly.interpolate_integer(points, "x")
+    m = len(seq.ops) + 1
+    bits = m + 1
+    s = (1 << bits) - 1
+    steps = [("parallel", "e1", "e2")]
+    steps += [(kind, e, f"e{k}") for k, (kind, e) in enumerate(seq.ops[1:], 3)]
+    val = {f"e{k}": (1, 1) for k in range(1, m + 1)}
+    for kind, e, f in reversed(steps):
+        (c1, d1), (c2, d2) = val[e], val.pop(f)
+        mixed = c1 * d2 + d1 * c2
+        if kind == "series":
+            val[e] = (c1 * c2, mixed + s * d1 * d2)
+        else:
+            val[e] = (s * c1 * c2 + mixed, d1 * d2)
+    c, d = val["e1"]
+    t = c + s * d
+    terms = {}
+    k = 0
+    while t:
+        terms[(k,)] = t & s
+        t >>= bits
+        k += 1
+    return SparsePoly(("x",), terms)
 
 
 # -- medial / diagonal identity -----------------------------------------------------

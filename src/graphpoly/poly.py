@@ -5,15 +5,10 @@ handful in practice) and a dict mapping exponent tuples to non-zero int
 coefficients.  All arithmetic is exact; coefficients are arbitrary
 precision.  Values are immutable once constructed, so they can be shared
 freely between threads.
-
-Rational arithmetic only appears in ``interpolate_integer``, which fits a
-polynomial through exact points and insists the result has integer
-coefficients (a non-integer coefficient signals a bug in the caller).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 
@@ -271,47 +266,3 @@ class SparsePoly:
             exps = tuple(int(item["exps"].get(v, 0)) for v in variables)
             terms[exps] = terms.get(exps, 0) + int(item["coeff"])
         return cls(variables, terms)
-
-    # -- interpolation -------------------------------------------------------
-
-    @classmethod
-    def interpolate_integer(cls, points, variable: str = "x") -> "SparsePoly":
-        """Fit the unique polynomial of degree < len(points) through exact points.
-
-        ``points`` is a sequence of (abscissa, value) pairs with distinct
-        integer abscissae; values may be ints or Fractions.  Raises if the
-        interpolant has a non-integer coefficient.
-        """
-        pts = [(int(x), Fraction(y)) for x, y in points]
-        xs = [x for x, _ in pts]
-        if len(set(xs)) != len(xs):
-            raise ValueError("duplicate abscissae in interpolation points")
-        n = len(pts)
-        if n == 0:
-            raise ValueError("no interpolation points")
-        # Newton's divided differences, then expand.
-        coef = [y for _, y in pts]
-        for j in range(1, n):
-            for i in range(n - 1, j - 1, -1):
-                coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-        # expand sum coef[k] * prod_{i<k} (x - xs[i])
-        poly = [Fraction(0)] * n
-        basis = [Fraction(1)] + [Fraction(0)] * (n - 1)  # running product, degree k
-        deg = 0
-        for k in range(n):
-            for d in range(deg + 1):
-                poly[d] += coef[k] * basis[d]
-            if k < n - 1:
-                new = [Fraction(0)] * n
-                for d in range(deg + 1):
-                    new[d + 1] += basis[d]
-                    new[d] -= basis[d] * xs[k]
-                basis = new
-                deg += 1
-        terms = {}
-        for d, c in enumerate(poly):
-            if c != 0:
-                if c.denominator != 1:
-                    raise ValueError(f"non-integer coefficient {c} at degree {d}")
-                terms[(d,)] = int(c)
-        return cls((variable,), terms)

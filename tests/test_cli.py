@@ -126,6 +126,14 @@ def test_dh_to_sp(files, capsys):
     assert code == 0 and out.splitlines()[0] == "digon"
 
 
+def test_dh_empty_graph_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("# no vertices\n")
+    for action in ("recognize", "is-bdh", "to-sp"):
+        code, out, err = run(capsys, "dh", action, "--edges", str(empty))
+        assert code == 2 and out == "" and err == "error: empty graph"
+
+
 def test_verify_theorem_b_single(files, capsys):
     code, out, _ = run(capsys, "verify", "theorem-b", "--sp", files["digon.sp"])
     assert code == 0 and "2*x" in out

@@ -5,9 +5,8 @@ import pytest
 from conftest import all_labeled_graphs, graph_with_extra
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from graphpoly.interlace import (CoefficientReport, coefficient_checks,
-                                 gamma_invariant, interlace_summary,
-                                 q_recursive, q_state_sum, qn_from_q,
-                                 qn_recursive)
+                                 gamma_invariant, q_recursive, q_state_sum,
+                                 qn_from_q, qn_recursive)
 from graphpoly.poly import SparsePoly
 
 
@@ -277,10 +276,3 @@ def test_join_gamma_identities():
         j2 = g.two_point_join(u, h, v)
         assert 2 * gamma_invariant(j2) == gamma_invariant(g) * gamma_invariant(h)
         done += 1
-
-
-def test_interlace_summary_bundle():
-    res = interlace_summary(complete_graph(2))
-    assert res.gamma == 2
-    assert res.q is not None and res.qn is not None
-    assert res.method == "state-sum"

@@ -89,6 +89,25 @@ def test_medial_allows_single_loop():
     assert med.n == 1 and len(med.arcs) == 2
 
 
+def _k4_rotation(order):
+    edges = {u + v: (u, v) for u, v in K4}
+    rotation = {v: [(e, 0 if edges[e][0] == v else 1) for e in es] for v, es in order.items()}
+    return PlaneMultigraph("abcd", edges, rotation)
+
+
+def test_medial_rejects_non_plane_rotation():
+    order = {"a": ["ab", "ac", "ad"], "b": ["bc", "ab", "bd"],
+             "c": ["cd", "ac", "bc"], "d": ["bd", "ad", "cd"]}
+    plane = _k4_rotation(order)
+    assert len(plane.faces()) == 4
+    assert verify_medial_tutte_identity(plane).ok
+    torus = _k4_rotation(dict(order, a=["ac", "ab", "ad"]))  # two darts swapped at a
+    assert len(torus.faces()) == 2
+    for fn in (medial_digraph, verify_medial_tutte_identity):
+        with pytest.raises(ValueError, match="not a plane embedding"):
+            fn(torus)
+
+
 def test_medial_output_always_two_in_two_out():
     # EulerDigraph construction validates degrees, so surviving is the check
     rng = random.Random(62)
@@ -169,6 +188,16 @@ def test_sp_diagonal_duality_invariance():
     for _ in range(30):
         seq = random_sp_sequence(rng.randrange(1, 10), rng)
         assert sp_diagonal_tutte(seq) == sp_diagonal_tutte(seq.dual())
+
+
+def test_sp_diagonal_large_sequences():
+    # beyond deletion/contraction: T(G; 2, 2) = 2^|E| and duality still pin it
+    rng = random.Random(68)
+    for _ in range(8):
+        seq = random_sp_sequence(rng.randrange(100, 401), rng)
+        t = sp_diagonal_tutte(seq)
+        assert t.eval_int({"x": 2}) == 2 ** (len(seq) + 1)
+        assert t == sp_diagonal_tutte(seq.dual())
 
 
 def test_medial_identity_digon_and_triangle():

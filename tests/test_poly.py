@@ -99,22 +99,6 @@ def test_json_round_trip():
     assert p.to_json_obj()[0]["coeff"] == "1"
 
 
-def test_interpolate_examples():
-    assert SparsePoly.interpolate_integer([(0, 0), (1, 3), (2, 8)]) == \
-        P(("x",), {(2,): 1, (1,): 2})
-    assert SparsePoly.interpolate_integer([(5, 7)]) == SparsePoly.const(("x",), 7)
-    # diagonal Tutte of the digon is x + y, so 2k at k
-    assert SparsePoly.interpolate_integer([(0, 0), (1, 2), (2, 4)]) == \
-        P(("x",), {(1,): 2})
-
-
-def test_interpolate_errors():
-    with pytest.raises(ValueError):
-        SparsePoly.interpolate_integer([(1, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        SparsePoly.interpolate_integer([(0, 0), (2, 1)])  # slope 1/2
-
-
 # -- property tests -------------------------------------------------------------
 
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -139,11 +123,3 @@ def test_eval_is_ring_homomorphism(p, q, xv, yv):
     at = {"x": xv, "y": yv}
     assert (p * q).eval_int(at) == p.eval_int(at) * q.eval_int(at)
     assert (p + q).eval_int(at) == p.eval_int(at) + q.eval_int(at)
-
-
-@given(st.lists(st.integers(-30, 30), min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_interpolate_inverts_evaluate(cs):
-    p = SparsePoly(("x",), {(d,): c for d, c in enumerate(cs)})
-    pts = [(k, p.eval_int({"x": k})) for k in range(len(cs))]
-    assert SparsePoly.interpolate_integer(pts) == p
