@@ -15,7 +15,7 @@ import random
 import time
 
 from graphpoly.dh import qn_bdh_fast
-from graphpoly.interlace import clear_memos, qn_recursive
+from graphpoly.interlace import qn_recursive
 from graphpoly.randgen import random_bdh_graph, random_connected_graph
 
 
@@ -48,7 +48,6 @@ def main() -> None:
     print("general recursion for contrast (exponential; dense random graphs):")
     for n in (18, 20, 22, 24):
         g = random_connected_graph(n, rng, p=0.5)
-        clear_memos()
         t0 = time.perf_counter()
         qn_recursive(g)
         print(f"n={n:5d}  recursion {(time.perf_counter() - t0) * 1000:9.1f} ms")

@@ -1,7 +1,9 @@
 """Command-line front end for every pipeline.
 
 Exit codes: 0 on success or a verified identity, 1 when a verification or
-recognition comes back negative, 2 on usage or input-format errors.
+recognition comes back negative, 2 on usage or input-format errors and on
+an input too large for the chosen method (a ``RecursionError`` or
+``MemoryError``, reported in one line that names the method).
 ``--format json`` wraps results as {"input", "method", "result",
 "elapsed_ms"}; polynomial results serialize as a list of
 {"exps": {var: exponent}, "coeff": "<integer>"}.
@@ -370,6 +372,10 @@ def main(argv=None) -> int:
         return USAGE
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except (RecursionError, MemoryError) as exc:
+        method = " ".join(filter(None, (args.command, getattr(args, "method", None))))
+        print(f"error: input too large for {method} ({type(exc).__name__})", file=sys.stderr)
         return USAGE
 
 

@@ -158,15 +158,7 @@ class Graph:
         if len(set(keep)) != len(keep):
             raise ValueError("duplicate vertices in subset")
         keep.sort()
-        ids = [self.ids[i] for i in keep]
-        rows = []
-        for i in keep:
-            r = 0
-            for new_j, j in enumerate(keep):
-                if self.rows[i] >> j & 1:
-                    r |= 1 << new_j
-            rows.append(r)
-        return Graph(ids, rows)
+        return Graph([self.ids[i] for i in keep], compact_rows(self.rows, sum(1 << i for i in keep)))
 
     def without(self, *drop) -> "Graph":
         gone = {str(v) for v in drop}
@@ -181,24 +173,9 @@ class Graph:
         return mask
 
     def components(self) -> list[tuple]:
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            comp = []
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                r = self.rows[i]
-                for j in range(self.n):
-                    if r >> j & 1 and not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-            out.append(tuple(self.ids[i] for i in sorted(comp)))
-        return out
+        """Vertex ids of each connected component, in index order, ordered by lowest vertex."""
+        return [tuple(v for i, v in enumerate(self.ids) if c >> i & 1)
+                for c in component_masks(self.rows)]
 
     def is_connected(self) -> bool:
         return self.n > 0 and len(self.components()) == 1
@@ -338,6 +315,38 @@ def rank_nullity_mask(rows: Sequence[int], mask: int) -> tuple[int, int]:
     return rank, size - rank
 
 
+def component_masks(rows: Sequence[int]) -> list[int]:
+    """Vertex bitmasks of the connected components, ordered by lowest vertex.
+
+    Each search stops as soon as its component covers every vertex not yet
+    assigned, so on a dense connected graph only two or three rows are read.
+    """
+    rest = (1 << len(rows)) - 1
+    out = []
+    while rest:
+        comp = todo = rest & -rest
+        while todo and comp != rest:
+            low = todo & -todo
+            todo ^= low
+            new = rows[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo |= new
+        out.append(comp)
+        rest ^= comp
+    return out
+
+
+def compact_rows(rows: Sequence[int], mask: int) -> tuple[int, ...]:
+    """Rows of the subgraph induced by a vertex bitmask, with indices compacted."""
+    rows = tuple(rows)
+    drop = ((1 << len(rows)) - 1) & ~mask
+    while drop:
+        i = drop.bit_length() - 1
+        rows = delete_index(rows, i)
+        drop ^= 1 << i
+    return rows
+
+
 def pivot_rows(rows: list[int], i: int, j: int) -> list[int]:
     """Pivot toggle on dense rows; callers must know ij is an edge."""
     exclude = (1 << i) | (1 << j)
@@ -359,13 +368,9 @@ def pivot_rows(rows: list[int], i: int, j: int) -> list[int]:
 
 def delete_index(rows: Sequence[int], i: int) -> tuple[int, ...]:
     """Remove vertex i from dense rows, compacting indices."""
-    low_mask = (1 << i) - 1
-    out = []
-    for k, r in enumerate(rows):
-        if k == i:
-            continue
-        out.append((r & low_mask) | ((r >> (i + 1)) << i))
-    return tuple(out)
+    low = (1 << i) - 1
+    high = ~low
+    return tuple([(r & low) | (r >> 1 & high) for r in rows[:i] + rows[i + 1:]])
 
 
 # -- small named graphs (test and CLI convenience) ---------------------------

@@ -18,6 +18,17 @@ The vertex-nullity interlace polynomial q_N is the specialization
 q_N(G; x) = q(G; 2, x) for simple graphs; it also has its own recursion
 q_N(G) = q_N(G-v) + q_N(G^{vw}-w) with base x^n.  The gamma invariant is
 the coefficient of x^1 in q_N.
+
+Both recursions use that q and q_N are multiplicative over connected
+components.  Each new subproblem first runs a bitmask search from vertex
+0 that stops once the component covers every vertex.  A disconnected graph
+is the product of its components, each compacted to its own rows; a
+single vertex contributes x (q_N), y (q, unlooped) or x (q, looped).  Only
+a connected graph on two or more vertices is reduced; q_N pivots on vertex
+0 and its lowest neighbour.  The memo, keyed on the compacted rows, lives
+for one call: nothing is kept between calls, and the two reduction orders
+of ``q_recursive`` never share entries.  The recursion is about n deep on
+paths, so very long paths exhaust Python's stack.
 """
 
 from __future__ import annotations
@@ -25,31 +36,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, delete_index, pivot_rows, rank_nullity_mask
+from .graphs import Graph, compact_rows, component_masks, delete_index, pivot_rows, rank_nullity_mask
 from .poly import SparsePoly
 
 _QXY_VARS = ("x", "y")
 _QX_VARS = ("x",)
-
-# shared memo tables, keyed on dense adjacency row tuples
-_q_memo: dict[tuple, dict] = {}
-_qn_memo: dict[tuple, dict] = {}
-
-
-def clear_memos() -> None:
-    _q_memo.clear()
-    _qn_memo.clear()
 
 
 # -- state sums ---------------------------------------------------------------
 
 
 def _rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
-    """Count subsets by (rank, nullity), iterating masks in Gray-code order."""
-    n = len(rows)
+    """Count vertex subsets by the GF(2) (rank, nullity) of their induced submatrix."""
     hist: dict[tuple[int, int], int] = {}
-    for i in range(1 << n):
-        mask = i ^ (i >> 1)
+    for mask in range(1 << len(rows)):
         key = rank_nullity_mask(rows, mask)
         hist[key] = hist.get(key, 0) + 1
     return hist
@@ -69,27 +69,6 @@ def q_state_sum(g: Graph) -> SparsePoly:
     return SparsePoly(_QXY_VARS, acc)
 
 
-def nullity_histogram(g: Graph) -> dict[int, int]:
-    """Count subsets by GF(2) nullity (the q_N state sum before expansion)."""
-    rows = g.rows
-    n = len(rows)
-    hist: dict[int, int] = {}
-    for i in range(1 << n):
-        mask = i ^ (i >> 1)
-        r, nl = rank_nullity_mask(rows, mask)
-        hist[nl] = hist.get(nl, 0) + 1
-    return hist
-
-
-def _qn_from_histogram(hist: dict[int, int]) -> SparsePoly:
-    acc: dict[tuple[int], int] = {}
-    for nl, cnt in hist.items():
-        for j in range(nl + 1):
-            c = cnt * comb(nl, j) * (-1) ** (nl - j)
-            acc[(j,)] = acc.get((j,), 0) + c
-    return SparsePoly(_QX_VARS, acc)
-
-
 def qn_from_q(g: Graph) -> SparsePoly:
     """q_N obtained from q by substituting x = 2 and renaming y to x."""
     g.require_simple("q_N")
@@ -99,75 +78,83 @@ def qn_from_q(g: Graph) -> SparsePoly:
 # -- recursions ---------------------------------------------------------------
 
 
-def _q_rec(rows: tuple, prefer_loop: bool) -> dict:
-    """Recursive q on dense rows; returns dict (i, j) -> coefficient."""
-    cached = _q_memo.get(rows)
-    if cached is not None:
-        return cached
-    n = len(rows)
-    edge = None
-    loop = None
-    for i in range(n):
-        r = rows[i]
-        if r >> i & 1:
-            if loop is None:
-                loop = i
-            continue
-        for j in range(i + 1, n):
-            if r >> j & 1 and not (rows[j] >> j & 1):
-                edge = (i, j)
-                break
-        if edge:
-            break
-    if loop is None and edge is None:
-        # edgeless up to loops already handled; pure E_n base
-        if any(rows):
-            # only edges incident to loops remain; a loop must exist then
-            raise AssertionError("unreachable: edges without any loop or loopless pair")
-        res = {(0, n): 1}
-        _q_memo[rows] = res
+def _split(rows: tuple, comps: list, solve, isolated: tuple) -> dict:
+    """Product of ``solve`` over the components of a disconnected graph.
+
+    Polynomials are dicts from packed exponents to coefficients, so that
+    multiplying two monomials adds two ints.  A single vertex is the
+    monomial ``isolated[0]`` when unlooped and ``isolated[1]`` when looped.
+    """
+    parts = []
+    shift = 0
+    for comp in comps:
+        if comp & (comp - 1):
+            parts.append(solve(compact_rows(rows, comp)))
+        else:
+            shift += isolated[rows[comp.bit_length() - 1] != 0]
+    res = parts[0] if parts else {0: 1}
+    for part in parts[1:]:
+        prod: dict = {}
+        for ea, ca in res.items():
+            for eb, cb in part.items():
+                prod[ea + eb] = prod.get(ea + eb, 0) + ca * cb
+        res = {e: c for e, c in prod.items() if c}
+    return {e + shift: c for e, c in res.items()}
+
+
+def _add(acc: dict, poly: dict, shift: int = 0, factor: int = 1) -> None:
+    """acc += factor * (the monomial with packed exponent shift) * poly."""
+    for e, c in poly.items():
+        acc[e + shift] = acc.get(e + shift, 0) + factor * c
+
+
+# q packs x^i y^j as the exponent i * _QX + j; degrees stay far below _QX
+_QX = 1 << 32
+
+
+def _q_reduction(rows: tuple, prefer_loop: bool) -> tuple:
+    """(a, b) for the pivot rule on the loopless edge ab, or (a, None) for the loop rule on a."""
+    loopless = sum(1 << i for i, r in enumerate(rows) if not r >> i & 1)
+    looped = ((1 << len(rows)) - 1) ^ loopless
+    a = next((i for i, r in enumerate(rows) if loopless >> i & 1 and r & loopless), None)
+    if looped and (prefer_loop or a is None):
+        return (looped & -looped).bit_length() - 1, None
+    nb = rows[a] & loopless
+    return a, (nb & -nb).bit_length() - 1
+
+
+def _q_kernel(rows: tuple, prefer_loop: bool) -> dict:
+    """q by the loop and pivot rules, split into components, memo local to the call."""
+    memo: dict[tuple, dict] = {}
+
+    def solve(rows: tuple) -> dict:
+        res = memo.get(rows)
+        if res is not None:
+            return res
+        comps = component_masks(rows)
+        if len(comps) != 1 or len(rows) == 1:
+            res = _split(rows, comps, solve, (1, _QX))
+        else:
+            a, b = _q_reduction(rows, prefer_loop)
+            res = dict(solve(delete_index(rows, a)))
+            if b is None:
+                # q(G) = q(G-a) + (x-1) q(G^a-a)
+                nb = rows[a]
+                local = solve(delete_index([r ^ nb if nb >> k & 1 else r for k, r in enumerate(rows)], a))
+                _add(res, local, _QX)
+                _add(res, local, 0, -1)
+            else:
+                # q(G) = q(G-a) + q(G^{ab}-b) + (x^2 - 2x) q(G^{ab}-a-b)
+                piv_minus_b = delete_index(pivot_rows(rows, a, b), b)
+                _add(res, solve(piv_minus_b))
+                both = solve(delete_index(piv_minus_b, a))
+                _add(res, both, 2 * _QX)
+                _add(res, both, _QX, -2)
+            res = {e: c for e, c in res.items() if c}
+        memo[rows] = res
         return res
-    if loop is not None and (prefer_loop or edge is None):
-        res = _q_loop_step(rows, loop, prefer_loop)
-    else:
-        res = _q_pivot_step(rows, edge[0], edge[1], prefer_loop)
-    _q_memo[rows] = res
-    return res
 
-
-def _q_loop_step(rows: tuple, a: int, prefer_loop: bool) -> dict:
-    minus_a = _q_rec(delete_index(rows, a), prefer_loop)
-    lc = list(rows)
-    nbhd = lc[a]
-    for k in range(len(lc)):
-        if nbhd >> k & 1:
-            lc[k] ^= nbhd
-    comp_minus_a = _q_rec(delete_index(tuple(lc), a), prefer_loop)
-    res = dict(minus_a)
-    # add (x - 1) * comp_minus_a
-    for (i, j), c in comp_minus_a.items():
-        for di, dc in ((1, c), (0, -c)):
-            key = (i + di, j)
-            res[key] = res.get(key, 0) + dc
-            if res[key] == 0:
-                del res[key]
-    return res
-
-
-def _q_pivot_step(rows: tuple, a: int, b: int, prefer_loop: bool) -> dict:
-    piv = pivot_rows(list(rows), a, b)
-    t1 = _q_rec(delete_index(rows, a), prefer_loop)
-    t2 = _q_rec(delete_index(tuple(piv), b), prefer_loop)
-    t3 = _q_rec(delete_index(delete_index(tuple(piv), b), a), prefer_loop)
-    res = dict(t1)
-    for (i, j), c in t2.items():
-        res[(i, j)] = res.get((i, j), 0) + c
-    # ((x-1)^2 - 1) = x^2 - 2x
-    for (i, j), c in t3.items():
-        for di, dc in ((2, c), (1, -2 * c)):
-            key = (i + di, j)
-            res[key] = res.get(key, 0) + dc
-    return {k: v for k, v in res.items() if v != 0}
+    return solve(rows)
 
 
 def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
@@ -177,60 +164,45 @@ def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
     and a looped vertex are available; both orders must agree with the
     state sum (property-tested, not assumed).
     """
-    if prefer_loop:
-        # keep the shared memo coherent: order-dependent intermediate keys
-        # would otherwise mix, so use a private run
-        saved = dict(_q_memo)
-        _q_memo.clear()
-        try:
-            res = _q_rec(g.rows, True)
-        finally:
-            _q_memo.clear()
-            _q_memo.update(saved)
-    else:
-        res = _q_rec(g.rows, False)
-    return SparsePoly(_QXY_VARS, res)
+    res = _q_kernel(g.rows, prefer_loop)
+    return SparsePoly(_QXY_VARS, {divmod(e, _QX): c for e, c in res.items()})
 
 
-def _qn_rec(rows: tuple) -> dict:
-    cached = _qn_memo.get(rows)
-    if cached is not None:
-        return cached
-    n = len(rows)
-    edge = None
-    for i in range(n):
-        r = rows[i]
-        if r:
-            j = (r & -r).bit_length() - 1
-            edge = (i, j) if i < j else (j, i)
-            break
-    if edge is None:
-        res = {n: 1}
-    else:
-        a, b = edge
-        t1 = _qn_rec(delete_index(rows, a))
-        piv = pivot_rows(list(rows), a, b)
-        t2 = _qn_rec(delete_index(tuple(piv), b))
-        res = dict(t1)
-        for d, c in t2.items():
-            res[d] = res.get(d, 0) + c
-    _qn_memo[rows] = res
-    return res
+def _qn_kernel(rows: tuple) -> dict:
+    """q_N by the pivot rule, split into components, memo local to the call."""
+    memo: dict[tuple, dict] = {}
+
+    def solve(rows: tuple) -> dict:
+        res = memo.get(rows)
+        if res is not None:
+            return res
+        comps = component_masks(rows)
+        if len(comps) != 1 or len(rows) == 1:
+            res = _split(rows, comps, solve, (1, 1))
+        else:
+            # q_N(G) = q_N(G-0) + q_N(G^{0b}-b) for the lowest neighbour b of vertex 0
+            b = (rows[0] & -rows[0]).bit_length() - 1
+            res = dict(solve(tuple([r >> 1 for r in rows[1:]])))
+            for e, c in solve(delete_index(pivot_rows(rows, 0, b), b)).items():
+                res[e] = res.get(e, 0) + c
+        memo[rows] = res
+        return res
+
+    return solve(rows)
 
 
 def qn_recursive(g: Graph) -> SparsePoly:
     """Vertex-nullity interlace polynomial by the pivot recursion."""
     g.require_simple("q_N")
-    res = _qn_rec(g.rows)
-    return SparsePoly(_QX_VARS, {(d,): c for d, c in res.items()})
+    return SparsePoly(_QX_VARS, {(d,): c for d, c in _qn_kernel(g.rows).items()})
 
 
 def gamma_invariant(g: Graph) -> int:
     """Coefficient of x^1 in q_N (0 iff disconnected, 1 iff a single vertex)."""
     g.require_simple("gamma")
-    hist = nullity_histogram(g)
-    # coefficient of x^1 in sum cnt * (x-1)^nl
-    return sum(cnt * nl * (1 if nl % 2 else -1) for nl, cnt in hist.items())
+    # coefficient of x^1 in the sum over subsets of (x-1)^nullity
+    return sum(cnt * nl * (1 if nl % 2 else -1)
+               for (_, nl), cnt in _rank_nullity_histogram(g.rows).items())
 
 
 # -- coefficient identities -----------------------------------------------------

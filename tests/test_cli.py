@@ -157,6 +157,14 @@ def test_format_error_exits_2(files, capsys):
     assert code == 2 and "line 1" in err
 
 
+def test_recursion_too_deep_exits_2(tmp_path, capsys):
+    path = tmp_path / "p1200.edges"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 1200)))
+    code, out, err = run(capsys, "qn", "--edges", str(path), "--method", "recursion")
+    assert code == 2 and out == ""
+    assert err == "error: input too large for qn recursion (RecursionError)"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "qn", "--edges", "/nonexistent/file.edges")
     assert code == 2 and "cannot read" in err

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from conftest import all_labeled_graphs, graph_with_extra
+from graphpoly import interlace
+from graphpoly.dh import qn_bdh_fast
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from graphpoly.interlace import (CoefficientReport, coefficient_checks,
                                  gamma_invariant, q_recursive, q_state_sum,
@@ -75,6 +77,54 @@ def test_qn_c6_known_value():
 
 def test_qn_k3():
     assert qn_recursive(complete_graph(3)) == X({(1,): 4})
+
+
+def _scattered_graph(rng, n, loop_p):
+    """Random graph on n vertices made of several pieces and isolated vertices, interleaved by index."""
+    vs = [str(i) for i in range(1, n + 1)]
+    rng.shuffle(vs)
+    edges, start = [], 0
+    while start < n:
+        piece = vs[start:start + rng.randrange(1, 5)]
+        start += len(piece)
+        edges += [(u, v) for i, u in enumerate(piece) for v in piece[i + 1:] if rng.random() < 0.6]
+        edges += [(v, v) for v in piece if rng.random() < loop_p]
+    return Graph.from_edges(edges, sorted(vs, key=int))
+
+
+def test_recursions_match_state_sum_on_split_graphs():
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randrange(6, 12)
+        g = _scattered_graph(rng, n, loop_p=0.0)
+        assert len(g.components()) > 1
+        assert qn_recursive(g) == qn_from_q(g)
+        g = _scattered_graph(rng, n, loop_p=0.3)
+        expected = q_state_sum(g)
+        assert q_recursive(g) == expected
+        assert q_recursive(g, prefer_loop=True) == expected
+
+
+def test_qn_recursive_long_path_matches_pendant_recurrence():
+    # q_N(P_n) = q_N(P_{n-1}) + x q_N(P_{n-2}), q_N(P_0) = 1, q_N(P_1) = x
+    x = X({(1,): 1})
+    prev, cur = X({(0,): 1}), x
+    for _ in range(2, 401):
+        prev, cur = cur, cur + x * prev
+    assert qn_recursive(path_graph(400)) == cur
+
+
+def test_qn_recursive_matches_bdh_fast_on_a_random_tree():
+    # the 50-vertex tree of tests/test_dh.py::test_qn_bdh_fast_tree_matches_pendant_recursion
+    rng = random.Random(76)
+    edges = [(f"v{k}", f"v{rng.randrange(1, k)}") for k in range(2, 51)]
+    tree = Graph.from_edges(edges, [f"v{k}" for k in range(1, 51)])
+    assert qn_recursive(tree) == qn_bdh_fast(tree)
+
+
+def test_interlace_keeps_no_module_level_memo():
+    assert not [name for name, value in vars(interlace).items()
+                if isinstance(value, dict) and name.endswith(("_memo", "_cache"))]
 
 
 def test_qn_from_q_examples():
