@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Timing experiment for the bipartite distance-hereditary fast path.
 
-Times qn_bdh_fast on random BDH graphs of growing size and fits the
-log-log slope, which should stay a small constant (polynomial growth).
-The general recursion is timed alongside on the sizes where it is
-feasible, to show the gap the fast path closes.
+Times the two stages of qn_bdh_fast on random BDH graphs of growing size:
+peel recognition (recognize_dh) and evaluation (bdh_to_sp followed by
+sp_diagonal_tutte), and fits the log-log slope of each, which should stay
+a small constant (polynomial growth).  The general recursion is timed
+alongside on the sizes where it is feasible, to show the gap the fast path
+closes.
 
-Usage: python scripts/fastpath_scaling.py [--sizes 50,100,200,400] [--seed 7]
+Usage: python scripts/fastpath_scaling.py [--sizes 50,100,200,400,800,1600] [--seed 7]
 """
 
 import argparse
@@ -14,8 +16,9 @@ import math
 import random
 import time
 
-from graphpoly.dh import qn_bdh_fast
+from graphpoly.dh import bdh_to_sp, recognize_dh
 from graphpoly.interlace import qn_recursive
+from graphpoly.planar import sp_diagonal_tutte
 from graphpoly.randgen import random_bdh_graph, random_connected_graph
 
 
@@ -30,19 +33,26 @@ def main() -> None:
 
     rows = []
     for n in sizes:
-        best = math.inf
+        best_rec = best_eval = math.inf
         for _ in range(args.repeats):
             g = random_bdh_graph(n, rng)
             t0 = time.perf_counter()
-            poly = qn_bdh_fast(g)
-            best = min(best, time.perf_counter() - t0)
-        rows.append((n, best, poly.degree("x")))
-        print(f"n={n:5d}  fast path {best * 1000:9.1f} ms   deg q_N = {rows[-1][2]}")
+            seq = recognize_dh(g).sequence
+            t1 = time.perf_counter()
+            poly = sp_diagonal_tutte(bdh_to_sp(seq)[0])
+            t2 = time.perf_counter()
+            best_rec = min(best_rec, t1 - t0)
+            best_eval = min(best_eval, t2 - t1)
+        rows.append((n, best_rec, best_eval))
+        print(f"n={n:5d}  recognition {best_rec * 1000:9.1f} ms   "
+              f"evaluation {best_eval * 1000:9.1f} ms   deg q_N = {poly.degree('x')}")
 
     print()
-    for (n1, t1, _), (n2, t2, _) in zip(rows, rows[1:]):
-        slope = math.log(max(t2, 1e-4) / max(t1, 1e-4)) / math.log(n2 / n1)
-        print(f"log-log slope {n1} -> {n2}: {slope:.2f}")
+    for (n1, r1, e1), (n2, r2, e2) in zip(rows, rows[1:]):
+        slopes = [math.log(max(b, 1e-4) / max(a, 1e-4)) / math.log(n2 / n1)
+                  for a, b in ((r1, r2), (e1, e2))]
+        print(f"log-log slope {n1} -> {n2}: recognition {slopes[0]:.2f}, "
+              f"evaluation {slopes[1]:.2f}")
 
     print()
     print("general recursion for contrast (exponential; dense random graphs):")

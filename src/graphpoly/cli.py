@@ -93,7 +93,7 @@ def cmd_qn(args) -> int:
 def cmd_gamma(args) -> int:
     g = _load_graph(args)
     t0 = time.perf_counter()
-    _emit(args, gamma_invariant(g), "state-sum", t0)
+    _emit(args, gamma_invariant(g), "pivot-recursion", t0)
     return OK
 
 
@@ -187,8 +187,9 @@ def cmd_dh(args) -> int:
         _emit(args, f"{'yes' if check.value else 'no'}: {check.reason}", "greedy-peel", t0)
         return OK if check.value else FAILED
     check = is_bdh(g)
-    if not check.value:
-        _emit(args, f"no series-parallel form: {check.reason}", "greedy-peel", t0)
+    if not check.value or g.n == 1:
+        reason = check.reason if not check.value else "a single vertex has no edge to build"
+        _emit(args, f"no series-parallel form: {reason}", "greedy-peel", t0)
         return FAILED
     sp, edge_of = bdh_to_sp(check.recognition.sequence)
     text = sp.to_text().rstrip("\n")

@@ -10,6 +10,12 @@ Recognition peels greedily: a pendant vertex or a twin of an existing
 vertex can always be removed from a DH graph until one vertex is left;
 replaying the removals backwards is a construction sequence.  A graph where
 the peel gets stuck is not DH, and the stuck residual is the certificate.
+The peel keeps the rows at their original indices and buckets the live
+vertices by open neighbourhood and by closed neighbourhood, with one
+bitmask each for pendants, vertices with a false twin and vertices with a
+true twin.  Removing v changes only the rows of its neighbours, so a step
+re-buckets v and its neighbours: O(deg v) bucket updates on n-bit keys,
+O(|E|) over the whole peel.
 
 ``bdh_to_sp`` converts a true-twin-free sequence into a series-parallel
 construction whose diagonal Tutte polynomial equals q_N of the graph.  Each
@@ -124,65 +130,101 @@ class DHRecognition:
         return self.sequence.true_twin_count
 
 
-def _peel_candidates(ids, rows):
-    """All legal removals as (priority, removed, partner, kind)."""
-    n = len(ids)
-    out = []
-    open_rows: dict[int, list] = {}
-    closed_rows: dict[int, list] = {}
-    for i in range(n):
-        r = rows[i]
-        if r and r & (r - 1) == 0:
-            j = r.bit_length() - 1
-            out.append((0, i, j, "pendant"))
-        if r:  # twins only on non-isolated vertices
-            open_rows.setdefault(r, []).append(i)
-        closed_rows.setdefault(r | (1 << i), []).append(i)
-    for grp in open_rows.values():
-        for a in grp:
-            for b in grp:
-                if a != b:
-                    out.append((1, a, b, "falsetwin"))
-    for key, grp in closed_rows.items():
-        # keeping b must leave it non-isolated, so the pair needs a third
-        # closed neighbour (rules out recording K_2 as a true-twin step)
-        if bin(key).count("1") < 3:
-            continue
-        for a in grp:
-            for b in grp:
-                if a != b:
-                    out.append((2, a, b, "truetwin"))
-    return out
+_KINDS = ("pendant", "falsetwin", "truetwin")
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _toggle_bucket(buckets: dict, key: int, bit: int, twins: int) -> int:
+    """Put bit into the bucket of key, or take it out; return the updated twin mask.
+
+    The twin mask holds exactly the vertices whose bucket has another member.
+    """
+    members = buckets.pop(key, 0) ^ bit
+    if members:
+        buckets[key] = members
+    twins &= ~(bit | members)
+    return twins | members if members & (members - 1) else twins
 
 
 def recognize_dh(g: Graph, rng: random.Random | None = None) -> DHRecognition:
     """Greedy pendant/twin peel; deterministic order unless an rng is supplied.
 
     The deterministic order prefers pendants, then false twins, then true
-    twins, removing the earliest vertex first.  With an rng the step is
-    chosen uniformly among all legal removals, which exercises the fact
-    that the number of true twins does not depend on the peel order.
+    twins, removing the earliest vertex first against its earliest partner.
+    With an rng the step is chosen uniformly among all legal removals,
+    listed as pendants by index, then each twin group (by its lowest
+    member) with its ordered pairs; this exercises the fact that the
+    number of true twins does not depend on the peel order.
     """
     g.require_simple("distance-hereditary recognition")
     if g.n == 0:
         raise ValueError("empty graph")
-    ids = list(g.ids)
+    ids = g.ids
     rows = list(g.rows)
-    removed_ops = []
-    while len(ids) > 1:
-        cands = _peel_candidates(ids, rows)
-        if not cands:
-            return DHRecognition(None, Graph(ids, rows))
-        if rng is None:
-            choice = min(cands)
+    alive = (1 << g.n) - 1
+    # open neighbourhood -> members (non-isolated vertices) and closed
+    # neighbourhood -> members (degree two or more: keeping the partner must
+    # leave it non-isolated, which rules out recording K_2 as a true twin)
+    open_rows: dict[int, int] = {}
+    closed_rows: dict[int, int] = {}
+    pend = ftwin = ttwin = 0
+
+    def toggle(v):
+        nonlocal pend, ftwin, ttwin
+        r, bit = rows[v], 1 << v
+        if r & (r - 1):
+            ttwin = _toggle_bucket(closed_rows, r | bit, bit, ttwin)
+        elif r:
+            pend ^= bit
         else:
-            choice = cands[rng.randrange(len(cands))]
-        _, rem, partner, kind = choice
-        removed_ops.append((kind, ids[rem], ids[partner]))
-        ids.pop(rem)
-        low = (1 << rem) - 1
-        rows = [((r & low) | ((r >> (rem + 1)) << rem)) for k, r in enumerate(rows) if k != rem]
-    ops = [("root", ids[0])] + removed_ops[::-1]
+            return
+        ftwin = _toggle_bucket(open_rows, r, bit, ftwin)
+
+    def partners(kind, v):
+        bit = 1 << v
+        if kind == 0:
+            return rows[v]
+        if kind == 1:
+            return open_rows[rows[v]] ^ bit
+        return closed_rows[rows[v] | bit] ^ bit
+
+    for v in range(g.n):
+        toggle(v)
+    removed_ops = []
+    while alive & (alive - 1):
+        if not (pend | ftwin | ttwin):
+            keep = list(_bits(alive))
+            pos = {v: k for k, v in enumerate(keep)}
+            return DHRecognition(None, Graph([ids[v] for v in keep],
+                                             [sum(1 << pos[u] for u in _bits(rows[v])) for v in keep]))
+        if rng is None:
+            kind = 0 if pend else 1 if ftwin else 2
+            rem = next(_bits((pend, ftwin, ttwin)[kind]))
+            partner = next(_bits(partners(kind, rem)))
+        else:
+            cands = [(0, v, rows[v].bit_length() - 1) for v in _bits(pend)]
+            for kind, mask in ((1, ftwin), (2, ttwin)):
+                for v in _bits(mask):
+                    group = partners(kind, v) | 1 << v
+                    if group & -group == 1 << v:
+                        cands += [(kind, a, b) for a in _bits(group) for b in _bits(group ^ 1 << a)]
+            kind, rem, partner = cands[rng.randrange(len(cands))]
+        removed_ops.append((_KINDS[kind], ids[rem], ids[partner]))
+        # only rem and its neighbours change buckets
+        toggle(rem)
+        alive ^= 1 << rem
+        for u in _bits(rows[rem]):
+            toggle(u)
+            rows[u] ^= 1 << rem
+            toggle(u)
+    ops = [("root", ids[alive.bit_length() - 1])] + removed_ops[::-1]
     return DHRecognition(DHSequence(tuple(ops)), None)
 
 
@@ -207,55 +249,6 @@ def is_bdh(g: Graph) -> BdhCheck:
     if rec.true_twin_count > 0:
         return BdhCheck(False, f"construction needs {rec.true_twin_count} true twin(s)", rec)
     return BdhCheck(True, "pendant and false-twin construction found", rec)
-
-
-# -- direct cross-checks used against the recognizer --------------------------------
-
-
-def is_62_chordal(g: Graph) -> bool:
-    """Every cycle of length at least 6 has at least two chords (small graphs only)."""
-    ids = g.ids
-    n = g.n
-    adjset = {v: set(g.neighbors(v)) for v in ids}
-
-    def chords_of(cycle):
-        cyc = set(cycle)
-        k = len(cycle)
-        consecutive = {frozenset((cycle[i], cycle[(i + 1) % k])) for i in range(k)}
-        count = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                pair = frozenset((cycle[i], cycle[j]))
-                if pair in consecutive:
-                    continue
-                if cycle[j] in adjset[cycle[i]]:
-                    count += 1
-        return count
-
-    # enumerate simple cycles by DFS from a least vertex, avoiding double counting
-    ok = True
-    order = {v: i for i, v in enumerate(ids)}
-
-    def extend(path):
-        nonlocal ok
-        if not ok:
-            return
-        start = path[0]
-        last = path[-1]
-        for w in sorted(adjset[last], key=order.get):
-            if w == start and len(path) >= 3:
-                if len(path) >= 6 and path[1] < path[-1] and chords_of(path) < 2:
-                    ok = False
-                    return
-            if order[w] <= order[start] or w in path:
-                continue
-            extend(path + [w])
-
-    for v in ids:
-        extend([v])
-        if not ok:
-            return False
-    return ok
 
 
 # -- gamma shortcuts ------------------------------------------------------------------

@@ -86,14 +86,6 @@ class EulerDigraph:
         except KeyError:
             raise ValueError(f"unknown arc {aid!r}") from None
 
-    def in_arcs(self, v: str) -> tuple:
-        v = str(v)
-        return tuple(a for a in self.arcs if a[2] == v)
-
-    def out_arcs(self, v: str) -> tuple:
-        v = str(v)
-        return tuple(a for a in self.arcs if a[1] == v)
-
     def is_connected(self) -> bool:
         """Connectivity of the undirected support (vertexless graph counts as connected)."""
         if not self.vertex_ids:
@@ -122,9 +114,6 @@ class TransitionSystem:
     """One in/out pairing per vertex: vertex -> ((in, out), (in, out)) arc ids."""
 
     pairing: tuple
-
-    def as_dict(self) -> dict:
-        return dict(self.pairing)
 
 
 def _vertex_slots(g: EulerDigraph) -> list[tuple[str, tuple, tuple]]:

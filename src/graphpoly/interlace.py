@@ -17,7 +17,8 @@ routes separately so each serves as an oracle for the other.
 The vertex-nullity interlace polynomial q_N is the specialization
 q_N(G; x) = q(G; 2, x) for simple graphs; it also has its own recursion
 q_N(G) = q_N(G-v) + q_N(G^{vw}-w) with base x^n.  The gamma invariant is
-the coefficient of x^1 in q_N.
+the coefficient of x^1 in q_N: ``gamma_invariant`` reads it off the
+recursion, ``gamma_state_sum`` counts it over all vertex subsets.
 
 Both recursions use that q and q_N are multiplicative over connected
 components.  Each new subproblem first runs a bitmask search from vertex
@@ -67,6 +68,12 @@ def q_state_sum(g: Graph) -> SparsePoly:
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + c
     return SparsePoly(_QXY_VARS, acc)
+
+
+def gamma_state_sum(g: Graph) -> int:
+    """gamma by direct subset expansion: the x^1 coefficient of sum (x-1)^nullity."""
+    return sum(cnt * nl * (1 if nl % 2 else -1)
+               for (_, nl), cnt in _rank_nullity_histogram(g.rows).items())
 
 
 def qn_from_q(g: Graph) -> SparsePoly:
@@ -200,9 +207,7 @@ def qn_recursive(g: Graph) -> SparsePoly:
 def gamma_invariant(g: Graph) -> int:
     """Coefficient of x^1 in q_N (0 iff disconnected, 1 iff a single vertex)."""
     g.require_simple("gamma")
-    # coefficient of x^1 in the sum over subsets of (x-1)^nullity
-    return sum(cnt * nl * (1 if nl % 2 else -1)
-               for (_, nl), cnt in _rank_nullity_histogram(g.rows).items())
+    return _qn_kernel(g.rows).get(1, 0)
 
 
 # -- coefficient identities -----------------------------------------------------

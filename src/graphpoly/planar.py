@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .euler import EulerDigraph, chord_diagram_from_circuit, euler_circuit
 from .chords import circle_graph
-from .interlace import gamma_invariant, qn_recursive
+from .interlace import gamma_state_sum, qn_recursive
 from .poly import SparsePoly
 
 Dart = tuple[str, int]  # (edge id, side 0 or 1)
@@ -233,9 +233,6 @@ def medial_digraph(g: PlaneMultigraph) -> EulerDigraph:
 # -- Tutte polynomial by deletion / contraction ----------------------------------
 
 
-_tutte_memo: dict[tuple, dict] = {}
-
-
 def _normalize_edges(edges: Sequence[tuple]) -> tuple:
     """Deterministic labelled key: relabel by first occurrence in sorted edge order."""
     sorted_edges = sorted(tuple(sorted(e)) for e in edges)
@@ -312,9 +309,9 @@ def _bridges(edges: list[tuple]) -> set[int]:
     return out
 
 
-def _tutte_connected(edges: tuple) -> dict:
+def _tutte_connected(edges: tuple, memo: dict) -> dict:
     """Tutte of a connected multigraph given as a normalized edge tuple."""
-    cached = _tutte_memo.get(edges)
+    cached = memo.get(edges)
     if cached is not None:
         return cached
     work = list(edges)
@@ -355,27 +352,31 @@ def _tutte_connected(edges: tuple) -> dict:
         work = nxt
     if not work:
         res = {(i, j): 1}
-        _tutte_memo[edges] = res
+        memo[edges] = res
         return res
     key = _normalize_edges(work)
-    sub = _tutte_memo.get(key)
+    sub = memo.get(key)
     if sub is None:
         u, v = key[0]
         rest = list(key[1:])
-        d1 = _tutte_connected(_normalize_edges(rest))
+        d1 = _tutte_connected(_normalize_edges(rest), memo)
         contracted = [tuple(sorted((u if a == v else a, u if b == v else b))) for a, b in rest]
-        d2 = _tutte_connected(_normalize_edges(contracted))
+        d2 = _tutte_connected(_normalize_edges(contracted), memo)
         sub = dict(d1)
         for k2, c in d2.items():
             sub[k2] = sub.get(k2, 0) + c
-        _tutte_memo[key] = sub
+        memo[key] = sub
     res = {(a + i, b + j): c for (a, b), c in sub.items()}
-    _tutte_memo[edges] = res
+    memo[edges] = res
     return res
 
 
 def tutte_polynomial(g) -> SparsePoly:
-    """Tutte polynomial of a multigraph (PlaneMultigraph or iterable of edge pairs)."""
+    """Tutte polynomial of a multigraph (PlaneMultigraph or iterable of edge pairs).
+
+    The deletion/contraction memo lives for this call and is shared by the
+    components.
+    """
     if isinstance(g, PlaneMultigraph):
         edges = g.edge_list()
     else:
@@ -383,8 +384,9 @@ def tutte_polynomial(g) -> SparsePoly:
     if not edges:
         return SparsePoly.const(("x", "y"), 1)
     acc = {(0, 0): 1}
+    memo: dict[tuple, dict] = {}
     for comp in _components_of(edges):
-        part = _tutte_connected(_normalize_edges(comp))
+        part = _tutte_connected(_normalize_edges(comp), memo)
         nxt: dict = {}
         for (a, b), c in acc.items():
             for (a2, b2), c2 in part.items():
@@ -402,6 +404,15 @@ def diagonal(p: SparsePoly) -> SparsePoly:
     return SparsePoly(("x",), acc)
 
 
+def _beta_of(t: SparsePoly) -> int:
+    """The common coefficient of x^1 and y^1 in a Tutte polynomial."""
+    bx = t.coefficient({"x": 1})
+    by = t.coefficient({"y": 1})
+    if bx != by:
+        raise AssertionError(f"x and y coefficients differ: {bx} vs {by}")
+    return bx
+
+
 def beta_invariant(g) -> int:
     """Common coefficient of x^1 and y^1 in the Tutte polynomial (needs >= 2 edges)."""
     if isinstance(g, PlaneMultigraph):
@@ -411,12 +422,7 @@ def beta_invariant(g) -> int:
         m = len(g)
     if m < 2:
         raise ValueError("beta needs at least 2 edges")
-    t = tutte_polynomial(g)
-    bx = t.coefficient({"x": 1})
-    by = t.coefficient({"y": 1})
-    if bx != by:
-        raise AssertionError(f"x and y coefficients differ: {bx} vs {by}")
-    return bx
+    return _beta_of(tutte_polynomial(g))
 
 
 def spanning_tree_count(edges: Sequence[tuple]) -> int:
@@ -520,16 +526,20 @@ class MedialTutteReport:
 
 
 def verify_medial_tutte_identity(g) -> MedialTutteReport:
-    """Run the medial pipeline on a plane graph or SPSequence and compare both sides."""
+    """Run the medial pipeline on a plane graph or SPSequence and compare both sides.
+
+    gamma(H) is counted by the state sum, not read off q_N(H), so that
+    gamma(H) = 2 * beta(G) checks the definition of gamma on its own.
+    """
     if isinstance(g, SPSequence):
         g = build_sp(g)
     if not isinstance(g, PlaneMultigraph):
         raise TypeError("need a PlaneMultigraph or SPSequence")
     if g.m < 2:
         raise ValueError("identity check needs at least 2 edges")
-    t_diag = diagonal(tutte_polynomial(g))
+    t = tutte_polynomial(g)
     med = medial_digraph(g)
     circ = euler_circuit(med)
     h = circle_graph(chord_diagram_from_circuit(med, circ))
     qn = qn_recursive(h)
-    return MedialTutteReport(t_diag, qn, gamma_invariant(h), beta_invariant(g))
+    return MedialTutteReport(diagonal(t), qn, gamma_state_sum(h), _beta_of(t))

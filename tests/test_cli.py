@@ -126,6 +126,21 @@ def test_dh_to_sp(files, capsys):
     assert code == 0 and out.splitlines()[0] == "digon"
 
 
+def test_dh_to_sp_single_vertex_exits_1(tmp_path, capsys):
+    single = tmp_path / "single.edges"
+    single.write_text("a\n")
+    assert run(capsys, "dh", "is-bdh", "--edges", str(single))[0] == 0
+    code, out, err = run(capsys, "dh", "to-sp", "--edges", str(single))
+    assert code == 1 and err == ""
+    assert out == "no series-parallel form: a single vertex has no edge to build"
+
+
+def test_gamma_json_names_pivot_recursion(files, capsys):
+    code, out, _ = run(capsys, "--format", "json", "gamma", "--edges", files["c6.edges"])
+    assert code == 0 and json.loads(out)["method"] == "pivot-recursion"
+    assert json.loads(out)["result"] == 4
+
+
 def test_dh_empty_graph_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.edges"
     empty.write_text("# no vertices\n")

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from conftest import all_labeled_graphs
+from dh_reference import is_62_chordal, reference_peel
 from graphpoly.dh import (DHSequence, apply_dh_sequence, bdh_to_sp,
-                          gamma_from_sequence, is_62_chordal, is_bdh,
+                          gamma_from_sequence, is_bdh,
                           qn_bdh_fast, recognize_dh, structural_checks)
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph
-from graphpoly.interlace import gamma_invariant, qn_from_q, qn_recursive
+from graphpoly.interlace import gamma_invariant, gamma_state_sum, qn_from_q, qn_recursive
 from graphpoly.planar import sp_diagonal_tutte
 from graphpoly.poly import SparsePoly
-from graphpoly.randgen import random_bdh_graph, random_dh_sequence
+from graphpoly.randgen import (random_bdh_graph, random_dh_sequence,
+                               random_graph)
 
 
 def SEQ(*ops):
@@ -70,6 +72,52 @@ def test_recognition_round_trip_random():
         rec = recognize_dh(g)
         assert rec.accepted
         assert apply_dh_sequence(rec.sequence) == g
+
+
+def _peel_corpus(seed):
+    """Random G(n, p) with n <= 14, then relabelled DH scripts with true twins."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        yield random_graph(rng.randrange(1, 15), rng, p=rng.choice((0.15, 0.3, 0.5, 0.8)))
+    for _ in range(100):
+        g = apply_dh_sequence(random_dh_sequence(rng.randrange(1, 41), rng))
+        ids = list(g.ids)
+        rng.shuffle(ids)
+        yield Graph.from_edges(g.edges(), ids)
+
+
+def _same_recognition(a, b):
+    if a.residual is None or b.residual is None:
+        return a == b
+    return ((a.sequence, a.residual.ids, a.residual.rows)
+            == (b.sequence, b.residual.ids, b.residual.rows))
+
+
+def test_recognize_dh_matches_reference_peel():
+    rejected = 0
+    for k, g in enumerate(_peel_corpus(82)):
+        rec = recognize_dh(g)
+        assert _same_recognition(rec, reference_peel(g)), g
+        assert _same_recognition(recognize_dh(g, random.Random(k)),
+                                 reference_peel(g, random.Random(k))), g
+        rejected += not rec.accepted
+    assert 30 < rejected < 150  # both outcomes are well represented
+
+
+def test_recognize_dh_large_bdh_graph_replays():
+    g = random_bdh_graph(1600, random.Random(83))
+    rec = recognize_dh(g)
+    assert rec.accepted and rec.true_twin_count == 0
+    assert apply_dh_sequence(rec.sequence) == g
+
+
+def test_gamma_invariant_matches_state_sum():
+    rng = random.Random(84)
+    for n in range(12):
+        for p in (0.2, 0.5):
+            g = random_graph(n, rng, p)
+            assert gamma_invariant(g) == qn_from_q(g).coefficient({"x": 1}), g
+            assert gamma_state_sum(g) == gamma_invariant(g), g
 
 
 def test_is_bdh_examples():

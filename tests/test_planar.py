@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from graphpoly import planar
 from graphpoly.planar import (PlaneMultigraph, SPSequence, beta_invariant,
                               build_sp, diagonal, medial_digraph,
                               sp_diagonal_tutte, spanning_tree_count,
@@ -219,3 +220,8 @@ def test_medial_identity_needs_two_edges():
     g = PlaneMultigraph(["a"], {"e": ("a", "a")}, {"a": [("e", 0), ("e", 1)]})
     with pytest.raises(ValueError):
         verify_medial_tutte_identity(g)
+
+
+def test_planar_keeps_no_module_level_memo():
+    assert not [name for name, value in vars(planar).items()
+                if isinstance(value, dict) and name.endswith(("_memo", "_cache"))]
