@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .graphs import Graph, rank_nullity_mask
-from .interlace import q_state_sum
+from .graphs import Graph
+from .interlace import q_state_sum, rank_nullity_histogram
 from .poly import SparsePoly
 
 
@@ -139,17 +139,11 @@ def chord_pivot(d: ChordDiagram, a: str, b: str) -> ChordDiagram:
 
 def c_polynomial(d: ChordDiagram) -> SparsePoly:
     """C(D; Y, Z) over all subdiagrams; Z-exponent is half the circle-graph rank."""
-    h = circle_graph(d)
-    labels = d.labels()
-    n = len(labels)
-    rows = h.rows  # circle_graph preserves label order, so indices line up
     acc: dict[tuple[int, int], int] = {}
-    for mask in range(1 << n):
-        r, _ = rank_nullity_mask(rows, mask)
+    for (r, nl), cnt in rank_nullity_histogram(circle_graph(d).rows).items():
         if r % 2:
             raise AssertionError("odd GF(2) rank on a loopless circle graph")
-        key = (bin(mask).count("1"), r // 2)
-        acc[key] = acc.get(key, 0) + 1
+        acc[(r + nl, r // 2)] = cnt
     return SparsePoly(("Y", "Z"), acc)
 
 

@@ -3,7 +3,10 @@
 Exit codes: 0 on success or a verified identity, 1 when a verification or
 recognition comes back negative, 2 on usage or input-format errors and on
 an input too large for the chosen method (a ``RecursionError`` or
-``MemoryError``, reported in one line that names the method).
+``MemoryError``, reported in one line that names the method).  The 2^n
+enumerations (``q --method state-sum``, ``qn --method specialize`` and
+``cpp``) first compare their state count with ``MAX_STATES`` and exit 2,
+naming a faster method, when it is over.
 ``--format json`` wraps results as {"input", "method", "result",
 "elapsed_ms"}; polynomial results serialize as a list of
 {"exps": {var: exponent}, "coeff": "<integer>"}.
@@ -32,6 +35,7 @@ from .poly import SparsePoly
 from . import randgen
 
 OK, FAILED, USAGE = 0, 1, 2
+MAX_STATES = 1 << 24  # largest 2^n state enumeration a command starts
 
 
 def _read(path: str) -> str:
@@ -66,11 +70,23 @@ def _load_graph(args) -> Graph:
     return fileio.parse_edge_list(_read(args.edges))
 
 
+def _over_budget(n: int, what: str, faster: str) -> bool:
+    """Report and return True when 2^n states exceed ``MAX_STATES``."""
+    if 1 << n <= MAX_STATES:
+        return False
+    print(f"error: {what} would enumerate 2^{n} states, over the limit of "
+          f"{MAX_STATES}; use {faster}", file=sys.stderr)
+    return True
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
 def cmd_q(args) -> int:
     g = _load_graph(args)
+    if args.method == "state-sum" and _over_budget(g.n, "q --method state-sum",
+                                                   "--method recursion"):
+        return USAGE
     t0 = time.perf_counter()
     poly = q_state_sum(g) if args.method == "state-sum" else q_recursive(g)
     _emit(args, poly, args.method, t0)
@@ -79,6 +95,9 @@ def cmd_q(args) -> int:
 
 def cmd_qn(args) -> int:
     g = _load_graph(args)
+    if args.method == "specialize" and _over_budget(g.n, "qn --method specialize",
+                                                    "--method recursion"):
+        return USAGE
     t0 = time.perf_counter()
     if args.method == "recursion":
         poly = qn_recursive(g)
@@ -124,6 +143,9 @@ def cmd_beta(args) -> int:
 def cmd_cpp(args) -> int:
     args.input_desc = args.arcs
     g = fileio.parse_arc_list(_read(args.arcs))
+    if _over_budget(g.n, "cpp", "qn --method recursion on the circle graph from "
+                    "circle-graph --arcs; f(G; x) = x*q_N(H; x+1)"):
+        return USAGE
     t0 = time.perf_counter()
     _emit(args, circuit_partition_polynomial(g), "state-enumeration", t0)
     return OK

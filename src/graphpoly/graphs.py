@@ -127,9 +127,6 @@ class Graph:
                     out.append((self.ids[i], self.ids[j]))
         return out
 
-    def edge_count(self) -> int:
-        return len(self.edges())
-
     def is_simple(self) -> bool:
         return all(not (r >> i & 1) for i, r in enumerate(self.rows))
 

@@ -14,6 +14,11 @@ for a looped vertex a, q(G) = q(G-a) + (x-1) * q(G^a-a), and q(E_n) = y^n on
 the edgeless graph.  ``q_state_sum`` and ``q_recursive`` implement the two
 routes separately so each serves as an oracle for the other.
 
+The state sums (``q_state_sum``, ``gamma_state_sum``, ``qn_from_q``,
+``chords.c_polynomial``) read ``rank_nullity_histogram``, which extends
+the GF(2) elimination of a subset S to S + {v} in one step, O(rank +
+nullity) per subset.  It calls neither recursion kernel.
+
 The vertex-nullity interlace polynomial q_N is the specialization
 q_N(G; x) = q(G; 2, x) for simple graphs; it also has its own recursion
 q_N(G) = q_N(G-v) + q_N(G^{vw}-w) with base x^n.  The gamma invariant is
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, compact_rows, component_masks, delete_index, pivot_rows, rank_nullity_mask
+from .graphs import Graph, compact_rows, component_masks, delete_index, pivot_rows
 from .poly import SparsePoly
 
 _QXY_VARS = ("x", "y")
@@ -47,18 +52,71 @@ _QX_VARS = ("x",)
 # -- state sums ---------------------------------------------------------------
 
 
-def _rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
-    """Count vertex subsets by the GF(2) (rank, nullity) of their induced submatrix."""
-    hist: dict[tuple[int, int], int] = {}
-    for mask in range(1 << len(rows)):
-        key = rank_nullity_mask(rows, mask)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
+    """Count vertex subsets by the GF(2) (rank, nullity) of their induced submatrix.
+
+    Subsets are visited depth first, each S + {v} with v > max S built from
+    S by one elimination step.  The |S| row combinations of S are kept at
+    full width (XORs of whole rows), so their restriction to any superset
+    of S is one AND; they are split into ``pivots``, keyed by their lowest
+    bit inside S, and the dependents, which vanish on S.  Bit v of a
+    full-width combination is its entry in column v: the first dependent
+    with bit v becomes the pivot at v and clears bit v from the others.
+    Row v is then reduced against the pivots and is a new pivot or a new
+    dependent.  ``pivots`` is one dict, undone on the way back up.
+    """
+    n = len(rows)
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    counts[0][0] = 1
+    pivots: dict[int, int] = {}
+
+    def grow(mask: int, deps: list, rank: int, start: int) -> None:
+        for v in range(start, n):
+            bit = 1 << v
+            sub = mask | bit
+            kept = []
+            col = 0
+            for d in deps:
+                if not d & bit:
+                    kept.append(d)
+                elif col:
+                    kept.append(d ^ col)
+                else:
+                    col = d
+            r = rank
+            if col:
+                pivots[bit] = col
+                r += 1
+            cur = rows[v]
+            left = cur & sub
+            while left:
+                low = left & -left
+                p = pivots.get(low)
+                if p is None:
+                    break
+                cur ^= p
+                left = cur & sub
+            if left:
+                pivots[low] = cur
+                r += 1
+            else:
+                low = 0
+                kept.append(cur)
+            counts[r][len(kept)] += 1
+            if v + 1 < n:
+                grow(sub, kept, r, v + 1)
+            if col:
+                del pivots[bit]
+            if low:
+                del pivots[low]
+
+    grow(0, [], 0, 0)
+    return {(r, nl): c for r, row in enumerate(counts) for nl, c in enumerate(row) if c}
 
 
 def q_state_sum(g: Graph) -> SparsePoly:
     """Two-variable interlace polynomial by direct subset expansion."""
-    hist = _rank_nullity_histogram(g.rows)
+    hist = rank_nullity_histogram(g.rows)
     acc: dict[tuple[int, int], int] = {}
     for (r, nl), cnt in hist.items():
         for i in range(r + 1):
@@ -73,13 +131,18 @@ def q_state_sum(g: Graph) -> SparsePoly:
 def gamma_state_sum(g: Graph) -> int:
     """gamma by direct subset expansion: the x^1 coefficient of sum (x-1)^nullity."""
     return sum(cnt * nl * (1 if nl % 2 else -1)
-               for (_, nl), cnt in _rank_nullity_histogram(g.rows).items())
+               for (_, nl), cnt in rank_nullity_histogram(g.rows).items())
+
+
+def _qn_of_q(q: SparsePoly) -> SparsePoly:
+    """q_N(G; x) = q(G; 2, x) for a simple graph G."""
+    return q.subs_int("x", 2).rename_var("y", "x")
 
 
 def qn_from_q(g: Graph) -> SparsePoly:
     """q_N obtained from q by substituting x = 2 and renaming y to x."""
     g.require_simple("q_N")
-    return q_state_sum(g).subs_int("x", 2).rename_var("y", "x")
+    return _qn_of_q(q_state_sum(g))
 
 
 # -- recursions ---------------------------------------------------------------
@@ -242,7 +305,6 @@ def coefficient_checks(g: Graph) -> CoefficientReport:
     a10 = q.coefficient({"x": 1})
     a01 = q.coefficient({"y": 1})
     anti = (a10 == -a01) if g.n >= 2 else True
-    qn = qn_from_q(g)
-    a1 = qn.coefficient({"x": 1})
+    a1 = _qn_of_q(q).coefficient({"x": 1})
     weighted = sum(c * 2 ** e[0] for e, c in q.terms.items() if e[1] == 1)
     return CoefficientReport(a10, a01, anti, a1, weighted, a1 == weighted)

@@ -2,7 +2,20 @@
 
 from itertools import combinations
 
+import pytest
+
+from graphpoly import interlace
 from graphpoly.graphs import Graph
+
+
+@pytest.fixture
+def no_recursion_kernels(monkeypatch):
+    """Make both interlace recursion kernels raise if anything calls them."""
+    def forbidden(*args):
+        raise AssertionError("a recursion kernel was called")
+
+    monkeypatch.setattr(interlace, "_qn_kernel", forbidden)
+    monkeypatch.setattr(interlace, "_q_kernel", forbidden)
 
 
 def all_labeled_graphs(n: int):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from state_sum_reference import reference_c_polynomial
 from graphpoly.chords import (ChordDiagram, c_polynomial, chord_pivot,
                               chords_cross, circle_graph, verify_c_identity,
                               verify_c_reduction)
@@ -89,6 +90,13 @@ def test_c_polynomial_examples():
     assert c_polynomial(ChordDiagram([])) == YZ({(0, 0): 1})
     assert c_polynomial(D("1 2 2 1")) == YZ({(0, 0): 1, (1, 0): 2, (2, 0): 1})
     assert c_polynomial(D("1 2 1 2")) == YZ({(0, 0): 1, (1, 0): 2, (2, 1): 1})
+
+
+def test_c_polynomial_matches_per_subset_reference(no_recursion_kernels):
+    rng = random.Random(707)
+    for _ in range(40):
+        d = _random_diagram(rng, rng.randrange(0, 10))
+        assert c_polynomial(d) == reference_c_polynomial(d), d
 
 
 def test_c_identity_worked_case():

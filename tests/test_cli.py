@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphpoly import cli
 from graphpoly.cli import main
 
 C6 = "".join(f"{i} {i % 6 + 1}\n" for i in range(1, 7))
@@ -178,6 +179,42 @@ def test_recursion_too_deep_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "qn", "--edges", str(path), "--method", "recursion")
     assert code == 2 and out == ""
     assert err == "error: input too large for qn recursion (RecursionError)"
+
+
+@pytest.mark.parametrize("argv, faster", [
+    (("q", "--edges", "c6.edges", "--method", "state-sum"), "use --method recursion"),
+    (("qn", "--edges", "c6.edges", "--method", "specialize"), "use --method recursion"),
+    (("cpp", "--arcs", "digon.arcs"), "use qn --method recursion on the circle graph"),
+])
+def test_state_enumeration_over_budget_exits_2(files, capsys, monkeypatch, argv, faster):
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+    monkeypatch.setattr(cli, "MAX_STATES", 3)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and faster in err
+    assert "over the limit of 3" in err
+    monkeypatch.setattr(cli, "MAX_STATES", 64)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+
+
+P25 = "".join(f"{i} {i + 1}\n" for i in range(1, 25))
+DOUBLED_C25 = "".join(f"{i} -> {(i + 1) % 25}\n" * 2 for i in range(25))
+
+
+@pytest.mark.parametrize("command, text", [
+    (("q", "--edges", "{}", "--method", "state-sum"), P25),
+    (("qn", "--edges", "{}", "--method", "specialize"), P25),
+    (("cpp", "--arcs", "{}"), DOUBLED_C25),
+])
+def test_state_enumeration_of_25_vertices_is_refused_at_the_default(tmp_path, capsys,
+                                                                   command, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run(capsys, *(a.format(path) for a in command))
+    assert code == 2 and out == "" and "2^25 states" in err
 
 
 def test_missing_file_exits_2(capsys):

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from conftest import all_labeled_graphs, graph_with_extra
+from state_sum_reference import reference_histogram
 from graphpoly import interlace
 from graphpoly.dh import qn_bdh_fast
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from graphpoly.interlace import (CoefficientReport, coefficient_checks,
-                                 gamma_invariant, q_recursive, q_state_sum,
-                                 qn_from_q, qn_recursive)
+                                 gamma_invariant, gamma_state_sum, q_recursive,
+                                 q_state_sum, qn_from_q, qn_recursive,
+                                 rank_nullity_histogram)
 from graphpoly.poly import SparsePoly
 
 
@@ -44,6 +46,27 @@ def test_q_single_looped_vertex():
     g = Graph.from_edges([("a", "a")])
     assert q_state_sum(g) == XY({(1, 0): 1})
     assert q_recursive(g) == XY({(1, 0): 1})
+
+
+def test_histogram_matches_per_subset_reference():
+    rng = random.Random(606)
+    graphs = [Graph.from_edges([("a", "a")]),
+              Graph.from_edges([("a", "b"), ("c", "c"), ("d", "e"), ("b", "e")], "abcde")]
+    for n in range(13):
+        for p in (0.2, 0.5, 0.8):
+            for loop_p in (0.0, 0.4):
+                graphs.append(_random_graph(rng, n, p, loop_p))
+    for g in graphs:
+        hist = rank_nullity_histogram(g.rows)
+        assert hist == reference_histogram(g.rows), g
+        assert sum(hist.values()) == 1 << g.n
+
+
+def test_state_sums_call_no_recursion_kernel(no_recursion_kernels):
+    g = cycle_graph(6)
+    assert qn_from_q(g) == X({(3,): 2, (2,): 10, (1,): 4})
+    assert gamma_state_sum(g) == 4
+    assert coefficient_checks(g).ok
 
 
 def test_q_recursive_base_cases():
