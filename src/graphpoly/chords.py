@@ -48,10 +48,6 @@ class ChordDiagram:
     def __setattr__(self, name, value):
         raise AttributeError("ChordDiagram is immutable")
 
-    @classmethod
-    def from_text(cls, text: str) -> "ChordDiagram":
-        return cls(text.split())
-
     def __str__(self) -> str:
         return " ".join(self.word)
 
@@ -80,14 +76,6 @@ class ChordDiagram:
         if not ps:
             raise ValueError(f"unknown chord {label!r}")
         return ps[0], ps[1]
-
-    def rotate(self, k: int) -> "ChordDiagram":
-        w = self.word
-        k %= max(len(w), 1)
-        return ChordDiagram(w[k:] + w[:k])
-
-    def reflect(self) -> "ChordDiagram":
-        return ChordDiagram(tuple(reversed(self.word)))
 
     def delete(self, *labels: str) -> "ChordDiagram":
         gone = {str(x) for x in labels}

@@ -4,9 +4,10 @@ Exit codes: 0 on success or a verified identity, 1 when a verification or
 recognition comes back negative, 2 on usage or input-format errors and on
 an input too large for the chosen method (a ``RecursionError`` or
 ``MemoryError``, reported in one line that names the method).  The 2^n
-enumerations (``q --method state-sum``, ``qn --method specialize`` and
-``cpp``) first compare their state count with ``MAX_STATES`` and exit 2,
-naming a faster method, when it is over.
+enumerations (``q --method state-sum``, ``qn --method specialize``,
+``cpp``, ``verify theorem-a --arcs`` and ``verify theorem-b --sp``) first
+compare their state count with ``MAX_STATES`` and exit 2, naming a faster
+method, when it is over.
 ``--format json`` wraps results as {"input", "method", "result",
 "elapsed_ms"}; polynomial results serialize as a list of
 {"exps": {var: exponent}, "coeff": "<integer>"}.
@@ -27,7 +28,7 @@ from .euler import (chord_diagram_from_circuit, circuit_partition_polynomial,
                     euler_circuit, verify_circuit_partition_identity)
 from .graphs import Graph
 from .interlace import (coefficient_checks, gamma_invariant, q_recursive,
-                        q_state_sum, qn_from_q, qn_recursive)
+                        q_state_sum, qn_from_q, qn_of_q, qn_recursive)
 from .planar import (beta_invariant, build_sp, diagonal, medial_digraph,
                      sp_diagonal_tutte, tutte_polynomial,
                      verify_medial_tutte_identity)
@@ -77,6 +78,10 @@ def _over_budget(n: int, what: str, faster: str) -> bool:
     print(f"error: {what} would enumerate 2^{n} states, over the limit of "
           f"{MAX_STATES}; use {faster}", file=sys.stderr)
     return True
+
+
+_CIRCLE_QN = ("qn --method recursion on the circle graph from circle-graph --arcs; "
+              "f(G; x) = x*q_N(H; x+1)")
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -143,8 +148,7 @@ def cmd_beta(args) -> int:
 def cmd_cpp(args) -> int:
     args.input_desc = args.arcs
     g = fileio.parse_arc_list(_read(args.arcs))
-    if _over_budget(g.n, "cpp", "qn --method recursion on the circle graph from "
-                    "circle-graph --arcs; f(G; x) = x*q_N(H; x+1)"):
+    if _over_budget(g.n, "cpp", _CIRCLE_QN):
         return USAGE
     t0 = time.perf_counter()
     _emit(args, circuit_partition_polynomial(g), "state-enumeration", t0)
@@ -231,6 +235,8 @@ def cmd_verify(args) -> int:
         if args.arcs:
             args.input_desc = args.arcs
             g = fileio.parse_arc_list(_read(args.arcs))
+            if _over_budget(g.n, "verify theorem-a --arcs", _CIRCLE_QN):
+                return USAGE
             return _report_exit(args, verify_circuit_partition_identity(g), "theorem-a", t0)
         rng = random.Random(args.seed)
         for k in range(args.count):
@@ -246,6 +252,9 @@ def cmd_verify(args) -> int:
         if args.sp:
             args.input_desc = args.sp
             seq = fileio.parse_sp_sequence(_read(args.sp))
+            if _over_budget(len(seq) + 1, "verify theorem-b --sp",
+                            "tutte-diag-sp for t(G; x, x) = q_N(H; x)"):
+                return USAGE
             return _report_exit(args, verify_medial_tutte_identity(seq), "theorem-b", t0)
         rng = random.Random(args.seed)
         for k in range(args.count):
@@ -282,14 +291,15 @@ def cmd_verify(args) -> int:
         g = randgen.random_graph(rng.randrange(1, 9), rng)
         if not g.is_simple():
             continue
-        qn = qn_from_q(g)
+        q = q_state_sum(g)
+        qn = qn_of_q(q)
         if qn != qn_recursive(g):
             failures.append(f"{k}: q_N route mismatch")
         if any(c <= 0 for c in qn.terms.values()):
             failures.append(f"{k}: non-positive q_N coefficient")
         if qn.min_total_degree() != len(g.components()):
             failures.append(f"{k}: lowest degree is not the component count")
-        rep = coefficient_checks(g)
+        rep = coefficient_checks(g, q)
         if not rep.ok:
             failures.append(f"{k}: {rep}")
         for u, v in g.edges()[:1]:

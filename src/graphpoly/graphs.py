@@ -97,9 +97,6 @@ class Graph:
             raise ValueError(f"unknown vertex {v!r}")
         return self._index[v]
 
-    def has_vertex(self, v) -> bool:
-        return str(v) in self._index
-
     def has_edge(self, u, v) -> bool:
         i, j = self.index_of(u), self.index_of(v)
         return bool(self.rows[i] >> j & 1)
@@ -176,27 +173,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n > 0 and len(self.components()) == 1
-
-    def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for s in range(self.n):
-            if self.rows[s] >> s & 1:
-                return False
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                i = stack.pop()
-                r = self.rows[i]
-                for j in range(self.n):
-                    if r >> j & 1:
-                        if color[j] < 0:
-                            color[j] = 1 - color[i]
-                            stack.append(j)
-                        elif color[j] == color[i]:
-                            return False
-        return True
 
     # -- GF(2) linear algebra -----------------------------------------------
 

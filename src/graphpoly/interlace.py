@@ -35,6 +35,13 @@ a connected graph on two or more vertices is reduced; q_N pivots on vertex
 for one call: nothing is kept between calls, and the two reduction orders
 of ``q_recursive`` never share entries.  The recursion is about n deep on
 paths, so very long paths exhaust Python's stack.
+
+The q kernel holds each polynomial as a dict from packed exponents (x^i
+y^j as i * 2^32 + j) to signed coefficients.  The q_N kernel holds each as
+one int, q_N at x = 2^w with w = n + 1 for the top-level graph on n
+vertices, whose base-2^w digits are the coefficients.  No digit carries:
+the recursion only adds, from x^m, and q_N(G'; 2) = 2^m for any subgraph
+G' on m <= n vertices, so every coefficient is at most 2^(n-1) (K_n).
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from .graphs import Graph, compact_rows, component_masks, delete_index, pivot_ro
 from .poly import SparsePoly
 
 _QXY_VARS = ("x", "y")
-_QX_VARS = ("x",)
 
 
 # -- state sums ---------------------------------------------------------------
@@ -134,7 +140,7 @@ def gamma_state_sum(g: Graph) -> int:
                for (_, nl), cnt in rank_nullity_histogram(g.rows).items())
 
 
-def _qn_of_q(q: SparsePoly) -> SparsePoly:
+def qn_of_q(q: SparsePoly) -> SparsePoly:
     """q_N(G; x) = q(G; 2, x) for a simple graph G."""
     return q.subs_int("x", 2).rename_var("y", "x")
 
@@ -142,18 +148,17 @@ def _qn_of_q(q: SparsePoly) -> SparsePoly:
 def qn_from_q(g: Graph) -> SparsePoly:
     """q_N obtained from q by substituting x = 2 and renaming y to x."""
     g.require_simple("q_N")
-    return _qn_of_q(q_state_sum(g))
+    return qn_of_q(q_state_sum(g))
 
 
 # -- recursions ---------------------------------------------------------------
 
 
-def _split(rows: tuple, comps: list, solve, isolated: tuple) -> dict:
-    """Product of ``solve`` over the components of a disconnected graph.
+def _split(rows: tuple, comps: list, solve) -> dict:
+    """q as the product of ``solve`` over the components of a disconnected graph.
 
-    Polynomials are dicts from packed exponents to coefficients, so that
-    multiplying two monomials adds two ints.  A single vertex is the
-    monomial ``isolated[0]`` when unlooped and ``isolated[1]`` when looped.
+    Multiplying two monomials adds their packed exponents.  A single vertex
+    is y when unlooped and x when looped.
     """
     parts = []
     shift = 0
@@ -161,7 +166,7 @@ def _split(rows: tuple, comps: list, solve, isolated: tuple) -> dict:
         if comp & (comp - 1):
             parts.append(solve(compact_rows(rows, comp)))
         else:
-            shift += isolated[rows[comp.bit_length() - 1] != 0]
+            shift += _QX if rows[comp.bit_length() - 1] else 1
     res = parts[0] if parts else {0: 1}
     for part in parts[1:]:
         prod: dict = {}
@@ -203,7 +208,7 @@ def _q_kernel(rows: tuple, prefer_loop: bool) -> dict:
             return res
         comps = component_masks(rows)
         if len(comps) != 1 or len(rows) == 1:
-            res = _split(rows, comps, solve, (1, _QX))
+            res = _split(rows, comps, solve)
         else:
             a, b = _q_reduction(rows, prefer_loop)
             res = dict(solve(delete_index(rows, a)))
@@ -238,23 +243,53 @@ def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
     return SparsePoly(_QXY_VARS, {divmod(e, _QX): c for e, c in res.items()})
 
 
-def _qn_kernel(rows: tuple) -> dict:
-    """q_N by the pivot rule, split into components, memo local to the call."""
-    memo: dict[tuple, dict] = {}
+def _qn_kernel(rows: tuple, w: int) -> int:
+    """q_N at x = 2^w by the pivot rule, split into components, memo local to the call.
 
-    def solve(rows: tuple) -> dict:
+    Every subproblem's q_N is one int, its coefficients packed as base-2^w
+    digits: a sum is one addition, a product of components one
+    multiplication, and an isolated vertex a shift by w.
+    """
+    memo: dict[tuple, int] = {}
+
+    def solve(rows: tuple) -> int:
         res = memo.get(rows)
         if res is not None:
             return res
         comps = component_masks(rows)
         if len(comps) != 1 or len(rows) == 1:
-            res = _split(rows, comps, solve, (1, 1))
+            res = 1
+            shift = 0
+            for comp in comps:
+                if comp & (comp - 1):
+                    res *= solve(compact_rows(rows, comp))
+                else:
+                    shift += w
+            res <<= shift
         else:
-            # q_N(G) = q_N(G-0) + q_N(G^{0b}-b) for the lowest neighbour b of vertex 0
-            b = (rows[0] & -rows[0]).bit_length() - 1
-            res = dict(solve(tuple([r >> 1 for r in rows[1:]])))
-            for e, c in solve(delete_index(pivot_rows(rows, 0, b), b)).items():
-                res[e] = res.get(e, 0) + c
+            # q_N(G) = q_N(G-0) + q_N(G^{0b}-b) for the lowest neighbour b of vertex 0.
+            # The pivot toggles N(0)-N(b), N(b)-N(0) and N(0)&N(b) against each other,
+            # which is row k ^= N(b)-{0} for k in N(0) and row k ^= N(0)-{b} for k in N(b).
+            n0 = rows[0]
+            b = (n0 & -n0).bit_length() - 1
+            bit = 1 << b
+            n0 ^= bit
+            nb = rows[b] ^ 1
+            piv = list(rows)
+            m = n0
+            while m:
+                low = m & -m
+                piv[low.bit_length() - 1] ^= nb
+                m ^= low
+            m = nb
+            while m:
+                low = m & -m
+                piv[low.bit_length() - 1] ^= n0
+                m ^= low
+            keep = bit - 1
+            del piv[b]
+            res = (solve(tuple([r >> 1 for r in rows[1:]]))
+                   + solve(tuple([r & keep | r >> 1 & ~keep for r in piv])))
         memo[rows] = res
         return res
 
@@ -264,13 +299,15 @@ def _qn_kernel(rows: tuple) -> dict:
 def qn_recursive(g: Graph) -> SparsePoly:
     """Vertex-nullity interlace polynomial by the pivot recursion."""
     g.require_simple("q_N")
-    return SparsePoly(_QX_VARS, {(d,): c for d, c in _qn_kernel(g.rows).items()})
+    w = g.n + 1
+    return SparsePoly.from_base_digits("x", _qn_kernel(g.rows, w), w)
 
 
 def gamma_invariant(g: Graph) -> int:
     """Coefficient of x^1 in q_N (0 iff disconnected, 1 iff a single vertex)."""
     g.require_simple("gamma")
-    return _qn_kernel(g.rows).get(1, 0)
+    w = g.n + 1
+    return _qn_kernel(g.rows, w) >> w & ((1 << w) - 1)
 
 
 # -- coefficient identities -----------------------------------------------------
@@ -298,13 +335,14 @@ class CoefficientReport:
         return s1 + "; " + s2
 
 
-def coefficient_checks(g: Graph) -> CoefficientReport:
-    """Check the coefficient identities of q and q_N on one graph."""
+def coefficient_checks(g: Graph, q: SparsePoly | None = None) -> CoefficientReport:
+    """Check the coefficient identities of q and q_N on one graph; pass q if already known."""
     g.require_simple("coefficient checks")
-    q = q_state_sum(g)
+    if q is None:
+        q = q_state_sum(g)
     a10 = q.coefficient({"x": 1})
     a01 = q.coefficient({"y": 1})
     anti = (a10 == -a01) if g.n >= 2 else True
-    a1 = _qn_of_q(q).coefficient({"x": 1})
+    a1 = qn_of_q(q).coefficient({"x": 1})
     weighted = sum(c * 2 ** e[0] for e, c in q.terms.items() if e[1] == 1)
     return CoefficientReport(a10, a01, anti, a1, weighted, a1 == weighted)

@@ -491,14 +491,7 @@ def sp_diagonal_tutte(seq: SPSequence) -> SparsePoly:
         else:
             val[e] = (s * c1 * c2 + mixed, d1 * d2)
     c, d = val["e1"]
-    t = c + s * d
-    terms = {}
-    k = 0
-    while t:
-        terms[(k,)] = t & s
-        t >>= bits
-        k += 1
-    return SparsePoly(("x",), terms)
+    return SparsePoly.from_base_digits("x", c + s * d, bits)
 
 
 # -- medial / diagonal identity -----------------------------------------------------

@@ -64,6 +64,15 @@ class SparsePoly:
         exps[variables.index(name)] = 1
         return cls(variables, {tuple(exps): 1})
 
+    @classmethod
+    def from_base_digits(cls, name: str, value: int, bits: int) -> "SparsePoly":
+        """Undo a Kronecker substitution: the coefficient of name^k is digit k of value in base 2^bits."""
+        if bits < 1 or value < 0:
+            raise ValueError("need bits >= 1 and a non-negative value")
+        mask = (1 << bits) - 1
+        return cls((name,), {(k,): value >> k * bits & mask
+                             for k in range(-(-value.bit_length() // bits))})
+
     # -- ring operations -------------------------------------------------
 
     def _check_vars(self, other: "SparsePoly") -> None:
@@ -121,9 +130,6 @@ class SparsePoly:
         return out
 
     # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def eval_int(self, assignment: Mapping[str, int]) -> int:
         """Evaluate at integer values for every variable."""

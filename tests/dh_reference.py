@@ -4,7 +4,8 @@
 pair at each step and recompacts the rows after each removal; it is the
 oracle for the incremental ``recognize_dh``, including the candidate order
 that seeded peels draw from.  ``is_62_chordal`` enumerates cycles, so it is
-for small graphs only.
+for small graphs only; with ``is_bipartite`` it gives the definition of a
+bipartite distance-hereditary graph.
 """
 
 from __future__ import annotations
@@ -75,6 +76,29 @@ def reference_peel(g: Graph, rng: random.Random | None = None) -> DHRecognition:
         rows = [((r & low) | ((r >> (rem + 1)) << rem)) for k, r in enumerate(rows) if k != rem]
     ops = [("root", ids[0])] + removed_ops[::-1]
     return DHRecognition(DHSequence(tuple(ops)), None)
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Two-colour each component by depth-first search; a loop is an odd cycle."""
+    color = [-1] * g.n
+    for s in range(g.n):
+        if g.rows[s] >> s & 1:
+            return False
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack:
+            i = stack.pop()
+            r = g.rows[i]
+            for j in range(g.n):
+                if r >> j & 1:
+                    if color[j] < 0:
+                        color[j] = 1 - color[i]
+                        stack.append(j)
+                    elif color[j] == color[i]:
+                        return False
+    return True
 
 
 def is_62_chordal(g: Graph) -> bool:

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from graphpoly import cli
+from graphpoly import cli, interlace, randgen
 from graphpoly.cli import main
 
 C6 = "".join(f"{i} {i % 6 + 1}\n" for i in range(1, 7))
@@ -198,6 +199,41 @@ def test_state_enumeration_over_budget_exits_2(files, capsys, monkeypatch, argv,
     monkeypatch.setattr(cli, "MAX_STATES", 64)
     code, out, err = run(capsys, *argv)
     assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv, states", [
+    (("verify", "theorem-a", "--arcs", "digon.arcs"), 4),
+    (("verify", "theorem-b", "--sp", "c3.sp"), 8),
+])
+def test_single_instance_theorem_check_over_budget_exits_2(files, capsys, monkeypatch,
+                                                            argv, states):
+    argv = [files.get(a, a) for a in argv]
+    monkeypatch.setattr(cli, "MAX_STATES", states - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"{argv[1]} --" in err and f"over the limit of {states - 1}" in err
+    monkeypatch.setattr(cli, "MAX_STATES", states)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+
+
+def test_theorem_b_script_of_25_edges_is_refused_at_the_default(tmp_path, capsys):
+    path = tmp_path / "long.sp"
+    path.write_text("digon\n" + "series e1\n" * 23)
+    code, out, err = run(capsys, "verify", "theorem-b", "--sp", str(path))
+    assert code == 2 and out == "" and "2^25 states" in err
+
+
+def test_verify_identities_runs_one_state_sum_per_graph_and_pivot(capsys, monkeypatch):
+    calls = []
+    histogram = interlace.rank_nullity_histogram
+    monkeypatch.setattr(interlace, "rank_nullity_histogram",
+                        lambda rows: calls.append(rows) or histogram(rows))
+    assert run(capsys, "verify", "identities", "--seed", "3", "--count", "30")[0] == 0
+    rng = random.Random(3)
+    graphs = [randgen.random_graph(rng.randrange(1, 9), rng) for _ in range(30)]
+    assert len(calls) == len(graphs) + sum(1 for g in graphs if g.edges())
 
 
 P25 = "".join(f"{i} {i + 1}\n" for i in range(1, 25))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import all_labeled_graphs
-from dh_reference import is_62_chordal, reference_peel
+from dh_reference import is_62_chordal, is_bipartite, reference_peel
 from graphpoly.chords import circle_graph
 from graphpoly.dh import (DHSequence, apply_dh_sequence, bdh_to_sp,
                           gamma_from_sequence, is_bdh,
@@ -156,7 +156,7 @@ def test_is_bdh_matches_direct_characterization():
         g = Graph.from_edges(edges, vs)
         if not g.is_connected():
             continue
-        direct = g.is_bipartite() and is_62_chordal(g)
+        direct = is_bipartite(g) and is_62_chordal(g)
         assert is_bdh(g).value == direct, g.edges()
         checked += 1
 

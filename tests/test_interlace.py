@@ -128,6 +128,38 @@ def test_recursions_match_state_sum_on_split_graphs():
         assert q_recursive(g, prefer_loop=True) == expected
 
 
+def test_qn_recursive_matches_specialization_on_all_small_graphs():
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            assert qn_recursive(g) == qn_from_q(g), g
+
+
+def test_complete_graphs_fill_the_widest_packed_slot():
+    # q_N(K_n) = 2^(n-1) x: the largest coefficient any n-vertex graph has
+    for n in range(1, 41):
+        assert qn_recursive(complete_graph(n)) == X({(1,): 1 << (n - 1)})
+        assert gamma_invariant(complete_graph(n)) == 1 << (n - 1)
+
+
+def test_disjoint_complete_graphs_and_isolated_vertices():
+    # q_N of a disjoint union of K_{s_1}, ..., K_{s_c} is 2^(n-c) x^c; gamma is 0
+    rng = random.Random(707)
+    for sizes in ([3, 1, 5], [1, 1, 2, 7], [4, 4, 1, 1, 1], [9, 1, 6, 2, 1, 3], [1] * 6):
+        vs = [str(i) for i in range(1, sum(sizes) + 1)]
+        rng.shuffle(vs)
+        edges, start = [], 0
+        for size in sizes:
+            clique = vs[start:start + size]
+            start += size
+            edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+        g = Graph.from_edges(edges, sorted(vs, key=int))
+        n, c = g.n, len(sizes)
+        assert qn_recursive(g) == X({(c,): 1 << (n - c)}), sizes
+        assert gamma_invariant(g) == 0
+        if n <= 12:
+            assert qn_recursive(g) == qn_from_q(g)
+
+
 def test_qn_recursive_long_path_matches_pendant_recurrence():
     # q_N(P_n) = q_N(P_{n-1}) + x q_N(P_{n-2}), q_N(P_0) = 1, q_N(P_1) = x
     x = X({(1,): 1})
