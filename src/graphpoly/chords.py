@@ -83,10 +83,6 @@ class ChordDiagram:
             self.positions(x)
         return ChordDiagram(c for c in self.word if c not in gone)
 
-    def restrict(self, keep: Iterable[str]) -> "ChordDiagram":
-        keep = {str(x) for x in keep}
-        return ChordDiagram(c for c in self.word if c in keep)
-
 
 def circle_graph(d: ChordDiagram) -> Graph:
     """Simple graph on the chords, adjacent iff the chords interleave."""

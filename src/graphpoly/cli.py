@@ -5,9 +5,10 @@ recognition comes back negative, 2 on usage or input-format errors and on
 an input too large for the chosen method (a ``RecursionError`` or
 ``MemoryError``, reported in one line that names the method).  The 2^n
 enumerations (``q --method state-sum``, ``qn --method specialize``,
-``cpp``, ``verify theorem-a --arcs`` and ``verify theorem-b --sp``) first
-compare their state count with ``MAX_STATES`` and exit 2, naming a faster
-method, when it is over.
+``cpp`` and ``verify theorem-a``/``theorem-b``, whose largest instance is
+the file given or the largest ``--max-size`` can draw) first compare their
+state count with ``MAX_STATES`` and exit 2, naming a faster method, when it
+is over.
 ``--format json`` wraps results as {"input", "method", "result",
 "elapsed_ms"}; polynomial results serialize as a list of
 {"exps": {var: exponent}, "coeff": "<integer>"}.
@@ -73,7 +74,7 @@ def _load_graph(args) -> Graph:
 
 def _over_budget(n: int, what: str, faster: str) -> bool:
     """Report and return True when 2^n states exceed ``MAX_STATES``."""
-    if 1 << n <= MAX_STATES:
+    if n < 0 or 1 << n <= MAX_STATES:
         return False
     print(f"error: {what} would enumerate 2^{n} states, over the limit of "
           f"{MAX_STATES}; use {faster}", file=sys.stderr)
@@ -82,6 +83,7 @@ def _over_budget(n: int, what: str, faster: str) -> bool:
 
 _CIRCLE_QN = ("qn --method recursion on the circle graph from circle-graph --arcs; "
               "f(G; x) = x*q_N(H; x+1)")
+_SP_TUTTE = "tutte-diag-sp for t(G; x, x) = q_N(H; x)"
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -238,6 +240,8 @@ def cmd_verify(args) -> int:
             if _over_budget(g.n, "verify theorem-a --arcs", _CIRCLE_QN):
                 return USAGE
             return _report_exit(args, verify_circuit_partition_identity(g), "theorem-a", t0)
+        if _over_budget(args.max_size, "verify theorem-a --max-size", _CIRCLE_QN):
+            return USAGE
         rng = random.Random(args.seed)
         for k in range(args.count):
             g = randgen.random_2in2out(rng.randrange(2, args.max_size + 1), rng)
@@ -252,10 +256,12 @@ def cmd_verify(args) -> int:
         if args.sp:
             args.input_desc = args.sp
             seq = fileio.parse_sp_sequence(_read(args.sp))
-            if _over_budget(len(seq) + 1, "verify theorem-b --sp",
-                            "tutte-diag-sp for t(G; x, x) = q_N(H; x)"):
+            if _over_budget(len(seq) + 1, "verify theorem-b --sp", _SP_TUTTE):
                 return USAGE
             return _report_exit(args, verify_medial_tutte_identity(seq), "theorem-b", t0)
+        # a script of M ops has M + 2 edges, one vertex of H each
+        if _over_budget(args.max_size + 2, "verify theorem-b --max-size", _SP_TUTTE):
+            return USAGE
         rng = random.Random(args.seed)
         for k in range(args.count):
             seq = randgen.random_sp_sequence(rng.randrange(1, args.max_size + 1), rng)

@@ -15,9 +15,12 @@ the edgeless graph.  ``q_state_sum`` and ``q_recursive`` implement the two
 routes separately so each serves as an oracle for the other.
 
 The state sums (``q_state_sum``, ``gamma_state_sum``, ``qn_from_q``,
-``chords.c_polynomial``) read ``rank_nullity_histogram``, which extends
-the GF(2) elimination of a subset S to S + {v} in one step, O(rank +
-nullity) per subset.  It calls neither recursion kernel.
+``chords.c_polynomial``) read ``rank_nullity_histogram``.  It visits the
+subsets S depth first and counts all children S + {v} of each by three
+popcounts: row v outside col(A_S) = ker(A_S)^perp adds 2 to the rank, and
+otherwise the Schur complement, one bit of a kept mask, adds 1 or 0.  Only
+children that have children of their own are built, each by one GF(2)
+elimination step.  It calls neither recursion kernel.
 
 The vertex-nullity interlace polynomial q_N is the specialization
 q_N(G; x) = q(G; 2, x) for simple graphs; it also has its own recursion
@@ -61,62 +64,84 @@ _QXY_VARS = ("x", "y")
 def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
     """Count vertex subsets by the GF(2) (rank, nullity) of their induced submatrix.
 
-    Subsets are visited depth first, each S + {v} with v > max S built from
-    S by one elimination step.  The |S| row combinations of S are kept at
-    full width (XORs of whole rows), so their restriction to any superset
-    of S is one AND; they are split into ``pivots``, keyed by their lowest
-    bit inside S, and the dependents, which vanish on S.  Bit v of a
-    full-width combination is its entry in column v: the first dependent
-    with bit v becomes the pivot at v and clears bit v from the others.
-    Row v is then reduced against the pivots and is a new pivot or a new
-    dependent.  ``pivots`` is one dict, undone on the way back up.
+    Subsets are visited depth first.  At each subset S the row combinations
+    of S are kept at full width (XORs of whole rows), split into ``pivots``,
+    keyed by their lowest bit inside S, and the dependents, which vanish on
+    S and span ker(A_S); bit v of a full-width combination is its entry in
+    column v.  Two masks give the rank of every child S + {v}, v > max S:
+
+    - ``dor``, the OR of the dependents, has bit v iff row v is outside
+      col(A_S) = ker(A_S)^perp, and then the rank grows by 2;
+    - otherwise A_Sv = A_S z, and the rank grows by the Schur complement
+      A_vv + z.diag(A_S), which is bit v of ``t``: diag(A) plus the row
+      combination of S that equals diag(A) on S.  On a loopless graph t = 0.
+
+    An internal subset costs three popcounts for all its children, plus one
+    elimination step for each child v <= n - 2 it descends into: O(nullity)
+    XORs and a reduction against the pivots when ``dor`` has bit v, else
+    only the reduction of row v over S, where every lead bit has a pivot.
     """
     n = len(rows)
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    # one spare row and column: an empty class may index rank + 2 or nullity - 1 = -1
+    counts = [[0] * (n + 2) for _ in range(n + 3)]
     counts[0][0] = 1
     pivots: dict[int, int] = {}
+    full = (1 << n) - 1
 
-    def grow(mask: int, deps: list, rank: int, start: int) -> None:
-        for v in range(start, n):
+    def grow(mask: int, deps: list, dor: int, t: int, rank: int, start: int) -> None:
+        span = full >> start << start
+        nl = len(deps)
+        two = (dor & span).bit_count()
+        one = (t & ~dor & span).bit_count()
+        counts[rank + 2][nl - 1] += two
+        counts[rank + 1][nl] += one
+        counts[rank][nl + 1] += n - start - two - one
+        for v in range(start, n - 1):
             bit = 1 << v
             sub = mask | bit
-            kept = []
-            col = 0
-            for d in deps:
-                if not d & bit:
-                    kept.append(d)
-                elif col:
-                    kept.append(d ^ col)
-                else:
-                    col = d
-            r = rank
-            if col:
-                pivots[bit] = col
-                r += 1
             cur = rows[v]
-            left = cur & sub
-            while left:
-                low = left & -left
-                p = pivots.get(low)
-                if p is None:
-                    break
-                cur ^= p
+            if dor & bit:
+                # the first dependent with bit v becomes the pivot at v, and
+                # row v, reduced over S + {v}, a second new pivot
+                kept = []
+                kor = 0
+                col = 0
+                for d in deps:
+                    if d & bit:
+                        if not col:
+                            col = d
+                            continue
+                        d ^= col
+                    kept.append(d)
+                    kor |= d
+                pivots[bit] = col
                 left = cur & sub
-            if left:
+                while left:
+                    low = left & -left
+                    p = pivots.get(low)
+                    if p is None:
+                        break
+                    cur ^= p
+                    left = cur & sub
                 pivots[low] = cur
-                r += 1
-            else:
-                low = 0
-                kept.append(cur)
-            counts[r][len(kept)] += 1
-            if v + 1 < n:
-                grow(sub, kept, r, v + 1)
-            if col:
+                grow(sub, kept, kor, t ^ col if t & bit else t, rank + 2, v + 1)
+                del pivots[bit], pivots[low]
+                continue
+            # row v lies in col(A_S): reduced over S it vanishes there, and
+            # its bit v is the Schur complement, bit v of t
+            left = cur & mask
+            while left:
+                cur ^= pivots[left & -left]
+                left = cur & mask
+            if t & bit:
+                pivots[bit] = cur
+                grow(sub, deps, dor, t ^ cur, rank + 1, v + 1)
                 del pivots[bit]
-            if low:
-                del pivots[low]
+            else:
+                grow(sub, deps + [cur], dor | cur, t, rank, v + 1)
 
-    grow(0, [], 0, 0)
+    diag = sum(r & 1 << i for i, r in enumerate(rows))
+    grow(0, [], 0, diag, 0, 0)
     return {(r, nl): c for r, row in enumerate(counts) for nl, c in enumerate(row) if c}
 
 

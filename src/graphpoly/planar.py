@@ -24,7 +24,6 @@ digits of t(G; x0, x0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .euler import EulerDigraph, chord_diagram_from_circuit, euler_circuit
@@ -423,37 +422,6 @@ def beta_invariant(g) -> int:
     if m < 2:
         raise ValueError("beta needs at least 2 edges")
     return _beta_of(tutte_polynomial(g))
-
-
-def spanning_tree_count(edges: Sequence[tuple]) -> int:
-    """Brute-force spanning tree count (oracle for t(G; 1, 1), small inputs only)."""
-    edges = [tuple(e) for e in edges]
-    verts = sorted({z for e in edges for z in e})
-    n = len(verts)
-    if n == 0:
-        return 1
-    idx = {v: i for i, v in enumerate(verts)}
-    count = 0
-    for sub in combinations(range(len(edges)), n - 1):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for k in sub:
-            u, v = edges[k]
-            ru, rv = find(idx[u]), find(idx[v])
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
-            count += 1
-    return count
 
 
 # -- fast diagonal Tutte for series-parallel sequences ------------------------------

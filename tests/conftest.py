@@ -1,11 +1,16 @@
 """Shared corpus helpers for the test suite."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 from graphpoly import interlace
+from graphpoly.chords import circle_graph
+from graphpoly.euler import all_euler_circuits, chord_diagram_from_circuit
 from graphpoly.graphs import Graph
+from graphpoly.planar import build_sp, medial_digraph
+from graphpoly.randgen import random_sp_sequence
 
 
 @pytest.fixture
@@ -25,6 +30,23 @@ def all_labeled_graphs(n: int):
     for code in range(1 << len(slots)):
         edges = [slots[k] for k in range(len(slots)) if code >> k & 1]
         yield Graph.from_edges(edges, vs)
+
+
+def all_looped_labeled_graphs(n: int):
+    """Every labeled graph on vertices 1..n with every pattern of loops."""
+    for g in all_labeled_graphs(n):
+        for code in range(1 << n):
+            loops = [(v, v) for k, v in enumerate(g.ids) if code >> k & 1]
+            yield Graph.from_edges(g.edges() + loops, g.ids)
+
+
+def medial_circle_graphs(seed: int, count: int):
+    """Circle graphs of every Euler circuit of the oriented medials of seeded SP graphs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        med = medial_digraph(build_sp(random_sp_sequence(rng.randrange(0, 5), rng)))
+        for circ in all_euler_circuits(med):
+            yield circle_graph(chord_diagram_from_circuit(med, circ))
 
 
 def graph_with_extra(g: Graph, new: str, attach_to):

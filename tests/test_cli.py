@@ -225,6 +225,39 @@ def test_theorem_b_script_of_25_edges_is_refused_at_the_default(tmp_path, capsys
     assert code == 2 and out == "" and "2^25 states" in err
 
 
+def test_randomized_theorem_b_of_24_ops_is_refused_before_any_state_sum(capsys,
+                                                                         monkeypatch):
+    drawn = []
+    monkeypatch.setattr(randgen, "random_sp_sequence", lambda *a: drawn.append(a))
+
+    def forbidden(rows):
+        raise AssertionError("a state sum was started")
+
+    monkeypatch.setattr(interlace, "rank_nullity_histogram", forbidden)
+    code, out, err = run(capsys, "verify", "theorem-b", "--seed", "20", "--count", "1",
+                         "--max-size", "24")
+    assert code == 2 and out == "" and drawn == []
+    assert len(err.splitlines()) == 1 and "theorem-b --max-size" in err
+    assert "2^26 states" in err and "use tutte-diag-sp" in err
+
+
+@pytest.mark.parametrize("what, max_size, states", [
+    ("theorem-a", 3, 8),
+    ("theorem-b", 2, 16),
+])
+def test_randomized_theorem_check_over_budget_exits_2(capsys, monkeypatch, what,
+                                                      max_size, states):
+    argv = ("verify", what, "--seed", "4", "--count", "3", "--max-size", str(max_size))
+    monkeypatch.setattr(cli, "MAX_STATES", states - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"{what} --max-size" in err and f"over the limit of {states - 1}" in err
+    monkeypatch.setattr(cli, "MAX_STATES", states)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "holds on 3 random" in out and err == ""
+
+
 def test_verify_identities_runs_one_state_sum_per_graph_and_pivot(capsys, monkeypatch):
     calls = []
     histogram = interlace.rank_nullity_histogram

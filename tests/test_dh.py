@@ -2,19 +2,16 @@ import random
 
 import pytest
 
-from conftest import all_labeled_graphs
+from conftest import all_labeled_graphs, medial_circle_graphs
 from dh_reference import is_62_chordal, is_bipartite, reference_peel
-from graphpoly.chords import circle_graph
 from graphpoly.dh import (DHSequence, apply_dh_sequence, bdh_to_sp,
                           gamma_from_sequence, is_bdh,
                           qn_bdh_fast, recognize_dh, structural_checks)
-from graphpoly.euler import all_euler_circuits, chord_diagram_from_circuit
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph
 from graphpoly.interlace import gamma_invariant, gamma_state_sum, qn_from_q, qn_recursive
-from graphpoly.planar import build_sp, medial_digraph, sp_diagonal_tutte
+from graphpoly.planar import sp_diagonal_tutte
 from graphpoly.poly import SparsePoly
-from graphpoly.randgen import (random_bdh_graph, random_dh_sequence,
-                               random_graph, random_sp_sequence)
+from graphpoly.randgen import random_bdh_graph, random_dh_sequence, random_graph
 
 
 def SEQ(*ops):
@@ -328,13 +325,9 @@ def test_every_medial_circuit_of_an_sp_graph_gives_a_bdh_circle_graph():
     # The correspondence theorem, one way: the circle graph of any Euler
     # circuit of the oriented medial of a series-parallel graph is BDH, and
     # its gamma, counted over all vertex subsets, is 2.
-    rng = random.Random(808)
     circuits = 0
-    for _ in range(40):
-        med = medial_digraph(build_sp(random_sp_sequence(rng.randrange(0, 5), rng)))
-        for circ in all_euler_circuits(med):
-            h = circle_graph(chord_diagram_from_circuit(med, circ))
-            assert is_bdh(h).value, h
-            assert gamma_state_sum(h) == 2, h
-            circuits += 1
+    for h in medial_circle_graphs(808, 40):
+        assert is_bdh(h).value, h
+        assert gamma_state_sum(h) == 2, h
+        circuits += 1
     assert circuits > 100

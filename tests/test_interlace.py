@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import all_labeled_graphs, graph_with_extra
+from conftest import (all_labeled_graphs, all_looped_labeled_graphs, graph_with_extra,
+                      medial_circle_graphs)
 from state_sum_reference import reference_histogram
 from graphpoly import interlace
 from graphpoly.dh import qn_bdh_fast
@@ -60,6 +61,23 @@ def test_histogram_matches_per_subset_reference():
         hist = rank_nullity_histogram(g.rows)
         assert hist == reference_histogram(g.rows), g
         assert sum(hist.values()) == 1 << g.n
+
+
+def test_histogram_matches_reference_on_every_small_graph():
+    graphs = [g for n in range(5) for g in all_looped_labeled_graphs(n)]
+    assert len(graphs) == 1 + 2 + 8 + 64 + 1024
+    graphs += all_labeled_graphs(5)
+    for g in graphs:
+        assert rank_nullity_histogram(g.rows) == reference_histogram(g.rows), g
+
+
+def test_loopless_circle_graphs_have_only_even_ranks():
+    # An alternating form has even rank, so on a loopless graph no subset
+    # extends by rank + 1: the diagonal defect t stays 0.
+    for h in medial_circle_graphs(808, 40):
+        hist = rank_nullity_histogram(h.rows)
+        assert all(r % 2 == 0 for r, _ in hist), h
+        assert sum(hist.values()) == 1 << h.n
 
 
 def test_state_sums_call_no_recursion_kernel(no_recursion_kernels):

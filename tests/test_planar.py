@@ -1,11 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from graphpoly import planar
 from graphpoly.planar import (PlaneMultigraph, SPSequence, beta_invariant,
-                              build_sp, diagonal, medial_digraph,
-                              sp_diagonal_tutte, spanning_tree_count,
+                              build_sp, diagonal, medial_digraph, sp_diagonal_tutte,
                               tutte_polynomial, verify_medial_tutte_identity)
 from graphpoly.poly import SparsePoly
 from graphpoly.randgen import random_sp_sequence
@@ -142,6 +142,37 @@ def test_tutte_k4():
     t = tutte_polynomial(K4)
     assert t.eval_int({"x": 1, "y": 1}) == 16  # spanning trees of K4
     assert t.coefficient({"x": 1}) == t.coefficient({"y": 1}) == 2
+
+
+def spanning_tree_count(edges) -> int:
+    """Brute-force spanning tree count (oracle for t(G; 1, 1), small inputs only)."""
+    edges = [tuple(e) for e in edges]
+    verts = sorted({z for e in edges for z in e})
+    n = len(verts)
+    if n == 0:
+        return 1
+    idx = {v: i for i, v in enumerate(verts)}
+    count = 0
+    for sub in combinations(range(len(edges)), n - 1):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        ok = True
+        for k in sub:
+            u, v = edges[k]
+            ru, rv = find(idx[u]), find(idx[v])
+            if ru == rv:
+                ok = False
+                break
+            parent[ru] = rv
+        if ok:
+            count += 1
+    return count
 
 
 def test_tutte_counts_spanning_trees():
