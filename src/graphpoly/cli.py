@@ -74,10 +74,18 @@ def _load_graph(args) -> Graph:
 
 def _over_budget(n: int, what: str, faster: str) -> bool:
     """Report and return True when 2^n states exceed ``MAX_STATES``."""
-    if n < 0 or 1 << n <= MAX_STATES:
+    if 1 << n <= MAX_STATES:
         return False
     print(f"error: {what} would enumerate 2^{n} states, over the limit of "
           f"{MAX_STATES}; use {faster}", file=sys.stderr)
+    return True
+
+
+def _too_small(value: int, least: int, what: str, unit: str = "") -> bool:
+    """Report and return True when an option is below the smallest value it accepts."""
+    if value >= least:
+        return False
+    print(f"error: {what} must be at least {least}{unit}", file=sys.stderr)
     return True
 
 
@@ -240,7 +248,8 @@ def cmd_verify(args) -> int:
             if _over_budget(g.n, "verify theorem-a --arcs", _CIRCLE_QN):
                 return USAGE
             return _report_exit(args, verify_circuit_partition_identity(g), "theorem-a", t0)
-        if _over_budget(args.max_size, "verify theorem-a --max-size", _CIRCLE_QN):
+        if (_too_small(args.max_size, 2, "verify theorem-a --max-size", " vertices")
+                or _over_budget(args.max_size, "verify theorem-a --max-size", _CIRCLE_QN)):
             return USAGE
         rng = random.Random(args.seed)
         for k in range(args.count):
@@ -260,7 +269,8 @@ def cmd_verify(args) -> int:
                 return USAGE
             return _report_exit(args, verify_medial_tutte_identity(seq), "theorem-b", t0)
         # a script of M ops has M + 2 edges, one vertex of H each
-        if _over_budget(args.max_size + 2, "verify theorem-b --max-size", _SP_TUTTE):
+        if (_too_small(args.max_size, 1, "verify theorem-b --max-size", " op")
+                or _over_budget(args.max_size + 2, "verify theorem-b --max-size", _SP_TUTTE)):
             return USAGE
         rng = random.Random(args.seed)
         for k in range(args.count):
@@ -400,10 +410,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    if args.command == "verify" and args.seed is None and not (getattr(args, "arcs", None)
-                                                               or getattr(args, "sp", None)):
-        print("error: randomized verification requires --seed", file=sys.stderr)
-        return USAGE
+    if args.command == "verify" and not {"theorem-a": args.arcs,
+                                         "theorem-b": args.sp}.get(args.what):
+        if args.seed is None:
+            print("error: randomized verification requires --seed", file=sys.stderr)
+            return USAGE
+        if _too_small(args.count, 1, "verify --count"):
+            return USAGE
     try:
         return args.func(args)
     except fileio.FormatError as exc:

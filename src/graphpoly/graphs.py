@@ -160,12 +160,6 @@ class Graph:
             self.index_of(v)
         return self.induced([v for v in self.ids if v not in gone])
 
-    def subset_mask(self, subset: Iterable[str]) -> int:
-        mask = 0
-        for v in subset:
-            mask |= 1 << self.index_of(v)
-        return mask
-
     def components(self) -> list[tuple]:
         """Vertex ids of each connected component, in index order, ordered by lowest vertex."""
         return [tuple(v for i, v in enumerate(self.ids) if c >> i & 1)
@@ -173,13 +167,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n > 0 and len(self.components()) == 1
-
-    # -- GF(2) linear algebra -----------------------------------------------
-
-    def rank_nullity(self, subset: Iterable[str] | None = None) -> tuple[int, int]:
-        """GF(2) rank and nullity of the adjacency matrix of the induced subgraph."""
-        mask = (1 << self.n) - 1 if subset is None else self.subset_mask(subset)
-        return rank_nullity_mask(self.rows, mask)
 
     # -- pivot and complementation ----------------------------------------
 
@@ -264,28 +251,6 @@ def _fresh_names(taken: Sequence[str], incoming: Sequence[str]) -> dict:
 
 
 # -- bitmask helpers shared with the interlace module -------------------------
-
-
-def rank_nullity_mask(rows: Sequence[int], mask: int) -> tuple[int, int]:
-    """GF(2) rank and nullity of the submatrix selected by a vertex bitmask."""
-    size = bin(mask).count("1")
-    pivots: dict[int, int] = {}
-    rank = 0
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        m ^= low
-        cur = rows[i] & mask
-        while cur:
-            p = cur & -cur
-            if p in pivots:
-                cur ^= pivots[p]
-            else:
-                pivots[p] = cur
-                rank += 1
-                break
-    return rank, size - rank
 
 
 def component_masks(rows: Sequence[int]) -> list[int]:

@@ -20,7 +20,8 @@ subsets S depth first and counts all children S + {v} of each by three
 popcounts: row v outside col(A_S) = ker(A_S)^perp adds 2 to the rank, and
 otherwise the Schur complement, one bit of a kept mask, adds 1 or 0.  Only
 children that have children of their own are built, each by one GF(2)
-elimination step.  It calls neither recursion kernel.
+elimination step, except S + {n-2}: only its two masks are formed, to count
+S + {n-2, n-1}, so 2^(n-2) steps run.  It calls neither recursion kernel.
 
 The vertex-nullity interlace polynomial q_N is the specialization
 q_N(G; x) = q(G; 2, x) for simple graphs; it also has its own recursion
@@ -77,9 +78,12 @@ def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
       combination of S that equals diag(A) on S.  On a loopless graph t = 0.
 
     An internal subset costs three popcounts for all its children, plus one
-    elimination step for each child v <= n - 2 it descends into: O(nullity)
+    elimination step for each child v <= n - 3 it descends into: O(nullity)
     XORs and a reduction against the pivots when ``dor`` has bit v, else
     only the reduction of row v over S, where every lead bit has a pivot.
+    ``grow`` runs 2^(n-2) times: the child v = n - 2 gets only its two masks
+    (O(nullity) XORs, else the reduction of row v over S; no pivot is
+    written), and their bit n - 1 counts S + {v, n - 1}.
     """
     n = len(rows)
     # one spare row and column: an empty class may index rank + 2 or nullity - 1 = -1
@@ -87,6 +91,7 @@ def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
     counts[0][0] = 1
     pivots: dict[int, int] = {}
     full = (1 << n) - 1
+    last, top = n - 2, 1 << n >> 1
 
     def grow(mask: int, deps: list, dor: int, t: int, rank: int, start: int) -> None:
         span = full >> start << start
@@ -114,31 +119,48 @@ def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
                         d ^= col
                     kept.append(d)
                     kor |= d
-                pivots[bit] = col
-                left = cur & sub
-                while left:
-                    low = left & -left
-                    p = pivots.get(low)
-                    if p is None:
-                        break
-                    cur ^= p
+                tc = t ^ col if t & bit else t
+                if v == last:
+                    cdor, ct, crank, cnl = kor, tc, rank + 2, nl - 1
+                else:
+                    pivots[bit] = col
                     left = cur & sub
-                pivots[low] = cur
-                grow(sub, kept, kor, t ^ col if t & bit else t, rank + 2, v + 1)
-                del pivots[bit], pivots[low]
-                continue
-            # row v lies in col(A_S): reduced over S it vanishes there, and
-            # its bit v is the Schur complement, bit v of t
-            left = cur & mask
-            while left:
-                cur ^= pivots[left & -left]
-                left = cur & mask
-            if t & bit:
-                pivots[bit] = cur
-                grow(sub, deps, dor, t ^ cur, rank + 1, v + 1)
-                del pivots[bit]
+                    while left:
+                        low = left & -left
+                        p = pivots.get(low)
+                        if p is None:
+                            break
+                        cur ^= p
+                        left = cur & sub
+                    pivots[low] = cur
+                    grow(sub, kept, kor, tc, rank + 2, v + 1)
+                    del pivots[bit], pivots[low]
+                    continue
             else:
-                grow(sub, deps + [cur], dor | cur, t, rank, v + 1)
+                # row v lies in col(A_S): reduced over S it vanishes there, and
+                # its bit v is the Schur complement, bit v of t
+                left = cur & mask
+                while left:
+                    cur ^= pivots[left & -left]
+                    left = cur & mask
+                if v == last:
+                    cdor, ct, crank, cnl = ((dor, t ^ cur, rank + 1, nl) if t & bit
+                                            else (dor | cur, t, rank, nl + 1))
+                elif t & bit:
+                    pivots[bit] = cur
+                    grow(sub, deps, dor, t ^ cur, rank + 1, v + 1)
+                    del pivots[bit]
+                    continue
+                else:
+                    grow(sub, deps + [cur], dor | cur, t, rank, v + 1)
+                    continue
+            # v = n - 2: the child's one subset left to count is S + {n - 2, n - 1}
+            if cdor & top:
+                counts[crank + 2][cnl - 1] += 1
+            elif ct & top:
+                counts[crank + 1][cnl] += 1
+            else:
+                counts[crank][cnl + 1] += 1
 
     diag = sum(r & 1 << i for i, r in enumerate(rows))
     grow(0, [], 0, diag, 0, 0)

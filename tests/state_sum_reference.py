@@ -1,7 +1,7 @@
 """Per-subset reference versions of the state sums.
 
-Each vertex subset gets its own elimination by ``graphs.rank_nullity_mask``,
-with nothing shared between subsets.  ``reference_histogram`` is the
+Each vertex subset gets its own elimination by ``rank_nullity_mask``, with
+nothing shared between subsets.  ``reference_histogram`` is the
 oracle for the incremental ``interlace.rank_nullity_histogram``, and
 ``reference_c_polynomial`` for ``chords.c_polynomial``.
 """
@@ -9,8 +9,40 @@ oracle for the incremental ``interlace.rank_nullity_histogram``, and
 from __future__ import annotations
 
 from graphpoly.chords import ChordDiagram, circle_graph
-from graphpoly.graphs import rank_nullity_mask
+from graphpoly.graphs import Graph
 from graphpoly.poly import SparsePoly
+
+
+def rank_nullity_mask(rows, mask: int) -> tuple[int, int]:
+    """GF(2) rank and nullity of the submatrix selected by a vertex bitmask."""
+    size = bin(mask).count("1")
+    pivots: dict[int, int] = {}
+    rank = 0
+    m = mask
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        m ^= low
+        cur = rows[i] & mask
+        while cur:
+            p = cur & -cur
+            if p in pivots:
+                cur ^= pivots[p]
+            else:
+                pivots[p] = cur
+                rank += 1
+                break
+    return rank, size - rank
+
+
+def rank_nullity(g: Graph, subset=None) -> tuple[int, int]:
+    """GF(2) rank and nullity of the adjacency matrix of the induced subgraph."""
+    mask = (1 << g.n) - 1
+    if subset is not None:
+        mask = 0
+        for v in subset:
+            mask |= 1 << g.index_of(v)
+    return rank_nullity_mask(g.rows, mask)
 
 
 def reference_histogram(rows) -> dict[tuple[int, int], int]:

@@ -258,6 +258,46 @@ def test_randomized_theorem_check_over_budget_exits_2(capsys, monkeypatch, what,
     assert code == 0 and "holds on 3 random" in out and err == ""
 
 
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("what", ["theorem-a", "theorem-b", "cpoly", "identities"])
+def test_randomized_verify_below_one_instance_exits_2(capsys, what, count):
+    code, out, err = run(capsys, "verify", what, "--seed", "1", "--count", str(count))
+    assert code == 2 and out == ""
+    assert err == "error: verify --count must be at least 1"
+
+
+@pytest.mark.parametrize("what, single", [
+    ("theorem-a", "--sp"), ("theorem-b", "--arcs"), ("cpoly", "--arcs"), ("identities", "--sp"),
+])
+def test_input_file_of_another_action_still_needs_seed_and_count(files, capsys, what, single):
+    path = files["digon.arcs" if single == "--arcs" else "c3.sp"]
+    code, out, err = run(capsys, "verify", what, single, path)
+    assert code == 2 and out == "" and "--seed" in err
+    code, out, err = run(capsys, "verify", what, single, path, "--seed", "1", "--count", "0")
+    assert code == 2 and out == "" and err == "error: verify --count must be at least 1"
+
+
+@pytest.mark.parametrize("what, sizes, least, draw", [
+    ("theorem-a", (1, 0, -2), "2 vertices", "random_2in2out"),
+    ("theorem-b", (0, -1, -3), "1 op", "random_sp_sequence"),
+])
+def test_randomized_theorem_check_below_smallest_size_exits_2(capsys, monkeypatch, what,
+                                                              sizes, least, draw):
+    drawn = []
+    real = getattr(randgen, draw)
+    monkeypatch.setattr(randgen, draw, lambda *a: drawn.append(a[0]) or real(*a))
+    for size in sizes:
+        code, out, err = run(capsys, "verify", what, "--seed", "1", "--count", "3",
+                             "--max-size", str(size))
+        assert code == 2 and out == "" and drawn == []
+        assert err == f"error: verify {what} --max-size must be at least {least}"
+    smallest = least.split()[0]
+    code, out, err = run(capsys, "verify", what, "--seed", "1", "--count", "3",
+                         "--max-size", smallest)
+    assert code == 0 and "holds on 3 random" in out and err == ""
+    assert drawn == [int(smallest)] * 3
+
+
 def test_verify_identities_runs_one_state_sum_per_graph_and_pivot(capsys, monkeypatch):
     calls = []
     histogram = interlace.rank_nullity_histogram

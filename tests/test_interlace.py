@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -69,6 +70,46 @@ def test_histogram_matches_reference_on_every_small_graph():
     graphs += all_labeled_graphs(5)
     for g in graphs:
         assert rank_nullity_histogram(g.rows) == reference_histogram(g.rows), g
+
+
+def test_histogram_matches_reference_for_every_pattern_on_the_last_two_vertices():
+    # S + {n-2, n-1} is counted inside the step that would build S + {n-2}, by
+    # the col branch or either no-col branch; loops at n-2 and n-1 and the edge
+    # between them decide which branch runs and which class the subset joins
+    rng = random.Random(917)
+    for n in range(5, 10):
+        for pattern in range(8):
+            for p in (0.25, 0.5, 0.75):
+                g = _random_graph(rng, n, p, loop_p=0.3)
+                a, b = g.ids[-2:]
+                wanted = [(a, a)] * (pattern & 1) + [(b, b)] * (pattern >> 1 & 1)
+                wanted += [(a, b)] * (pattern >> 2)
+                edges = [e for e in g.edges() if e[0] not in (a, b) or e[1] not in (a, b)]
+                g = Graph.from_edges(edges + wanted, g.ids)
+                assert [g.has_loop(a), g.has_loop(b), g.has_edge(a, b)] == [
+                    bool(pattern & 1), bool(pattern & 2), bool(pattern & 4)]
+                assert rank_nullity_histogram(g.rows) == reference_histogram(g.rows), g
+
+
+def test_histogram_steps_once_per_subset_of_all_but_the_last_two_vertices():
+    # S + {n-2} is counted and classified in its parent, never stepped into
+    steps = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_qualname.endswith("histogram.<locals>.grow"):
+            steps.append(frame.f_locals["mask"])
+
+    rng = random.Random(918)
+    for n in range(2, 11):
+        g = _random_graph(rng, n, 0.5, loop_p=0.3)
+        steps.clear()
+        sys.setprofile(profile)
+        try:
+            hist = rank_nullity_histogram(g.rows)
+        finally:
+            sys.setprofile(None)
+        assert sorted(steps) == list(range(1 << (n - 2))), n
+        assert hist == reference_histogram(g.rows), g
 
 
 def test_loopless_circle_graphs_have_only_even_ranks():
