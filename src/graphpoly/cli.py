@@ -5,8 +5,8 @@ recognition comes back negative, 2 on usage or input-format errors and on
 an input too large for the chosen method (a ``RecursionError`` or
 ``MemoryError``, reported in one line that names the method).  The 2^n
 enumerations (``q --method state-sum``, ``qn --method specialize``,
-``cpp`` and ``verify theorem-a``/``theorem-b``, whose largest instance is
-the file given or the largest ``--max-size`` can draw) first compare their
+``cpp`` and the four ``verify`` actions, whose largest instance is the
+file given or the largest ``--max-size`` can draw) first compare their
 state count with ``MAX_STATES`` and exit 2, naming a faster method, when it
 is over.
 ``--format json`` wraps results as {"input", "method", "result",
@@ -92,6 +92,7 @@ def _too_small(value: int, least: int, what: str, unit: str = "") -> bool:
 _CIRCLE_QN = ("qn --method recursion on the circle graph from circle-graph --arcs; "
               "f(G; x) = x*q_N(H; x+1)")
 _SP_TUTTE = "tutte-diag-sp for t(G; x, x) = q_N(H; x)"
+_CIRCLE_Q = "q --method recursion on the circle graph from circle-graph --word"
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -282,11 +283,17 @@ def cmd_verify(args) -> int:
         _emit(args, f"medial diagonal identity holds on {args.count} random constructions",
               "theorem-b", t0)
         return OK
+    # cpoly and identities run state sums over the 2^M subsets of M chords or vertices
+    what = f"verify {args.what} --max-size"
+    unit, faster = ((" chord", _CIRCLE_Q) if args.what == "cpoly"
+                    else (" vertex", "q --method recursion"))
+    if _too_small(args.max_size, 1, what, unit) or _over_budget(args.max_size, what, faster):
+        return USAGE
     if args.what == "cpoly":
         rng = random.Random(args.seed)
         points = ((1, 1), (2, 4), (3, 9), (5, 16))
         for k in range(args.count):
-            d = randgen.random_chord_diagram(rng.randrange(1, 8), rng)
+            d = randgen.random_chord_diagram(rng.randrange(1, args.max_size + 1), rng)
             rep = verify_c_identity(d, points)
             if not rep.ok:
                 _emit(args, f"diagram {d}: {rep}", "cpoly", t0)
@@ -304,7 +311,7 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     failures = []
     for k in range(args.count):
-        g = randgen.random_graph(rng.randrange(1, 9), rng)
+        g = randgen.random_graph(rng.randrange(1, args.max_size + 1), rng)
         if not g.is_simple():
             continue
         q = q_state_sum(g)

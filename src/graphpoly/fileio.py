@@ -146,13 +146,6 @@ def parse_rotation_system(text: str) -> PlaneMultigraph:
         raise FormatError(str(exc)) from exc
 
 
-def format_rotation_system(g: PlaneMultigraph) -> str:
-    lines = []
-    for v in g.vertex_ids:
-        lines.append(f"{v}: " + " ".join(e for e, _ in g.rotation[v]))
-    return "\n".join(lines) + "\n"
-
-
 # -- construction scripts ---------------------------------------------------------
 
 

@@ -197,13 +197,6 @@ class Graph:
 
     # -- joins ----------------------------------------------------------------
 
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        relabel = _fresh_names(self.ids, other.ids)
-        ids = self.ids + tuple(relabel[v] for v in other.ids)
-        shift = self.n
-        rows = list(self.rows) + [r << shift for r in other.rows]
-        return Graph(ids, rows)
-
     def one_point_join(self, u, other: "Graph", v) -> "Graph":
         """Identify u in self with v in other; the merged vertex keeps u's id."""
         self.index_of(u)
@@ -215,21 +208,6 @@ class Graph:
             b2 = str(u) if b == str(v) else relabel[b]
             edges.append((a2, b2))
         verts = list(self.ids) + [relabel[w] for w in other.ids if w != str(v)]
-        return Graph.from_edges(edges, verts)
-
-    def two_point_join(self, u, other: "Graph", v) -> "Graph":
-        """Keep u and v, cross-connect each to the other's neighbours (u, v become false twins)."""
-        self.index_of(u)
-        other.index_of(v)
-        relabel = _fresh_names(self.ids, other.ids)
-        edges = self.edges()
-        edges.extend((relabel[a], relabel[b]) for a, b in other.edges())
-        for w in other.neighbors(v):
-            edges.append((str(u), relabel[w]))
-        for w in self.neighbors(u):
-            edges.append((relabel[str(v)], w))
-        verts = list(self.ids) + [relabel[w] for w in other.ids]
-        # from_edges ignores duplicates since adjacency is a relation
         return Graph.from_edges(edges, verts)
 
 

@@ -30,14 +30,19 @@ the coefficient of x^1 in q_N: ``gamma_invariant`` reads it off the
 recursion, ``gamma_state_sum`` counts it over all vertex subsets.
 
 Both recursions use that q and q_N are multiplicative over connected
-components.  Each new subproblem first runs a bitmask search from vertex
-0 that stops once the component covers every vertex.  A disconnected graph
-is the product of its components, each compacted to its own rows; a
-single vertex contributes x (q_N), y (q, unlooped) or x (q, looped).  Only
-a connected graph on two or more vertices is reduced; q_N pivots on vertex
-0 and its lowest neighbour.  The memo, keyed on the compacted rows, lives
-for one call: nothing is kept between calls, and the two reduction orders
-of ``q_recursive`` never share entries.  The recursion is about n deep on
+components.  A disconnected graph is the product of its components, each
+compacted to its own rows; a single vertex contributes x (q_N), y (q,
+unlooped) or x (q, looped).  The q kernel runs ``component_masks`` on every
+new subproblem.  The q_N kernel is told which subproblems are connected
+(the components of a split, and a child that lost a vertex of degree at
+most 1 from a connected graph); any other gets a reach from vertex 0 that
+stops once it covers every vertex, and only one that falls short is split.
+A connected graph on two or more vertices is reduced.  q_N takes the
+pendant rule q_N(G) = q_N(G-0) + x q_N(G-0-b) when N(0) = {b} (Arratia,
+Bollobas & Sorkin, JCTB 92, 2004), else pivots on vertex 0 and its lowest
+neighbour.  The memo, keyed on the compacted rows, lives for one call:
+nothing is kept between calls, and the two reduction orders of
+``q_recursive`` never share entries.  The recursion is about n deep on
 paths, so very long paths exhaust Python's stack.
 
 The q kernel holds each polynomial as a dict from packed exponents (x^i
@@ -291,37 +296,62 @@ def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
 
 
 def _qn_kernel(rows: tuple, w: int) -> int:
-    """q_N at x = 2^w by the pivot rule, split into components, memo local to the call.
+    """q_N at x = 2^w by the pendant and pivot rules, memo local to the call.
 
     Every subproblem's q_N is one int, its coefficients packed as base-2^w
     digits: a sum is one addition, a product of components one
-    multiplication, and an isolated vertex a shift by w.
+    multiplication, and an isolated vertex a shift by w.  ``solve(rows,
+    connected)`` searches for components only when ``connected`` is false.
+    The pendant rule's G-0 is connected, and G-0-b is when b has at most one
+    neighbour besides 0; the pivot rule's G^{0b}-b = G-b is when N(b) = {0}.
     """
     memo: dict[tuple, int] = {}
 
-    def solve(rows: tuple) -> int:
+    def solve(rows: tuple, connected: bool) -> int:
+        n = len(rows)
+        if n < 2:
+            return 1 << w * n
         res = memo.get(rows)
         if res is not None:
             return res
-        comps = component_masks(rows)
-        if len(comps) != 1 or len(rows) == 1:
+        if not connected:
+            full = (1 << n) - 1
+            comp = todo = 1
+            while todo and comp != full:
+                low = todo & -todo
+                todo ^= low
+                new = rows[low.bit_length() - 1] & ~comp
+                comp |= new
+                todo |= new
+            connected = comp == full
+        if not connected:
             res = 1
             shift = 0
-            for comp in comps:
+            for comp in component_masks(rows):
                 if comp & (comp - 1):
-                    res *= solve(compact_rows(rows, comp))
+                    res *= solve(compact_rows(rows, comp), True)
                 else:
                     shift += w
             res <<= shift
+            memo[rows] = res
+            return res
+        n0 = rows[0]
+        b = (n0 & -n0).bit_length() - 1
+        bit = 1 << b
+        n0 ^= bit
+        nb = rows[b] ^ 1
+        minus0 = tuple([r >> 1 for r in rows[1:]])
+        if not n0:
+            # q_N(G) = q_N(G-0) + x q_N(G-0-b); in G-0, b is vertex b - 1
+            keep = (bit >> 1) - 1
+            rest = minus0[:b - 1] + minus0[b:]
+            res = (solve(minus0, True)
+                   + (solve(tuple([r & keep | r >> 1 & ~keep for r in rest]),
+                            not nb & (nb - 1)) << w))
         else:
-            # q_N(G) = q_N(G-0) + q_N(G^{0b}-b) for the lowest neighbour b of vertex 0.
-            # The pivot toggles N(0)-N(b), N(b)-N(0) and N(0)&N(b) against each other,
-            # which is row k ^= N(b)-{0} for k in N(0) and row k ^= N(0)-{b} for k in N(b).
-            n0 = rows[0]
-            b = (n0 & -n0).bit_length() - 1
-            bit = 1 << b
-            n0 ^= bit
-            nb = rows[b] ^ 1
+            # q_N(G) = q_N(G-0) + q_N(G^{0b}-b).  The pivot toggles N(0)-N(b),
+            # N(b)-N(0) and N(0)&N(b) against each other, which is
+            # row k ^= N(b)-{0} for k in N(0) and row k ^= N(0)-{b} for k in N(b).
             piv = list(rows)
             m = n0
             while m:
@@ -335,12 +365,12 @@ def _qn_kernel(rows: tuple, w: int) -> int:
                 m ^= low
             keep = bit - 1
             del piv[b]
-            res = (solve(tuple([r >> 1 for r in rows[1:]]))
-                   + solve(tuple([r & keep | r >> 1 & ~keep for r in piv])))
+            res = (solve(minus0, False)
+                   + solve(tuple([r & keep | r >> 1 & ~keep for r in piv]), not nb))
         memo[rows] = res
         return res
 
-    return solve(rows)
+    return solve(rows, False)
 
 
 def qn_recursive(g: Graph) -> SparsePoly:

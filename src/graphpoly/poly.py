@@ -263,12 +263,3 @@ class SparsePoly:
             out.append({"exps": {v: e for v, e in zip(self.vars, exps) if e},
                         "coeff": str(coeff)})
         return out
-
-    @classmethod
-    def from_json_obj(cls, variables: Iterable[str], obj: list) -> "SparsePoly":
-        variables = tuple(variables)
-        terms = {}
-        for item in obj:
-            exps = tuple(int(item["exps"].get(v, 0)) for v in variables)
-            terms[exps] = terms.get(exps, 0) + int(item["coeff"])
-        return cls(variables, terms)

@@ -1,0 +1,51 @@
+"""Builders that only the tests use.
+
+Joins of graphs, the writer of the rotation-system format and the reader
+of the JSON form of a polynomial.  No pipeline in ``graphpoly`` needs them.
+"""
+
+from __future__ import annotations
+
+from graphpoly.graphs import Graph, _fresh_names
+from graphpoly.planar import PlaneMultigraph
+from graphpoly.poly import SparsePoly
+
+
+def disjoint_union(g: Graph, other: Graph) -> Graph:
+    relabel = _fresh_names(g.ids, other.ids)
+    ids = g.ids + tuple(relabel[v] for v in other.ids)
+    rows = list(g.rows) + [r << g.n for r in other.rows]
+    return Graph(ids, rows)
+
+
+def two_point_join(g: Graph, u, other: Graph, v) -> Graph:
+    """Keep u and v, cross-connect each to the other's neighbours (u, v become false twins)."""
+    g.index_of(u)
+    other.index_of(v)
+    relabel = _fresh_names(g.ids, other.ids)
+    edges = g.edges()
+    edges.extend((relabel[a], relabel[b]) for a, b in other.edges())
+    for w in other.neighbors(v):
+        edges.append((str(u), relabel[w]))
+    for w in g.neighbors(u):
+        edges.append((relabel[str(v)], w))
+    verts = list(g.ids) + [relabel[w] for w in other.ids]
+    # from_edges ignores duplicates since adjacency is a relation
+    return Graph.from_edges(edges, verts)
+
+
+def format_rotation_system(g: PlaneMultigraph) -> str:
+    lines = []
+    for v in g.vertex_ids:
+        lines.append(f"{v}: " + " ".join(e for e, _ in g.rotation[v]))
+    return "\n".join(lines) + "\n"
+
+
+def poly_from_json_obj(variables, obj: list) -> SparsePoly:
+    """Inverse of ``SparsePoly.to_json_obj``."""
+    variables = tuple(variables)
+    terms = {}
+    for item in obj:
+        exps = tuple(int(item["exps"].get(v, 0)) for v in variables)
+        terms[exps] = terms.get(exps, 0) + int(item["coeff"])
+    return SparsePoly(variables, terms)

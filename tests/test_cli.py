@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from builders import poly_from_json_obj
 from graphpoly import cli, interlace, randgen
 from graphpoly.cli import main
 
@@ -298,6 +299,35 @@ def test_randomized_theorem_check_below_smallest_size_exits_2(capsys, monkeypatc
     assert drawn == [int(smallest)] * 3
 
 
+@pytest.mark.parametrize("what, least, draw", [
+    ("cpoly", "1 chord", "random_chord_diagram"),
+    ("identities", "1 vertex", "random_graph"),
+])
+def test_randomized_state_sum_check_draws_up_to_max_size(capsys, monkeypatch, what, least,
+                                                         draw):
+    drawn = []
+    real = getattr(randgen, draw)
+    monkeypatch.setattr(randgen, draw, lambda *a: drawn.append(a[0]) or real(*a))
+    argv = ("verify", what, "--seed", "1", "--count", "3", "--max-size")
+    for size in (0, -5):
+        code, out, err = run(capsys, *argv, str(size))
+        assert code == 2 and out == "" and drawn == []
+        assert err == f"error: verify {what} --max-size must be at least {least}"
+    code, out, err = run(capsys, *argv, "1")
+    assert code == 0 and "on 3 random" in out and err == "" and drawn == [1] * 3
+    drawn.clear()
+    monkeypatch.setattr(cli, "MAX_STATES", 16)
+    code, out, err = run(capsys, "verify", what, "--seed", "2", "--count", "40",
+                         "--max-size", "4")
+    assert code == 0 and err == "" and set(drawn) == {1, 2, 3, 4}
+    drawn.clear()
+    code, out, err = run(capsys, "verify", what, "--seed", "2", "--count", "40",
+                         "--max-size", "5")
+    assert code == 2 and out == "" and drawn == []
+    assert len(err.splitlines()) == 1 and f"{what} --max-size" in err
+    assert "2^5 states" in err and "use q --method recursion" in err
+
+
 def test_verify_identities_runs_one_state_sum_per_graph_and_pivot(capsys, monkeypatch):
     calls = []
     histogram = interlace.rank_nullity_histogram
@@ -347,6 +377,5 @@ def test_json_output(files, capsys):
 def test_json_and_text_agree(files, capsys):
     _, text_out, _ = run(capsys, "qn", "--edges", files["c6.edges"])
     _, json_out, _ = run(capsys, "--format", "json", "qn", "--edges", files["c6.edges"])
-    from graphpoly.poly import SparsePoly
-    poly = SparsePoly.from_json_obj(("x",), json.loads(json_out)["result"])
+    poly = poly_from_json_obj(("x",), json.loads(json_out)["result"])
     assert str(poly) == text_out

@@ -1,5 +1,6 @@
 import pytest
 
+from builders import format_rotation_system
 from graphpoly import fileio
 from graphpoly.graphs import Graph, cycle_graph
 from graphpoly.planar import build_sp
@@ -49,7 +50,7 @@ def test_rotation_system_round_trip():
     # endpoint order inside an edge is side bookkeeping; the embedding is
     # what must survive the round trip
     g = build_sp(fileio.parse_sp_sequence("digon\nseries e2\nparallel e1\n"))
-    back = fileio.parse_rotation_system(fileio.format_rotation_system(g))
+    back = fileio.parse_rotation_system(format_rotation_system(g))
     assert {e: frozenset(uv) for e, uv in back.edge_map.items()} == \
         {e: frozenset(uv) for e, uv in g.edge_map.items()}
     for v in g.vertex_ids:

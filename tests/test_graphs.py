@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from builders import disjoint_union, two_point_join
 from conftest import all_labeled_graphs
 from state_sum_reference import rank_nullity
 from graphpoly.graphs import (Graph, complete_graph, cycle_graph, path_graph,
@@ -104,13 +105,13 @@ def test_local_complement_looped_toggles_diagonal():
 def test_induced_and_union_examples():
     assert complete_graph(3).induced(["1", "2"]) == complete_graph(2)
     assert complete_graph(3).induced([]).n == 0
-    e2 = Graph.edgeless(1).disjoint_union(Graph.edgeless(1))
+    e2 = disjoint_union(Graph.edgeless(1), Graph.edgeless(1))
     assert e2.n == 2 and not e2.edges()
 
 
 def test_disjoint_union_relabels_collisions():
     g = Graph.from_edges([("a", "b")])
-    u = g.disjoint_union(g)
+    u = disjoint_union(g, g)
     assert u.n == 4 and len(u.edges()) == 2
     assert set(u.ids) == {"a", "b", "a'", "b'"}
 
@@ -133,7 +134,7 @@ def test_one_point_join_isolated_is_disjoint_union():
 def test_two_point_join_single_vertex_is_false_twin():
     k2 = Graph.from_edges([("u", "w")])
     k1 = Graph.from_edges([], ["v"])
-    j = k2.two_point_join("u", k1, "v")
+    j = two_point_join(k2, "u", k1, "v")
     # path with u and v the two leaves
     assert j.n == 3 and len(j.edges()) == 2
     assert j.degree("u") == 1 and j.degree("v") == 1 and j.degree("w") == 2
@@ -147,7 +148,7 @@ def test_two_point_join_false_twins():
         edges = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < 0.5]
         g = Graph.from_edges(edges, vs)
         h = Graph.from_edges([("p", "q")])
-        j = g.two_point_join("1", h, "p")
+        j = two_point_join(g, "1", h, "p")
         u, v = "1", [x for x in j.ids if x.startswith("p")][0]
         assert not j.has_edge(u, v)
         assert set(j.neighbors(u)) == set(j.neighbors(v))

@@ -3,12 +3,14 @@ import sys
 
 import pytest
 
+from builders import disjoint_union, two_point_join
 from conftest import (all_labeled_graphs, all_looped_labeled_graphs, graph_with_extra,
                       medial_circle_graphs)
 from state_sum_reference import reference_histogram
 from graphpoly import interlace
 from graphpoly.dh import qn_bdh_fast
-from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from graphpoly.graphs import (Graph, complete_graph, component_masks, cycle_graph, path_graph,
+                              star_graph)
 from graphpoly.interlace import (CoefficientReport, coefficient_checks,
                                  gamma_invariant, gamma_state_sum, q_recursive,
                                  q_state_sum, qn_from_q, qn_recursive,
@@ -301,7 +303,7 @@ def test_multiplicative_on_disjoint_unions():
     for _ in range(40):
         g = _random_graph(rng, rng.randrange(1, 5))
         h = _random_graph(rng, rng.randrange(1, 5))
-        u = g.disjoint_union(h)
+        u = disjoint_union(g, h)
         assert qn_from_q(u) == qn_from_q(g) * qn_from_q(h)
         assert q_state_sum(u) == q_state_sum(g) * q_state_sum(h)
 
@@ -437,6 +439,114 @@ def test_join_gamma_identities():
         u, v = rng.choice(gu), rng.choice(hv)
         j1 = g.one_point_join(u, h, v)
         assert 2 * gamma_invariant(j1) == gamma_invariant(g) * gamma_invariant(h)
-        j2 = g.two_point_join(u, h, v)
+        j2 = two_point_join(g, u, h, v)
         assert 2 * gamma_invariant(j2) == gamma_invariant(g) * gamma_invariant(h)
         done += 1
+
+
+# -- the q_N kernel's pendant rule and connectivity --------------------------------------
+
+
+def _with_order(edges, first, rest):
+    return Graph.from_edges(edges, [first] + [v for v in rest if v != first])
+
+
+def _qn_kernel_corpus():
+    """Seeded graphs on 2-12 vertices that steer vertex 0 into each branch of the q_N kernel."""
+    rng = random.Random(1010)
+    graphs = []
+    # vertex 0 a pendant on b, b of every degree; the core may be disconnected
+    for _ in range(90):
+        core = _random_graph(rng, rng.randrange(1, 12), rng.choice((0.1, 0.25, 0.5)))
+        b = rng.choice(core.ids)
+        graphs.append(_with_order(core.edges() + [("0", b)], "0", core.ids))
+    # stars with vertex 0 as the centre and as a leaf
+    for m in range(1, 12):
+        star = star_graph(m)
+        graphs.append(star)
+        graphs.append(_with_order(star.edges(), str(rng.randrange(1, m + 1)), star.ids))
+    # pendant chains hung off G(n, 1/2) cores, the free end or a random vertex first
+    for _ in range(40):
+        core = _random_graph(rng, rng.randrange(2, 9))
+        chain = [f"p{k}" for k in range(rng.randrange(1, 13 - core.n))]
+        links = list(zip(chain, chain[1:])) + [(chain[-1], rng.choice(core.ids))]
+        edges = core.edges() + links
+        graphs.append(_with_order(edges, chain[0], chain + list(core.ids)))
+        graphs.append(_with_order(edges, rng.choice(chain + list(core.ids)),
+                                  chain + list(core.ids)))
+    # isolated vertices at the front, the back and in between
+    for _ in range(40):
+        g = _random_graph(rng, rng.randrange(1, 10), rng.choice((0.3, 0.6)))
+        iso = [f"i{k}" for k in range(rng.randrange(1, 13 - g.n))]
+        ids = list(g.ids) + iso
+        rng.shuffle(ids)
+        graphs.append(Graph.from_edges(g.edges(), ids))
+        graphs.append(Graph.from_edges(g.edges(), iso + list(g.ids)))
+        graphs.append(Graph.from_edges(g.edges(), list(g.ids) + iso))
+    return graphs
+
+
+def test_qn_kernel_corpus_reaches_every_pendant_case():
+    graphs = _qn_kernel_corpus()
+    assert all(2 <= g.n <= 12 for g in graphs)
+    pendant_degrees = {min(g.degree(g.neighbors(g.ids[0])[0]), 3)
+                       for g in graphs if g.degree(g.ids[0]) == 1}
+    assert pendant_degrees == {1, 2, 3}
+    assert any(g.degree(g.ids[0]) == 0 for g in graphs)
+    assert any(g.degree(g.ids[-1]) == 0 and g.degree(g.ids[0]) for g in graphs)
+
+
+def test_qn_recursive_and_gamma_match_specialization_on_the_kernel_corpus():
+    for g in _qn_kernel_corpus():
+        expected = qn_from_q(g)
+        assert qn_recursive(g) == expected, g
+        assert gamma_invariant(g) == expected.coefficient({"x": 1}), g
+
+
+def _count_searches(monkeypatch) -> list:
+    calls = []
+    search = interlace.component_masks
+    monkeypatch.setattr(interlace, "component_masks",
+                        lambda rows: calls.append(rows) or search(rows))
+    return calls
+
+
+def _solve_calls(g) -> list:
+    """(rows, connected) of every call of the q_N kernel's ``solve`` on g."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_qualname.endswith("_qn_kernel.<locals>.solve"):
+            calls.append((frame.f_locals["rows"], frame.f_locals["connected"]))
+
+    sys.setprofile(profile)
+    try:
+        qn_recursive(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_qn_kernel_passes_connected_only_for_connected_subproblems():
+    for g in _qn_kernel_corpus():
+        for rows, connected in _solve_calls(g):
+            assert not connected or len(component_masks(rows)) <= 1, g
+
+
+def test_qn_kernel_searches_a_path_at_most_once(monkeypatch):
+    # vertex 0 is an end of path_graph(n): every child is known to be connected
+    calls = _count_searches(monkeypatch)
+    for n in (3, 50, 300):
+        calls.clear()
+        solved = _solve_calls(path_graph(n))
+        assert len(calls) <= 1, n
+        assert all(connected for _, connected in solved[1:]), n
+
+
+def test_qn_kernel_searches_fewer_dense_subproblems_than_it_solves(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    g = _random_graph(random.Random(1414), 14)
+    subproblems = {rows for rows, _ in _solve_calls(g)}
+    # before connectivity was threaded through, every new subproblem was searched
+    assert 2 * len(calls) < len(subproblems)
+    assert qn_recursive(g) == qn_from_q(g)
