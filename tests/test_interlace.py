@@ -547,6 +547,6 @@ def test_qn_kernel_searches_fewer_dense_subproblems_than_it_solves(monkeypatch):
     calls = _count_searches(monkeypatch)
     g = _random_graph(random.Random(1414), 14)
     subproblems = {rows for rows, _ in _solve_calls(g)}
-    # before connectivity was threaded through, every new subproblem was searched
+    # a subproblem is searched only when its connectivity is unknown and the reach falls short
     assert 2 * len(calls) < len(subproblems)
     assert qn_recursive(g) == qn_from_q(g)
