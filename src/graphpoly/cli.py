@@ -3,12 +3,13 @@
 Exit codes: 0 on success or a verified identity, 1 when a verification or
 recognition comes back negative, 2 on usage or input-format errors and on
 an input too large for the chosen method (a ``RecursionError`` or
-``MemoryError``, reported in one line that names the method).  The 2^n
-enumerations (``q --method state-sum``, ``qn --method specialize``,
-``cpp`` and the four ``verify`` actions, whose largest instance is the
-file given or the largest ``--max-size`` can draw) first compare their
-state count with ``MAX_STATES`` and exit 2, naming a faster method, when it
-is over.
+``MemoryError``, reported in one line that names the method), and 3 when
+an internal invariant check fails (an ``AssertionError``, reported in one
+line; it means a bug, not bad input).  The 2^n enumerations (``q --method
+state-sum``, ``qn --method specialize``, ``cpp`` and the four ``verify``
+actions, whose largest instance is the file given or the largest
+``--max-size`` can draw) first compare their state count with
+``MAX_STATES`` and exit 2, naming a faster method, when it is over.
 ``--format json`` wraps results as {"input", "method", "result",
 "elapsed_ms"}; polynomial results serialize as a list of
 {"exps": {var: exponent}, "coeff": "<integer>"}.
@@ -36,7 +37,7 @@ from .planar import (beta_invariant, build_sp, diagonal, medial_digraph,
 from .poly import SparsePoly
 from . import randgen
 
-OK, FAILED, USAGE = 0, 1, 2
+OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 MAX_STATES = 1 << 24  # largest 2^n state enumeration a command starts
 
 
@@ -436,6 +437,9 @@ def main(argv=None) -> int:
         method = " ".join(filter(None, (args.command, getattr(args, "method", None))))
         print(f"error: input too large for {method} ({type(exc).__name__})", file=sys.stderr)
         return USAGE
+    except AssertionError as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

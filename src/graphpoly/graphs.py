@@ -57,26 +57,8 @@ class Graph:
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], vertices: Iterable[str] = ()) -> "Graph":
         """Build from (u, v) pairs; (v, v) is a loop.  Extra isolated vertices allowed."""
-        ids: list[str] = []
-        index: dict[str, int] = {}
-
-        def add(v):
-            v = str(v)
-            if v not in index:
-                index[v] = len(ids)
-                ids.append(v)
-            return index[v]
-
-        for v in vertices:
-            add(v)
-        pairs = []
-        for u, v in edges:
-            pairs.append((add(u), add(v)))
-        rows = [0] * len(ids)
-        for i, j in pairs:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(ids, rows)
+        index, rows = label_rows(map(str, vertices), ((str(u), str(v)) for u, v in edges))
+        return cls(list(index), rows)
 
     @classmethod
     def edgeless(cls, n: int, prefix: str = "v") -> "Graph":
@@ -228,7 +210,31 @@ def _fresh_names(taken: Sequence[str], incoming: Sequence[str]) -> dict:
     return out
 
 
-# -- bitmask helpers shared with the interlace module -------------------------
+# -- bitmask helpers shared with the other modules ---------------------------
+
+
+def label_rows(labels: Iterable, pairs: Iterable[tuple]) -> tuple[dict, list[int]]:
+    """Index hashable labels, then the pairs' unseen endpoints, in first-seen order.
+
+    Returns the index and the adjacency rows of the pairs taken as undirected
+    edges, (v, v) being a loop.
+    """
+    index: dict = {}
+    rows: list[int] = []
+
+    def add(v):
+        if v not in index:
+            index[v] = len(rows)
+            rows.append(0)
+        return index[v]
+
+    for v in labels:
+        add(v)
+    for u, v in pairs:
+        i, j = add(u), add(v)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return index, rows
 
 
 def component_masks(rows: Sequence[int]) -> list[int]:

@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 
 from .euler import EulerDigraph, chord_diagram_from_circuit, euler_circuit
 from .chords import circle_graph
+from .graphs import component_masks, label_rows
 from .interlace import gamma_state_sum, qn_recursive
 from .poly import SparsePoly
 
@@ -84,21 +85,9 @@ class PlaneMultigraph:
         return [self.edge_map[e] for e in sorted(self.edge_map)]
 
     def is_connected(self) -> bool:
-        if not self.vertex_ids:
-            return True
-        adj: dict[str, set] = {v: set() for v in self.vertex_ids}
-        for u, v in self.edge_map.values():
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {self.vertex_ids[0]}
-        stack = [self.vertex_ids[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
+        """Connectivity of the underlying graph (vertexless graph counts as connected)."""
+        _, rows = label_rows(self.vertex_ids, self.edge_map.values())
+        return len(component_masks(rows)) <= 1
 
     def faces(self) -> list[tuple[Dart, ...]]:
         """Face boundaries as dart orbits of (twin, then rotation successor)."""
@@ -246,26 +235,18 @@ def _normalize_edges(edges: Sequence[tuple]) -> tuple:
 
 
 def _components_of(edges: Sequence[tuple]) -> list[list[tuple]]:
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for u, v in edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict = {}
+    index, rows = label_rows((), edges)
+    masks = component_masks(rows)
+    owner = [0] * len(rows)
+    for c, m in enumerate(masks):
+        while m:
+            low = m & -m
+            owner[low.bit_length() - 1] = c
+            m ^= low
+    groups: list[list[tuple]] = [[] for _ in masks]
     for e in edges:
-        groups.setdefault(find(e[0]), []).append(e)
-    return list(groups.values())
+        groups[owner[index[e[0]]]].append(e)
+    return groups
 
 
 def _bridges(edges: list[tuple]) -> set[int]:

@@ -54,6 +54,17 @@ def test_qn_bdh_fast_on_non_bdh_is_usage_error(files, capsys):
     assert code == 2 and "true twin" in err
 
 
+def test_broken_internal_invariant_exits_3(files, capsys, monkeypatch):
+    def broken(g):
+        raise AssertionError("x and y coefficients differ: 1 vs 2")
+
+    monkeypatch.setattr(cli, "circuit_partition_polynomial", broken)
+    code, out, err = run(capsys, "cpp", "--arcs", files["digon.arcs"])
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: internal invariant broken: x and y coefficients differ: 1 vs 2"]
+    assert "Traceback" not in err
+
+
 def test_gamma_k2(files, capsys):
     code, out, _ = run(capsys, "gamma", "--edges", files["k2.edges"])
     assert code == 0 and out == "2"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,8 @@ from graphpoly.euler import (EulerDigraph, all_euler_circuits, check_circuit,
                              verify_circuit_partition_identity)
 from graphpoly.poly import SparsePoly
 from graphpoly.randgen import random_2in2out
+
+from euler_reference import reference_states
 
 
 def X(terms):
@@ -43,6 +46,48 @@ def test_edgeless_polynomial_is_one():
     assert circuit_partition_polynomial(g) == X({(0,): 1})
     states = list(graph_states(g))
     assert states == [(states[0][0], 0)]
+
+
+def walk_corpus():
+    """Seeded digraphs of 0-9 vertices, some disconnected, plus fixed loop and digon cases."""
+    yield EulerDigraph([], [])
+    yield EulerDigraph.from_pairs([("v", "v"), ("v", "v")])
+    yield EulerDigraph.from_pairs([("v", "v"), ("v", "w"), ("w", "v"), ("w", "w")])
+    yield digon_medial()
+    yield EulerDigraph.from_pairs([("a", "a"), ("a", "a"), ("b", "b"), ("b", "b")])
+    rng = random.Random(57)
+    for n in range(10):
+        for _ in range(6):
+            yield random_2in2out(n, rng, connected=rng.random() < 0.7)
+
+
+def test_gray_walk_matches_binary_counter_reference():
+    loops = digons = disconnected = 0
+    for g in walk_corpus():
+        ref = list(reference_states(g))
+        got = [(ts.pairing, c) for ts, c in graph_states(g)]
+        assert len(got) == 2 ** g.n
+        assert Counter(got) == Counter((p, c) for p, _, c in ref)
+
+        first = g.arcs[0][0] if g.arcs else None
+        expected = []
+        for _, succ, c in ref:
+            if c == 1:
+                circ = [first]
+                while succ[circ[-1]] != first:
+                    circ.append(succ[circ[-1]])
+                expected.append(tuple(circ))
+        circuits = list(all_euler_circuits(g))
+        assert len(set(circuits)) == len(circuits)
+        assert Counter(circuits) == Counter(expected)
+        for circ in circuits:
+            check_circuit(g, circ)
+
+        pairs = Counter((t, h) for _, t, h in g.arcs)
+        loops += any(t == h for t, h in pairs)
+        digons += any(t != h and pairs[(t, h)] + pairs[(h, t)] >= 2 for t, h in pairs)
+        disconnected += not g.is_connected()
+    assert loops and digons and disconnected
 
 
 def test_state_count_is_power_of_two():
@@ -98,8 +143,13 @@ def test_euler_circuit_errors():
         euler_circuit(EulerDigraph([], []))
     disconnected = EulerDigraph.from_pairs(
         [("a", "a"), ("a", "a"), ("b", "b"), ("b", "b")])
-    with pytest.raises(ValueError):
+    assert not disconnected.is_connected()
+    with pytest.raises(ValueError, match="disconnected"):
         euler_circuit(disconnected)
+
+
+def test_vertexless_digraph_counts_as_connected():
+    assert EulerDigraph([], []).is_connected()
 
 
 def test_check_circuit_rejects_bad_input():

@@ -84,6 +84,16 @@ def test_medial_excludes_single_bridge():
         medial_digraph(g)
 
 
+def test_medial_rejects_two_components():
+    g = PlaneMultigraph("abcd", {"e": ("a", "b"), "f": ("a", "b"), "g": ("c", "d"), "h": ("c", "d")},
+                        {"a": [("e", 0), ("f", 0)], "b": [("f", 1), ("e", 1)],
+                         "c": [("g", 0), ("h", 0)], "d": [("h", 1), ("g", 1)]})
+    assert not g.is_connected()
+    assert PlaneMultigraph([], {}, {}).is_connected()
+    with pytest.raises(ValueError, match="connected"):
+        medial_digraph(g)
+
+
 def test_medial_allows_single_loop():
     g = PlaneMultigraph(["a"], {"e": ("a", "a")}, {"a": [("e", 0), ("e", 1)]})
     med = medial_digraph(g)
@@ -136,6 +146,9 @@ def test_tutte_loops_bridges_and_empty():
 def test_tutte_disconnected_multiplies():
     t = tutte_polynomial([("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")])
     assert t == XY({(1, 0): 1, (0, 1): 1}) * XY({(1, 0): 1, (0, 1): 1})
+    # integer labels, three components whose edges interleave in the list
+    t = tutte_polynomial([(1, 2), (3, 4), (5, 5), (2, 1), (4, 3), (3, 4)])
+    assert t == XY({(1, 0): 1, (0, 1): 1}) * XY({(1, 0): 1, (0, 1): 1, (0, 2): 1}) * XY({(0, 1): 1})
 
 
 def test_tutte_k4():
