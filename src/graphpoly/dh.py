@@ -61,9 +61,6 @@ class DHSequence:
     def true_twin_count(self) -> int:
         return sum(1 for op in self.ops if op[0] == "truetwin")
 
-    def vertex_count(self) -> int:
-        return len(self.ops)
-
     def to_text(self) -> str:
         lines = []
         for op in self.ops:
@@ -256,7 +253,7 @@ def is_bdh(g: Graph) -> BdhCheck:
 
 def gamma_from_sequence(seq: DHSequence) -> int:
     """2^(t+1) where t counts the true-twin ops (needs at least two vertices)."""
-    if seq.vertex_count() < 2:
+    if len(seq) < 2:
         raise ValueError("gamma shortcut needs at least two vertices "
                          "(a single vertex has gamma 1)")
     return 2 ** (seq.true_twin_count + 1)
@@ -274,7 +271,7 @@ def bdh_to_sp(seq: DHSequence) -> tuple[SPSequence, dict]:
     """
     if seq.true_twin_count:
         raise ValueError("sequence uses true twins; no bipartite series-parallel form")
-    if seq.vertex_count() < 2:
+    if len(seq) < 2:
         raise ValueError("need at least two vertices")
     ops = seq.ops
     if ops[1][0] != "pendant":

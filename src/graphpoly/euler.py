@@ -54,7 +54,8 @@ class EulerDigraph:
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[tuple]):
         vertex_ids = tuple(str(v) for v in vertices)
-        if len(set(vertex_ids)) != len(vertex_ids):
+        known = set(vertex_ids)
+        if len(known) != len(vertex_ids):
             raise ValueError("duplicate vertex ids")
         norm = []
         seen = set()
@@ -63,7 +64,7 @@ class EulerDigraph:
             if aid in seen:
                 raise ValueError(f"duplicate arc id {aid!r}")
             seen.add(aid)
-            if tail not in vertex_ids or head not in vertex_ids:
+            if tail not in known or head not in known:
                 raise ValueError(f"arc {aid!r} references unknown vertex")
             norm.append((aid, tail, head))
         indeg = {v: 0 for v in vertex_ids}
@@ -86,11 +87,7 @@ class EulerDigraph:
     def from_pairs(cls, pairs: Iterable[tuple]) -> "EulerDigraph":
         """Build from (tail, head) pairs; arc ids are assigned a1, a2, ..."""
         pairs = [(str(u), str(v)) for u, v in pairs]
-        vertices = []
-        for u, v in pairs:
-            for z in (u, v):
-                if z not in vertices:
-                    vertices.append(z)
+        vertices = dict.fromkeys(z for pair in pairs for z in pair)
         arcs = [(f"a{i + 1}", u, v) for i, (u, v) in enumerate(pairs)]
         return cls(vertices, arcs)
 
@@ -201,8 +198,6 @@ def euler_circuit(g: EulerDigraph) -> tuple:
     """One Euler circuit as a tuple of arc ids (Hierholzer splicing)."""
     if not g.arcs:
         raise ValueError("empty digraph has no Euler circuit")
-    if not g.is_connected():
-        raise ValueError("digraph support is disconnected")
     unused: dict[str, list] = {v: [] for v in g.vertex_ids}
     for arc in reversed(g.arcs):
         unused[arc[1]].append(arc)

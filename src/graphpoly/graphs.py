@@ -70,9 +70,6 @@ class Graph:
     def n(self) -> int:
         return len(self.ids)
 
-    def vertices(self) -> tuple:
-        return self.ids
-
     def index_of(self, v) -> int:
         v = str(v)
         if v not in self._index:
@@ -119,10 +116,10 @@ class Graph:
             return NotImplemented
         if set(self.ids) != set(other.ids):
             return False
-        return set(map(frozenset_edge, self.edges())) == set(map(frozenset_edge, other.edges()))
+        return set(map(frozenset, self.edges())) == set(map(frozenset, other.edges()))
 
     def __hash__(self):
-        return hash((frozenset(self.ids), frozenset(map(frozenset_edge, self.edges()))))
+        return hash((frozenset(self.ids), frozenset(map(frozenset, self.edges()))))
 
     def __repr__(self):
         return f"Graph({self.n} vertices, edges={self.edges()!r})"
@@ -191,10 +188,6 @@ class Graph:
             edges.append((a2, b2))
         verts = list(self.ids) + [relabel[w] for w in other.ids if w != str(v)]
         return Graph.from_edges(edges, verts)
-
-
-def frozenset_edge(e: tuple) -> frozenset:
-    return frozenset(e)
 
 
 def _fresh_names(taken: Sequence[str], incoming: Sequence[str]) -> dict:

@@ -12,13 +12,13 @@ directed cycle, which makes the faces containing original vertices the
 consistently oriented ones, and gives every medial vertex in- and
 out-degree 2.
 
-Tutte polynomials are computed two ways: plain deletion/contraction with
-eager loop and bridge peeling (any multigraph), and for series-parallel
-construction sequences a polynomial-time diagonal evaluator.  The latter
-composes a two-terminal (terminals joined, terminals apart) pair per edge
-over the construction script, in plain integers at the single point
-x0 = 2^(|E|+1), and reads the coefficients of t(G; x, x) off as the base-x0
-digits of t(G; x0, x0).
+Tutte polynomials are computed two ways: deletion/contraction that takes
+loops and bridges off as factors and multiplies over components (any
+multigraph), and for series-parallel construction sequences a
+polynomial-time diagonal evaluator.  The latter composes a two-terminal
+(terminals joined, terminals apart) pair per edge over the construction
+script, in plain integers at the single point x0 = 2^(|E|+1), and reads the
+coefficients of t(G; x, x) off as the base-x0 digits of t(G; x0, x0).
 """
 
 from __future__ import annotations
@@ -42,14 +42,15 @@ class PlaneMultigraph:
 
     def __init__(self, vertices: Iterable[str], edges: dict, rotation: dict):
         vertex_ids = tuple(str(v) for v in vertices)
-        if len(set(vertex_ids)) != len(vertex_ids):
+        known = set(vertex_ids)
+        if len(known) != len(vertex_ids):
             raise ValueError("duplicate vertex ids")
         edge_map = {str(e): (str(u), str(v)) for e, (u, v) in edges.items()}
         rot = {str(v): tuple((str(e), int(s)) for e, s in rotation.get(v, ())) for v in vertex_ids}
         # each dart must sit in exactly one rotation, at its own endpoint
         expected: dict[Dart, str] = {}
         for e, (u, v) in edge_map.items():
-            if u not in vertex_ids or v not in vertex_ids:
+            if u not in known or v not in known:
                 raise ValueError(f"edge {e!r} references unknown vertex")
             expected[(e, 0)] = u
             expected[(e, 1)] = v
@@ -289,64 +290,42 @@ def _bridges(edges: list[tuple]) -> set[int]:
     return out
 
 
-def _tutte_connected(edges: tuple, memo: dict) -> dict:
-    """Tutte of a connected multigraph given as a normalized edge tuple."""
-    cached = memo.get(edges)
-    if cached is not None:
-        return cached
-    work = list(edges)
-    i = 0  # isthmus count
-    j = 0  # loop count
-    while True:
-        loops = [e for e in work if e[0] == e[1]]
-        j += len(loops)
-        work = [e for e in work if e[0] != e[1]]
-        if not work:
-            break
-        br = _bridges(work)
-        if not br:
-            break
-        i += len(br)
-        # contract every bridge: union-find of bridge endpoints
-        parent = {}
+def _times_components(acc: dict, edges: Sequence[tuple], memo: dict) -> dict:
+    """acc times the Tutte polynomials of the components of edges."""
+    for comp in _components_of(edges):
+        part = _tutte(_normalize_edges(comp), memo)
+        nxt: dict = {}
+        for (a, b), c in acc.items():
+            for (a2, b2), c2 in part.items():
+                k = (a + a2, b + b2)
+                nxt[k] = nxt.get(k, 0) + c * c2
+        acc = nxt
+    return acc
 
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
 
-        for idx in br:
-            u, v = work[idx]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        nxt = []
-        for idx, (u, v) in enumerate(work):
-            if idx in br:
-                continue
-            u2, v2 = find(u) if u in parent else u, find(v) if v in parent else v
-            nxt.append(tuple(sorted((u2, v2))))
-        work = nxt
-    if not work:
-        res = {(i, j): 1}
-        memo[edges] = res
+def _tutte(edges: tuple, memo: dict) -> dict:
+    """Tutte of a non-empty normalized edge tuple, as {(i, j): coefficient}.
+
+    A loop is a factor y.  A bridge is a factor x: contracting it or deleting
+    it both multiply the polynomials of its two sides.  If anything was
+    dropped, what is left falls apart into components whose polynomials
+    multiply; otherwise the first edge is deleted and contracted, and both
+    minors stay connected.
+    """
+    res = memo.get(edges)
+    if res is not None:
         return res
-    key = _normalize_edges(work)
-    sub = memo.get(key)
-    if sub is None:
-        u, v = key[0]
-        rest = list(key[1:])
-        d1 = _tutte_connected(_normalize_edges(rest), memo)
-        contracted = [tuple(sorted((u if a == v else a, u if b == v else b))) for a, b in rest]
-        d2 = _tutte_connected(_normalize_edges(contracted), memo)
-        sub = dict(d1)
-        for k2, c in d2.items():
-            sub[k2] = sub.get(k2, 0) + c
-        memo[key] = sub
-    res = {(a + i, b + j): c for (a, b), c in sub.items()}
+    work = [e for e in edges if e[0] != e[1]]
+    br = _bridges(work)
+    if br or len(work) < len(edges):
+        rest = [e for idx, e in enumerate(work) if idx not in br]
+        res = _times_components({(len(br), len(edges) - len(work)): 1}, rest, memo)
+    else:
+        (u, v), rest = edges[0], edges[1:]
+        res = dict(_tutte(_normalize_edges(rest), memo))
+        contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
+        for k, c in _tutte(_normalize_edges(contracted), memo).items():
+            res[k] = res.get(k, 0) + c
     memo[edges] = res
     return res
 
@@ -357,23 +336,8 @@ def tutte_polynomial(g) -> SparsePoly:
     The deletion/contraction memo lives for this call and is shared by the
     components.
     """
-    if isinstance(g, PlaneMultigraph):
-        edges = g.edge_list()
-    else:
-        edges = [tuple(e) for e in g]
-    if not edges:
-        return SparsePoly.const(("x", "y"), 1)
-    acc = {(0, 0): 1}
-    memo: dict[tuple, dict] = {}
-    for comp in _components_of(edges):
-        part = _tutte_connected(_normalize_edges(comp), memo)
-        nxt: dict = {}
-        for (a, b), c in acc.items():
-            for (a2, b2), c2 in part.items():
-                k2 = (a + a2, b + b2)
-                nxt[k2] = nxt.get(k2, 0) + c * c2
-        acc = nxt
-    return SparsePoly(("x", "y"), acc)
+    edges = g.edge_list() if isinstance(g, PlaneMultigraph) else [tuple(e) for e in g]
+    return SparsePoly(("x", "y"), _times_components({(0, 0): 1}, edges, {}))
 
 
 def diagonal(p: SparsePoly) -> SparsePoly:
@@ -395,14 +359,10 @@ def _beta_of(t: SparsePoly) -> int:
 
 def beta_invariant(g) -> int:
     """Common coefficient of x^1 and y^1 in the Tutte polynomial (needs >= 2 edges)."""
-    if isinstance(g, PlaneMultigraph):
-        m = g.m
-    else:
-        g = [tuple(e) for e in g]
-        m = len(g)
-    if m < 2:
+    edges = g.edge_list() if isinstance(g, PlaneMultigraph) else [tuple(e) for e in g]
+    if len(edges) < 2:
         raise ValueError("beta needs at least 2 edges")
-    return _beta_of(tutte_polynomial(g))
+    return _beta_of(tutte_polynomial(edges))
 
 
 # -- fast diagonal Tutte for series-parallel sequences ------------------------------

@@ -16,10 +16,6 @@ class VariableMismatchError(ValueError):
     """Raised when combining polynomials over different variable tuples."""
 
 
-def _strip_zeros(terms: dict) -> dict:
-    return {e: c for e, c in terms.items() if c != 0}
-
-
 class SparsePoly:
     """Immutable sparse polynomial with named variables."""
 
@@ -84,14 +80,14 @@ class SparsePoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return SparsePoly(self.vars, _strip_zeros(out))
+        return SparsePoly(self.vars, out)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_vars(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
-        return SparsePoly(self.vars, _strip_zeros(out))
+        return SparsePoly(self.vars, out)
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
@@ -105,7 +101,7 @@ class SparsePoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return SparsePoly(self.vars, _strip_zeros(out))
+        return SparsePoly(self.vars, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -176,7 +172,7 @@ class SparsePoly:
             c = coeff * value ** exps[i]
             if c:
                 out[e] = out.get(e, 0) + c
-        return SparsePoly(new_vars, _strip_zeros(out))
+        return SparsePoly(new_vars, out)
 
     def subs_poly(self, name: str, replacement: "SparsePoly") -> "SparsePoly":
         """Substitute a polynomial for one variable.

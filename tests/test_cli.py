@@ -6,6 +6,7 @@ import pytest
 from builders import poly_from_json_obj
 from graphpoly import cli, interlace, randgen
 from graphpoly.cli import main
+from tutte_reference import tutte_by_subsets
 
 C6 = "".join(f"{i} {i % 6 + 1}\n" for i in range(1, 7))
 
@@ -90,6 +91,24 @@ def test_tutte_diag_sp(files, capsys):
 def test_beta(files, capsys):
     code, out, _ = run(capsys, "beta", "--edges", files["multi.edges"])
     assert code == 0 and out == "1"
+
+
+def test_tutte_json_on_loop_bridge_and_two_bridgeless_components(tmp_path, capsys):
+    # bridgeless: triangle a-b-c with a loop at a, digon x-y; and a lone bridge p-q
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a"), ("p", "q"), ("x", "y"), ("y", "x")]
+    path = tmp_path / "mixed.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    code, out, _ = run(capsys, "--format", "json", "tutte", "--edges", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "deletion-contraction"
+    assert poly_from_json_obj(("x", "y"), doc["result"]) == tutte_by_subsets(edges)
+
+
+def test_beta_k4(tmp_path, capsys):
+    path = tmp_path / "k4.edges"
+    path.write_text("a b\na c\na d\nb c\nb d\nc d\n")
+    assert run(capsys, "beta", "--edges", str(path)) == (0, "2", "")
 
 
 def test_cpp(files, capsys):

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from builders import format_rotation_system
 from graphpoly import fileio
+from graphpoly.euler import EulerDigraph
 from graphpoly.graphs import Graph, cycle_graph
-from graphpoly.planar import build_sp
+from graphpoly.planar import PlaneMultigraph, build_sp
 
 
 def test_edge_list_round_trip():
@@ -44,6 +47,31 @@ def test_arc_list_errors():
     assert exc.value.line == 1
     with pytest.raises(fileio.FormatError):
         fileio.parse_arc_list("u -> w\n")  # degree violation
+
+
+def test_arc_list_keeps_first_seen_order_at_scale():
+    rng = random.Random(66)
+    names = [f"w{k}" for k in rng.sample(range(10 ** 6), 5000)]
+    heads = names * 2
+    rng.shuffle(heads)
+    pairs = list(zip(names * 2, heads))
+    rng.shuffle(pairs)
+    g = fileio.parse_arc_list("".join(f"{t} -> {h}\n" for t, h in pairs))
+    flat = [z for pair in pairs for z in pair]
+    first = {z: i for i, z in reversed(list(enumerate(flat)))}
+    assert g.vertex_ids == tuple(sorted(first, key=first.get))
+    assert [arc[1:] for arc in g.arcs] == pairs
+
+
+def test_unknown_and_duplicate_vertices_keep_their_messages():
+    with pytest.raises(ValueError, match="^arc 'x' references unknown vertex$"):
+        EulerDigraph(["a"], [("x", "a", "b")])
+    with pytest.raises(ValueError, match="^duplicate vertex ids$"):
+        EulerDigraph(["a", "a"], [])
+    with pytest.raises(ValueError, match="^edge 'e' references unknown vertex$"):
+        PlaneMultigraph(["a"], {"e": ("a", "b")}, {})
+    with pytest.raises(ValueError, match="^duplicate vertex ids$"):
+        PlaneMultigraph(["a", "a"], {}, {})
 
 
 def test_rotation_system_round_trip():

@@ -9,6 +9,7 @@ from graphpoly.planar import (PlaneMultigraph, SPSequence, beta_invariant,
                               tutte_polynomial, verify_medial_tutte_identity)
 from graphpoly.poly import SparsePoly
 from graphpoly.randgen import random_sp_sequence
+from tutte_reference import tutte_by_subsets
 
 K4 = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
 
@@ -149,6 +150,32 @@ def test_tutte_disconnected_multiplies():
     # integer labels, three components whose edges interleave in the list
     t = tutte_polynomial([(1, 2), (3, 4), (5, 5), (2, 1), (4, 3), (3, 4)])
     assert t == XY({(1, 0): 1, (0, 1): 1}) * XY({(1, 0): 1, (0, 1): 1, (0, 2): 1}) * XY({(0, 1): 1})
+
+
+def random_multigraph(rng: random.Random) -> list:
+    """Up to 10 edges on up to 6 vertices; loops and parallel edges are common."""
+    n = rng.randrange(1, 7)
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(11))]
+
+
+def test_tutte_matches_subset_expansion():
+    triangle = [(0, 1), (1, 2), (2, 0)]
+    fixed = [[], [(0, 0)], [(0, 0), (0, 0)], [(0, 1)], [(0, 1), (0, 1)],
+             triangle + [(3, 4), (4, 5), (5, 3)],  # two disjoint triangles
+             triangle + [(2, 3)] + [(3, 4), (4, 5), (5, 3)] + [(5, 5)],  # bridge between cycles
+             [(0, 1), (1, 2), (2, 3), (3, 4)], K4, K4 + [("a", "b"), ("c", "c")]]
+    rng = random.Random(65)
+    graphs = fixed + [random_multigraph(rng) for _ in range(300)]
+    seen = dict.fromkeys(("loop", "parallel", "bridge", "bridgeless disconnected"), False)
+    for edges in graphs:
+        assert tutte_polynomial(edges) == tutte_by_subsets(edges), edges
+        plain = [e for e in edges if e[0] != e[1]]
+        seen["loop"] |= len(plain) < len(edges)
+        seen["parallel"] |= len({frozenset(e) for e in plain}) < len(plain)
+        seen["bridge"] |= bool(planar._bridges(plain))
+        seen["bridgeless disconnected"] |= (not planar._bridges(plain)
+                                            and len(planar._components_of(edges)) > 1)
+    assert all(seen.values()), seen
 
 
 def test_tutte_k4():
