@@ -12,7 +12,9 @@ actions, whose largest instance is the file given or the largest
 ``MAX_STATES`` and exit 2, naming a faster method, when it is over.
 ``--format json`` wraps results as {"input", "method", "result",
 "elapsed_ms"}; polynomial results serialize as a list of
-{"exps": {var: exponent}, "coeff": "<integer>"}.
+{"exps": {var: exponent}, "coeff": "<integer>"}.  On every command
+``elapsed_ms`` is the time from the end of parsing the input (for a
+randomized ``verify``, from the end of the option checks) to the result.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from .chords import circle_graph, verify_c_identity, verify_c_reduction
 from .dh import bdh_to_sp, is_bdh, qn_bdh_fast, recognize_dh
 from .euler import (chord_diagram_from_circuit, circuit_partition_polynomial,
                     euler_circuit, verify_circuit_partition_identity)
-from .graphs import Graph
 from .interlace import (coefficient_checks, gamma_invariant, q_recursive,
                         q_state_sum, qn_from_q, qn_of_q, qn_recursive)
-from .planar import (beta_invariant, build_sp, diagonal, medial_digraph,
-                     sp_diagonal_tutte, tutte_polynomial,
-                     verify_medial_tutte_identity)
+from .planar import (beta_invariant, build_sp, medial_digraph, sp_diagonal_tutte,
+                     tutte_polynomial, verify_medial_tutte_identity)
 from .poly import SparsePoly
 from . import randgen
 
@@ -41,12 +41,15 @@ OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 MAX_STATES = 1 << 24  # largest 2^n state enumeration a command starts
 
 
-def _read(path: str) -> str:
+def _read(args, option: str, parse):
+    """Parse the file named by ``--option`` and record its path as the input."""
+    path = args.input_desc = getattr(args, option)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise fileio.FormatError(f"cannot read {path}: {exc.strerror}") from exc
+    return parse(text)
 
 
 def _emit(args, payload, method: str, started: float) -> None:
@@ -66,11 +69,6 @@ def _emit(args, payload, method: str, started: float) -> None:
         print(json.dumps(doc, sort_keys=True))
     else:
         print(payload)
-
-
-def _load_graph(args) -> Graph:
-    args.input_desc = args.edges
-    return fileio.parse_edge_list(_read(args.edges))
 
 
 def _over_budget(n: int, what: str, faster: str) -> bool:
@@ -95,81 +93,118 @@ _CIRCLE_QN = ("qn --method recursion on the circle graph from circle-graph --arc
 _SP_TUTTE = "tutte-diag-sp for t(G; x, x) = q_N(H; x)"
 _CIRCLE_Q = "q --method recursion on the circle graph from circle-graph --word"
 
+# Commands that are one library call on one parsed file: command -> (help, file
+# option, its help, parser, {method: (function name, faster method)}).  The first
+# method is the default; with one method there is no --method option.  A faster
+# method marks a 2^n enumeration.  Functions are looked up when the command runs.
+_CALLS = {
+    "q": ("two-variable interlace polynomial", "edges", "edge list file",
+          fileio.parse_edge_list,
+          {"state-sum": ("q_state_sum", "--method recursion"),
+           "recursion": ("q_recursive", None)}),
+    "qn": ("vertex-nullity interlace polynomial", "edges", "edge list file",
+           fileio.parse_edge_list,
+           {"recursion": ("qn_recursive", None),
+            "specialize": ("qn_from_q", "--method recursion"),
+            "bdh-fast": ("qn_bdh_fast", None)}),
+    "gamma": ("coefficient of x^1 in q_N", "edges", "edge list file",
+              fileio.parse_edge_list, {"pivot-recursion": ("gamma_invariant", None)}),
+    "tutte": ("Tutte polynomial of a multigraph", "edges", "multigraph edge list file",
+              fileio.parse_multigraph_edges,
+              {"deletion-contraction": ("tutte_polynomial", None)}),
+    "tutte-diag-sp": ("diagonal Tutte of a series-parallel script", "sp",
+                      "series-parallel script file", fileio.parse_sp_sequence,
+                      {"two-terminal-dp": ("sp_diagonal_tutte", None)}),
+    "beta": ("beta invariant of a multigraph", "edges", "multigraph edge list file",
+             fileio.parse_multigraph_edges,
+             {"deletion-contraction": ("beta_invariant", None)}),
+    "cpp": ("circuit partition polynomial", "arcs", "arc list file (u -> v)",
+            fileio.parse_arc_list,
+            {"state-enumeration": ("circuit_partition_polynomial", _CIRCLE_QN)}),
+}
+
+
+def _theorem(verify: str):
+    """Check of the k-th instance by the report function of a theorem."""
+    def check(k, instance) -> list[str]:
+        rep = globals()[verify](instance)
+        return [] if rep.ok else [f"instance {k}: {rep}"]
+    return check
+
+
+def _check_cpoly(k, d) -> list[str]:
+    rep = verify_c_identity(d, ((1, 1), (2, 4), (3, 9), (5, 16)))
+    if not rep.ok:
+        return [f"diagram {d}: {rep}"]
+    for a, b in circle_graph(d).edges()[:1]:
+        red = verify_c_reduction(d, a, b)
+        if not red.variant_minus_b_ok:
+            return [f"diagram {d}: {red}"]
+    return []
+
+
+def _check_identities(k, g) -> list[str]:
+    q = q_state_sum(g)
+    qn = qn_of_q(q)
+    failures = []
+    if qn != qn_recursive(g):
+        failures.append(f"{k}: q_N route mismatch")
+    if any(c <= 0 for c in qn.terms.values()):
+        failures.append(f"{k}: non-positive q_N coefficient")
+    if qn.min_total_degree() != len(g.components()):
+        failures.append(f"{k}: lowest degree is not the component count")
+    rep = coefficient_checks(g, q)
+    if not rep.ok:
+        failures.append(f"{k}: {rep}")
+    for u, v in g.edges()[:1]:
+        if qn != qn_from_q(g.pivot(u, v)):
+            failures.append(f"{k}: q_N not pivot-invariant")
+    return failures
+
+
+# The verify suites: suite -> (randgen function, smallest size, its unit, extra,
+# faster method, check, message on success, single-instance mode).  A draw of
+# size M has 2^(M + extra) states; check(k, instance) returns the failures of
+# the k-th instance.  The single-instance mode is (file option, parser, size of
+# the parsed instance, report function name), or None.
+_SUITES = {
+    "theorem-a": ("random_2in2out", 2, " vertices", 0, _CIRCLE_QN,
+                  _theorem("verify_circuit_partition_identity"),
+                  "circuit partition identity holds on {} random digraphs",
+                  ("arcs", fileio.parse_arc_list, lambda g: g.n,
+                   "verify_circuit_partition_identity")),
+    # a script of M ops after the digon has M + 2 edges, one vertex of H each
+    "theorem-b": ("random_sp_sequence", 1, " op", 2, _SP_TUTTE,
+                  _theorem("verify_medial_tutte_identity"),
+                  "medial diagonal identity holds on {} random constructions",
+                  ("sp", fileio.parse_sp_sequence, lambda seq: len(seq) - 1,
+                   "verify_medial_tutte_identity")),
+    # cpoly and identities run state sums over the 2^M subsets of M chords or vertices
+    "cpoly": ("random_chord_diagram", 1, " chord", 0, _CIRCLE_Q, _check_cpoly,
+              "C-polynomial identity holds on {} random diagrams", None),
+    "identities": ("random_graph", 1, " vertex", 0, "q --method recursion",
+                   _check_identities, "identity suite passed on {} random graphs", None),
+}
+
 
 # -- subcommand handlers ------------------------------------------------------
 
 
-def cmd_q(args) -> int:
-    g = _load_graph(args)
-    if args.method == "state-sum" and _over_budget(g.n, "q --method state-sum",
-                                                   "--method recursion"):
+def cmd_call(args) -> int:
+    _, option, _, parse, methods = _CALLS[args.command]
+    value = _read(args, option, parse)
+    method = getattr(args, "method", next(iter(methods)))
+    function, faster = methods[method]
+    what = args.command if len(methods) == 1 else f"{args.command} --method {method}"
+    if faster and _over_budget(value.n, what, faster):
         return USAGE
     t0 = time.perf_counter()
-    poly = q_state_sum(g) if args.method == "state-sum" else q_recursive(g)
-    _emit(args, poly, args.method, t0)
-    return OK
-
-
-def cmd_qn(args) -> int:
-    g = _load_graph(args)
-    if args.method == "specialize" and _over_budget(g.n, "qn --method specialize",
-                                                    "--method recursion"):
-        return USAGE
-    t0 = time.perf_counter()
-    if args.method == "recursion":
-        poly = qn_recursive(g)
-    elif args.method == "specialize":
-        poly = qn_from_q(g)
-    else:
-        poly = qn_bdh_fast(g)
-    _emit(args, poly, args.method, t0)
-    return OK
-
-
-def cmd_gamma(args) -> int:
-    g = _load_graph(args)
-    t0 = time.perf_counter()
-    _emit(args, gamma_invariant(g), "pivot-recursion", t0)
-    return OK
-
-
-def cmd_tutte(args) -> int:
-    args.input_desc = args.edges
-    edges = fileio.parse_multigraph_edges(_read(args.edges))
-    t0 = time.perf_counter()
-    _emit(args, tutte_polynomial(edges), "deletion-contraction", t0)
-    return OK
-
-
-def cmd_tutte_diag_sp(args) -> int:
-    args.input_desc = args.sp
-    seq = fileio.parse_sp_sequence(_read(args.sp))
-    t0 = time.perf_counter()
-    _emit(args, sp_diagonal_tutte(seq), "two-terminal-dp", t0)
-    return OK
-
-
-def cmd_beta(args) -> int:
-    args.input_desc = args.edges
-    edges = fileio.parse_multigraph_edges(_read(args.edges))
-    t0 = time.perf_counter()
-    _emit(args, beta_invariant(edges), "deletion-contraction", t0)
-    return OK
-
-
-def cmd_cpp(args) -> int:
-    args.input_desc = args.arcs
-    g = fileio.parse_arc_list(_read(args.arcs))
-    if _over_budget(g.n, "cpp", _CIRCLE_QN):
-        return USAGE
-    t0 = time.perf_counter()
-    _emit(args, circuit_partition_polynomial(g), "state-enumeration", t0)
+    _emit(args, globals()[function](value), method, t0)
     return OK
 
 
 def cmd_euler_circuit(args) -> int:
-    args.input_desc = args.arcs
-    g = fileio.parse_arc_list(_read(args.arcs))
+    g = _read(args, "arcs", fileio.parse_arc_list)
     t0 = time.perf_counter()
     circ = euler_circuit(g)
     word = " ".join(g.arc(a)[1] for a in circ)
@@ -179,13 +214,13 @@ def cmd_euler_circuit(args) -> int:
 
 
 def cmd_circle_graph(args) -> int:
-    t0 = time.perf_counter()
     if args.word is not None:
         args.input_desc = args.word
         d = fileio.parse_chord_word(args.word)
+        t0 = time.perf_counter()
     else:
-        args.input_desc = args.arcs
-        g = fileio.parse_arc_list(_read(args.arcs))
+        g = _read(args, "arcs", fileio.parse_arc_list)
+        t0 = time.perf_counter()
         d = chord_diagram_from_circuit(g, euler_circuit(g))
     h = circle_graph(d)
     if args.format == "json":
@@ -197,20 +232,20 @@ def cmd_circle_graph(args) -> int:
 
 
 def cmd_medial(args) -> int:
-    t0 = time.perf_counter()
     if args.rotation is not None:
-        args.input_desc = args.rotation
-        g = fileio.parse_rotation_system(_read(args.rotation))
+        g = _read(args, "rotation", fileio.parse_rotation_system)
+        t0 = time.perf_counter()
     else:
-        args.input_desc = args.sp
-        g = build_sp(fileio.parse_sp_sequence(_read(args.sp)))
+        seq = _read(args, "sp", fileio.parse_sp_sequence)
+        t0 = time.perf_counter()
+        g = build_sp(seq)
     med = medial_digraph(g)
     _emit(args, fileio.format_arc_list(med).rstrip("\n"), "rotation-pairs", t0)
     return OK
 
 
 def cmd_dh(args) -> int:
-    g = _load_graph(args)
+    g = _read(args, "edges", fileio.parse_edge_list)
     t0 = time.perf_counter()
     if args.action == "recognize":
         rec = recognize_dh(g)
@@ -220,11 +255,10 @@ def cmd_dh(args) -> int:
         _emit(args, "not distance-hereditary; stuck residual:\n"
               + fileio.format_edge_list(rec.residual).rstrip("\n"), "greedy-peel", t0)
         return FAILED
+    check = is_bdh(g)
     if args.action == "is-bdh":
-        check = is_bdh(g)
         _emit(args, f"{'yes' if check.value else 'no'}: {check.reason}", "greedy-peel", t0)
         return OK if check.value else FAILED
-    check = is_bdh(g)
     if not check.value or g.n == 1:
         reason = check.reason if not check.value else "a single vertex has no edge to build"
         _emit(args, f"no series-parallel form: {reason}", "greedy-peel", t0)
@@ -236,103 +270,34 @@ def cmd_dh(args) -> int:
     return OK
 
 
-def _report_exit(args, report, method, t0) -> int:
-    _emit(args, report, method, t0)
-    return OK if report.ok else FAILED
-
-
 def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    if args.what == "theorem-a":
-        if args.arcs:
-            args.input_desc = args.arcs
-            g = fileio.parse_arc_list(_read(args.arcs))
-            if _over_budget(g.n, "verify theorem-a --arcs", _CIRCLE_QN):
-                return USAGE
-            return _report_exit(args, verify_circuit_partition_identity(g), "theorem-a", t0)
-        if (_too_small(args.max_size, 2, "verify theorem-a --max-size", " vertices")
-                or _over_budget(args.max_size, "verify theorem-a --max-size", _CIRCLE_QN)):
+    draw, least, unit, extra, faster, check, passed, single = _SUITES[args.what]
+    if single and getattr(args, single[0]):
+        option, parse, size, verify = single
+        instance = _read(args, option, parse)
+        if _over_budget(size(instance) + extra, f"verify {args.what} --{option}", faster):
             return USAGE
-        rng = random.Random(args.seed)
-        for k in range(args.count):
-            g = randgen.random_2in2out(rng.randrange(2, args.max_size + 1), rng)
-            rep = verify_circuit_partition_identity(g)
-            if not rep.ok:
-                _emit(args, f"instance {k}: {rep}", "theorem-a", t0)
-                return FAILED
-        _emit(args, f"circuit partition identity holds on {args.count} random digraphs",
-              "theorem-a", t0)
-        return OK
-    if args.what == "theorem-b":
-        if args.sp:
-            args.input_desc = args.sp
-            seq = fileio.parse_sp_sequence(_read(args.sp))
-            if _over_budget(len(seq) + 1, "verify theorem-b --sp", _SP_TUTTE):
-                return USAGE
-            return _report_exit(args, verify_medial_tutte_identity(seq), "theorem-b", t0)
-        # a script of M ops has M + 2 edges, one vertex of H each
-        if (_too_small(args.max_size, 1, "verify theorem-b --max-size", " op")
-                or _over_budget(args.max_size + 2, "verify theorem-b --max-size", _SP_TUTTE)):
-            return USAGE
-        rng = random.Random(args.seed)
-        for k in range(args.count):
-            seq = randgen.random_sp_sequence(rng.randrange(1, args.max_size + 1), rng)
-            rep = verify_medial_tutte_identity(seq)
-            if not rep.ok:
-                _emit(args, f"instance {k}: {rep}", "theorem-b", t0)
-                return FAILED
-        _emit(args, f"medial diagonal identity holds on {args.count} random constructions",
-              "theorem-b", t0)
-        return OK
-    # cpoly and identities run state sums over the 2^M subsets of M chords or vertices
-    what = f"verify {args.what} --max-size"
-    unit, faster = ((" chord", _CIRCLE_Q) if args.what == "cpoly"
-                    else (" vertex", "q --method recursion"))
-    if _too_small(args.max_size, 1, what, unit) or _over_budget(args.max_size, what, faster):
+        t0 = time.perf_counter()
+        rep = globals()[verify](instance)
+        _emit(args, rep, args.what, t0)
+        return OK if rep.ok else FAILED
+    if args.seed is None:
+        print("error: randomized verification requires --seed", file=sys.stderr)
         return USAGE
-    if args.what == "cpoly":
-        rng = random.Random(args.seed)
-        points = ((1, 1), (2, 4), (3, 9), (5, 16))
-        for k in range(args.count):
-            d = randgen.random_chord_diagram(rng.randrange(1, args.max_size + 1), rng)
-            rep = verify_c_identity(d, points)
-            if not rep.ok:
-                _emit(args, f"diagram {d}: {rep}", "cpoly", t0)
-                return FAILED
-            h = circle_graph(d)
-            for a, b in h.edges()[:1]:
-                red = verify_c_reduction(d, a, b)
-                if not red.variant_minus_b_ok:
-                    _emit(args, f"diagram {d}: {red}", "cpoly", t0)
-                    return FAILED
-        _emit(args, f"C-polynomial identity holds on {args.count} random diagrams",
-              "cpoly", t0)
-        return OK
-    # identities
+    what = f"verify {args.what} --max-size"
+    if (_too_small(args.count, 1, "verify --count")
+            or _too_small(args.max_size, least, what, unit)
+            or _over_budget(args.max_size + extra, what, faster)):
+        return USAGE
     rng = random.Random(args.seed)
-    failures = []
+    t0 = time.perf_counter()
     for k in range(args.count):
-        g = randgen.random_graph(rng.randrange(1, args.max_size + 1), rng)
-        if not g.is_simple():
-            continue
-        q = q_state_sum(g)
-        qn = qn_of_q(q)
-        if qn != qn_recursive(g):
-            failures.append(f"{k}: q_N route mismatch")
-        if any(c <= 0 for c in qn.terms.values()):
-            failures.append(f"{k}: non-positive q_N coefficient")
-        if qn.min_total_degree() != len(g.components()):
-            failures.append(f"{k}: lowest degree is not the component count")
-        rep = coefficient_checks(g, q)
-        if not rep.ok:
-            failures.append(f"{k}: {rep}")
-        for u, v in g.edges()[:1]:
-            if qn != qn_from_q(g.pivot(u, v)):
-                failures.append(f"{k}: q_N not pivot-invariant")
-    if failures:
-        _emit(args, "; ".join(failures), "identities", t0)
-        return FAILED
-    _emit(args, f"identity suite passed on {args.count} random graphs", "identities", t0)
+        instance = getattr(randgen, draw)(rng.randrange(least, args.max_size + 1), rng)
+        failures = check(k, instance)
+        if failures:
+            _emit(args, "; ".join(failures), args.what, t0)
+            return FAILED
+    _emit(args, passed.format(args.count), args.what, t0)
     return OK
 
 
@@ -346,39 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def with_edges(sp):
-        sp.add_argument("--edges", required=True, help="edge list file")
-
-    s = sub.add_parser("q", help="two-variable interlace polynomial")
-    with_edges(s)
-    s.add_argument("--method", choices=("state-sum", "recursion"), default="state-sum")
-    s.set_defaults(func=cmd_q)
-
-    s = sub.add_parser("qn", help="vertex-nullity interlace polynomial")
-    with_edges(s)
-    s.add_argument("--method", choices=("recursion", "specialize", "bdh-fast"),
-                   default="recursion")
-    s.set_defaults(func=cmd_qn)
-
-    s = sub.add_parser("gamma", help="coefficient of x^1 in q_N")
-    with_edges(s)
-    s.set_defaults(func=cmd_gamma)
-
-    s = sub.add_parser("tutte", help="Tutte polynomial of a multigraph")
-    s.add_argument("--edges", required=True, help="multigraph edge list file")
-    s.set_defaults(func=cmd_tutte)
-
-    s = sub.add_parser("tutte-diag-sp", help="diagonal Tutte of a series-parallel script")
-    s.add_argument("--sp", required=True, help="series-parallel script file")
-    s.set_defaults(func=cmd_tutte_diag_sp)
-
-    s = sub.add_parser("beta", help="beta invariant of a multigraph")
-    s.add_argument("--edges", required=True, help="multigraph edge list file")
-    s.set_defaults(func=cmd_beta)
-
-    s = sub.add_parser("cpp", help="circuit partition polynomial")
-    s.add_argument("--arcs", required=True, help="arc list file (u -> v)")
-    s.set_defaults(func=cmd_cpp)
+    for command, (summary, option, file_help, _, methods) in _CALLS.items():
+        s = sub.add_parser(command, help=summary)
+        s.add_argument(f"--{option}", required=True, help=file_help)
+        if len(methods) > 1:
+            s.add_argument("--method", choices=tuple(methods), default=next(iter(methods)))
+        s.set_defaults(func=cmd_call)
 
     s = sub.add_parser("euler-circuit", help="one Euler circuit of a 2-in 2-out digraph")
     s.add_argument("--arcs", required=True)
@@ -398,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("dh", help="distance-hereditary tooling")
     s.add_argument("action", choices=("recognize", "is-bdh", "to-sp"))
-    with_edges(s)
+    s.add_argument("--edges", required=True, help="edge list file")
     s.set_defaults(func=cmd_dh)
 
     s = sub.add_parser("verify", help="identity verification suites")
-    s.add_argument("what", choices=("theorem-a", "theorem-b", "cpoly", "identities"))
+    s.add_argument("what", choices=tuple(_SUITES))
     s.add_argument("--seed", type=int, help="seed for randomized corpora")
     s.add_argument("--count", type=int, default=50)
     s.add_argument("--max-size", type=int, default=8)
@@ -418,18 +356,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    if args.command == "verify" and not {"theorem-a": args.arcs,
-                                         "theorem-b": args.sp}.get(args.what):
-        if args.seed is None:
-            print("error: randomized verification requires --seed", file=sys.stderr)
-            return USAGE
-        if _too_small(args.count, 1, "verify --count"):
-            return USAGE
     try:
         return args.func(args)
-    except fileio.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -275,17 +275,14 @@ class CircuitPartitionIdentityReport:
                 f"q_N circuit-independent: {'ok' if self.circuit_independent else 'FAIL'}")
 
 
-def verify_circuit_partition_identity(g: EulerDigraph,
-                                      exhaustive: bool | None = None) -> CircuitPartitionIdentityReport:
+def verify_circuit_partition_identity(g: EulerDigraph) -> CircuitPartitionIdentityReport:
     """Check the circuit partition polynomial against the interlace route.
 
-    ``exhaustive`` defaults to enumerating every Euler circuit when the
-    digraph has at most 5 vertices, and a single circuit otherwise.
+    Every Euler circuit is checked when the digraph has at most 5 vertices,
+    and a single Hierholzer circuit otherwise.
     """
-    if exhaustive is None:
-        exhaustive = g.n <= 5
     f = circuit_partition_polynomial(g)
-    circuits = list(all_euler_circuits(g)) if exhaustive else [euler_circuit(g)]
+    circuits = list(all_euler_circuits(g)) if g.n <= 5 else [euler_circuit(g)]
     if not circuits:
         raise ValueError("no Euler circuit (disconnected or empty digraph)")
     x = SparsePoly.var("x")

@@ -80,10 +80,10 @@ def test_3_circuit_partition_identity():
     ok = True
     for _ in range(50):
         g = random_2in2out(rng.randrange(2, 9), rng)
-        ok = ok and verify_circuit_partition_identity(g, exhaustive=False).ok
+        ok = ok and verify_circuit_partition_identity(g).ok
     for _ in range(25):
         g = random_2in2out(rng.randrange(1, 6), rng)
-        rep = verify_circuit_partition_identity(g, exhaustive=True)
+        rep = verify_circuit_partition_identity(g)
         ok = ok and rep.ok
     elapsed = time.perf_counter() - t0
     _report(3, "circuit partition polynomial identity", ok,

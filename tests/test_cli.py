@@ -4,7 +4,7 @@ import random
 import pytest
 
 from builders import poly_from_json_obj
-from graphpoly import cli, interlace, randgen
+from graphpoly import cli, dh, euler, fileio, interlace, planar, randgen
 from graphpoly.cli import main
 from tutte_reference import tutte_by_subsets
 
@@ -409,3 +409,62 @@ def test_json_and_text_agree(files, capsys):
     _, json_out, _ = run(capsys, "--format", "json", "qn", "--edges", files["c6.edges"])
     poly = poly_from_json_obj(("x",), json.loads(json_out)["result"])
     assert str(poly) == text_out
+
+
+BDH_TAILED_C4 = "a b\nb c\nc d\nd a\nd e\n"  # bipartite distance-hereditary
+TRIANGLE_DOUBLED = "u v\nu v\nv w\nw u\n"
+THREE_ARCS = "a -> b\nb -> c\nc -> a\na -> c\nc -> b\nb -> a\n"
+C4_SP = "digon\nseries e2\nparallel e1\n"
+
+
+LIBRARY_CALLS = [
+    (("q", "--edges", "--method", "state-sum"), BDH_TAILED_C4,
+     fileio.parse_edge_list, interlace.q_state_sum, "state-sum"),
+    (("q", "--edges", "--method", "recursion"), BDH_TAILED_C4,
+     fileio.parse_edge_list, interlace.q_recursive, "recursion"),
+    (("qn", "--edges", "--method", "recursion"), BDH_TAILED_C4,
+     fileio.parse_edge_list, interlace.qn_recursive, "recursion"),
+    (("qn", "--edges", "--method", "specialize"), BDH_TAILED_C4,
+     fileio.parse_edge_list, interlace.qn_from_q, "specialize"),
+    (("qn", "--edges", "--method", "bdh-fast"), BDH_TAILED_C4,
+     fileio.parse_edge_list, dh.qn_bdh_fast, "bdh-fast"),
+    (("gamma", "--edges"), BDH_TAILED_C4,
+     fileio.parse_edge_list, interlace.gamma_invariant, "pivot-recursion"),
+    (("tutte", "--edges"), TRIANGLE_DOUBLED,
+     fileio.parse_multigraph_edges, planar.tutte_polynomial, "deletion-contraction"),
+    (("tutte-diag-sp", "--sp"), C4_SP,
+     fileio.parse_sp_sequence, planar.sp_diagonal_tutte, "two-terminal-dp"),
+    (("beta", "--edges"), TRIANGLE_DOUBLED,
+     fileio.parse_multigraph_edges, planar.beta_invariant, "deletion-contraction"),
+    (("cpp", "--arcs"), THREE_ARCS,
+     fileio.parse_arc_list, euler.circuit_partition_polynomial, "state-enumeration"),
+]
+
+
+@pytest.mark.parametrize("argv, text, parse, function, method", LIBRARY_CALLS,
+                         ids=[f"{argv[0]}-{method}" for argv, *_, method in LIBRARY_CALLS])
+def test_library_call_command_prints_its_function_of_the_parsed_file(tmp_path, capsys, argv,
+                                                                      text, parse, function,
+                                                                      method):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = (*argv[:2], str(path), *argv[2:])
+    assert run(capsys, *argv) == (0, str(function(parse(text))), "")
+    code, out, err = run(capsys, "--format", "json", *argv)
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert doc["method"] == method and doc["input"] == str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("q", "--edges"), ("qn", "--edges"), ("gamma", "--edges"), ("dh", "recognize", "--edges"),
+    ("dh", "is-bdh", "--edges"), ("dh", "to-sp", "--edges"), ("tutte", "--edges"),
+    ("beta", "--edges"), ("tutte-diag-sp", "--sp"), ("medial", "--sp"), ("cpp", "--arcs"),
+    ("euler-circuit", "--arcs"), ("circle-graph", "--arcs"), ("medial", "--rotation"),
+    ("verify", "theorem-a", "--arcs"), ("verify", "theorem-b", "--sp"),
+], ids=" ".join)
+def test_missing_file_of_every_file_option_exits_2_in_one_line(tmp_path, capsys, argv):
+    path = tmp_path / "absent"
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read {path}: ")

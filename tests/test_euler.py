@@ -182,13 +182,16 @@ def test_identity_digon_medial():
 def test_identity_random_digraphs():
     rng = random.Random(55)
     for _ in range(25):
-        g = random_2in2out(rng.randrange(1, 8), rng)
-        assert verify_circuit_partition_identity(g, exhaustive=False).ok
+        n = rng.randrange(1, 8)
+        rep = verify_circuit_partition_identity(random_2in2out(n, rng))
+        assert rep.ok
+        if n > 5:
+            assert rep.circuits_checked == 1
 
 
 def test_identity_exhaustive_circuit_independence():
     rng = random.Random(56)
     for _ in range(10):
         g = random_2in2out(rng.randrange(1, 6), rng)
-        rep = verify_circuit_partition_identity(g, exhaustive=True)
-        assert rep.ok and rep.circuits_checked >= 1
+        rep = verify_circuit_partition_identity(g)
+        assert rep.ok and rep.circuits_checked == len(list(all_euler_circuits(g))) >= 1
