@@ -42,9 +42,11 @@ class Graph:
         for i, r in enumerate(rows):
             if r >> n:
                 raise ValueError("adjacency row has bits outside the vertex range")
-            for j in range(n):
-                if i != j and ((r >> j) & 1) != ((rows[j] >> i) & 1):
+            m = r & ~(1 << i)
+            while m:
+                if not rows[(m & -m).bit_length() - 1] >> i & 1:
                     raise ValueError("adjacency is not symmetric")
+                m &= m - 1
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(ids)})
         object.__setattr__(self, "rows", rows)

@@ -45,12 +45,15 @@ nothing is kept between calls, and the two reduction orders of
 ``q_recursive`` never share entries.  The recursion is about n deep on
 paths, so very long paths exhaust Python's stack.
 
-The q kernel holds each polynomial as a dict from packed exponents (x^i
-y^j as i * 2^32 + j) to signed coefficients.  The q_N kernel holds each as
-one int, q_N at x = 2^w with w = n + 1 for the top-level graph on n
-vertices, whose base-2^w digits are the coefficients.  No digit carries:
-the recursion only adds, from x^m, and q_N(G'; 2) = 2^m for any subgraph
-G' on m <= n vertices, so every coefficient is at most 2^(n-1) (K_n).
+Both kernels hold each subproblem's polynomial as one int, its value at a
+power of two whose base-2^w digits (read by ``SparsePoly.from_base_digits``)
+are the coefficients; w is set by the top-level graph on n vertices, and
+every memo entry is laid out at that width.  q_N is taken at x = 2^w,
+w = n + 1: the recursion only adds, from x^m, and q_N(G'; 2) = 2^m for any
+G' on m <= n vertices, so every coefficient is at most 2^(n-1) (K_n).  q is
+taken at x = 2^w, y = x^(n+1), so x^i y^j is digit i + (n+1) j (the x-degree
+is at most the rank), with w = bits(3^n) + 1: the absolute coefficients of
+(x-1)^r (y-1)^nl sum to 2^|S|, which sum to 3^n over all S.
 """
 
 from __future__ import annotations
@@ -206,39 +209,6 @@ def qn_from_q(g: Graph) -> SparsePoly:
 # -- recursions ---------------------------------------------------------------
 
 
-def _split(rows: tuple, comps: list, solve) -> dict:
-    """q as the product of ``solve`` over the components of a disconnected graph.
-
-    Multiplying two monomials adds their packed exponents.  A single vertex
-    is y when unlooped and x when looped.
-    """
-    parts = []
-    shift = 0
-    for comp in comps:
-        if comp & (comp - 1):
-            parts.append(solve(compact_rows(rows, comp)))
-        else:
-            shift += _QX if rows[comp.bit_length() - 1] else 1
-    res = parts[0] if parts else {0: 1}
-    for part in parts[1:]:
-        prod: dict = {}
-        for ea, ca in res.items():
-            for eb, cb in part.items():
-                prod[ea + eb] = prod.get(ea + eb, 0) + ca * cb
-        res = {e: c for e, c in prod.items() if c}
-    return {e + shift: c for e, c in res.items()}
-
-
-def _add(acc: dict, poly: dict, shift: int = 0, factor: int = 1) -> None:
-    """acc += factor * (the monomial with packed exponent shift) * poly."""
-    for e, c in poly.items():
-        acc[e + shift] = acc.get(e + shift, 0) + factor * c
-
-
-# q packs x^i y^j as the exponent i * _QX + j; degrees stay far below _QX
-_QX = 1 << 32
-
-
 def _q_reduction(rows: tuple, prefer_loop: bool) -> tuple:
     """(a, b) for the pivot rule on the loopless edge ab, or (a, None) for the loop rule on a."""
     loopless = sum(1 << i for i, r in enumerate(rows) if not r >> i & 1)
@@ -250,34 +220,40 @@ def _q_reduction(rows: tuple, prefer_loop: bool) -> tuple:
     return a, (nb & -nb).bit_length() - 1
 
 
-def _q_kernel(rows: tuple, prefer_loop: bool) -> dict:
-    """q by the loop and pivot rules, split into components, memo local to the call."""
-    memo: dict[tuple, dict] = {}
+def _q_kernel(rows: tuple, prefer_loop: bool, w: int, d: int) -> int:
+    """q at x = 2^w, y = 2^(w*d) by the loop and pivot rules, memo local to the call.
 
-    def solve(rows: tuple) -> dict:
+    A split is the product of its components and is not memoised; a single
+    vertex is a shift by w (looped, x) or by w*d (unlooped, y).
+    """
+    memo: dict[tuple, int] = {}
+
+    def solve(rows: tuple) -> int:
         res = memo.get(rows)
         if res is not None:
             return res
         comps = component_masks(rows)
         if len(comps) != 1 or len(rows) == 1:
-            res = _split(rows, comps, solve)
+            res = 1
+            shift = 0
+            for comp in comps:
+                if comp & (comp - 1):
+                    res *= solve(compact_rows(rows, comp))
+                else:
+                    shift += w if rows[comp.bit_length() - 1] else w * d
+            return res << shift
+        a, b = _q_reduction(rows, prefer_loop)
+        res = solve(delete_index(rows, a))
+        if b is None:
+            # q(G) = q(G-a) + (x-1) q(G^a-a)
+            nb = rows[a]
+            local = solve(delete_index([r ^ nb if nb >> k & 1 else r for k, r in enumerate(rows)], a))
+            res += (local << w) - local
         else:
-            a, b = _q_reduction(rows, prefer_loop)
-            res = dict(solve(delete_index(rows, a)))
-            if b is None:
-                # q(G) = q(G-a) + (x-1) q(G^a-a)
-                nb = rows[a]
-                local = solve(delete_index([r ^ nb if nb >> k & 1 else r for k, r in enumerate(rows)], a))
-                _add(res, local, _QX)
-                _add(res, local, 0, -1)
-            else:
-                # q(G) = q(G-a) + q(G^{ab}-b) + (x^2 - 2x) q(G^{ab}-a-b)
-                piv_minus_b = delete_index(pivot_rows(rows, a, b), b)
-                _add(res, solve(piv_minus_b))
-                both = solve(delete_index(piv_minus_b, a))
-                _add(res, both, 2 * _QX)
-                _add(res, both, _QX, -2)
-            res = {e: c for e, c in res.items() if c}
+            # q(G) = q(G-a) + q(G^{ab}-b) + (x^2 - 2x) q(G^{ab}-a-b)
+            piv_minus_b = delete_index(pivot_rows(rows, a, b), b)
+            both = solve(delete_index(piv_minus_b, a))
+            res += solve(piv_minus_b) + (both << 2 * w) - (both << w + 1)
         memo[rows] = res
         return res
 
@@ -291,8 +267,8 @@ def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
     and a looped vertex are available; both orders must agree with the
     state sum (property-tested, not assumed).
     """
-    res = _q_kernel(g.rows, prefer_loop)
-    return SparsePoly(_QXY_VARS, {divmod(e, _QX): c for e, c in res.items()})
+    w, d = (3 ** g.n).bit_length() + 1, g.n + 1
+    return SparsePoly.from_base_digits(_QXY_VARS, _q_kernel(g.rows, prefer_loop, w, d), w, d)
 
 
 def _qn_kernel(rows: tuple, w: int) -> int:
@@ -377,14 +353,13 @@ def qn_recursive(g: Graph) -> SparsePoly:
     """Vertex-nullity interlace polynomial by the pivot recursion."""
     g.require_simple("q_N")
     w = g.n + 1
-    return SparsePoly.from_base_digits("x", _qn_kernel(g.rows, w), w)
+    return SparsePoly.from_base_digits(("x",), _qn_kernel(g.rows, w), w)
 
 
 def gamma_invariant(g: Graph) -> int:
     """Coefficient of x^1 in q_N (0 iff disconnected, 1 iff a single vertex)."""
     g.require_simple("gamma")
-    w = g.n + 1
-    return _qn_kernel(g.rows, w) >> w & ((1 << w) - 1)
+    return qn_recursive(g).coefficient((1,))
 
 
 # -- coefficient identities -----------------------------------------------------

@@ -17,8 +17,8 @@ loops and bridges off as factors and multiplies over components (any
 multigraph), and for series-parallel construction sequences a
 polynomial-time diagonal evaluator.  The latter composes a two-terminal
 (terminals joined, terminals apart) pair per edge over the construction
-script, in plain integers at the single point x0 = 2^(|E|+1), and reads the
-coefficients of t(G; x, x) off as the base-x0 digits of t(G; x0, x0).
+script.  Both hold one int per subproblem, its polynomial at a power of
+two, whose digits ``SparsePoly.from_base_digits`` reads back.
 """
 
 from __future__ import annotations
@@ -290,21 +290,15 @@ def _bridges(edges: list[tuple]) -> set[int]:
     return out
 
 
-def _times_components(acc: dict, edges: Sequence[tuple], memo: dict) -> dict:
-    """acc times the Tutte polynomials of the components of edges."""
+def _times_components(acc: int, edges: Sequence[tuple], memo: dict, w: int, wd: int) -> int:
+    """acc times the Tutte polynomials of the components of edges, packed as in ``_tutte``."""
     for comp in _components_of(edges):
-        part = _tutte(_normalize_edges(comp), memo)
-        nxt: dict = {}
-        for (a, b), c in acc.items():
-            for (a2, b2), c2 in part.items():
-                k = (a + a2, b + b2)
-                nxt[k] = nxt.get(k, 0) + c * c2
-        acc = nxt
+        acc *= _tutte(_normalize_edges(comp), memo, w, wd)
     return acc
 
 
-def _tutte(edges: tuple, memo: dict) -> dict:
-    """Tutte of a non-empty normalized edge tuple, as {(i, j): coefficient}.
+def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
+    """Tutte of a non-empty normalized edge tuple at x = 2^w, y = 2^wd.
 
     A loop is a factor y.  A bridge is a factor x: contracting it or deleting
     it both multiply the polynomials of its two sides.  If anything was
@@ -319,13 +313,12 @@ def _tutte(edges: tuple, memo: dict) -> dict:
     br = _bridges(work)
     if br or len(work) < len(edges):
         rest = [e for idx, e in enumerate(work) if idx not in br]
-        res = _times_components({(len(br), len(edges) - len(work)): 1}, rest, memo)
+        res = _times_components(1 << w * len(br) + wd * (len(edges) - len(work)), rest, memo, w, wd)
     else:
         (u, v), rest = edges[0], edges[1:]
-        res = dict(_tutte(_normalize_edges(rest), memo))
         contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
-        for k, c in _tutte(_normalize_edges(contracted), memo).items():
-            res[k] = res.get(k, 0) + c
+        res = (_tutte(_normalize_edges(rest), memo, w, wd)
+               + _tutte(_normalize_edges(contracted), memo, w, wd))
     memo[edges] = res
     return res
 
@@ -334,10 +327,14 @@ def tutte_polynomial(g) -> SparsePoly:
     """Tutte polynomial of a multigraph (PlaneMultigraph or iterable of edge pairs).
 
     The deletion/contraction memo lives for this call and is shared by the
-    components.
+    components.  Each subproblem is one int, its polynomial at x = 2^w,
+    y = 2^(w*d) with w = |E| + 1 and d = |V| + 1: the x-degree is below |V|,
+    and the coefficients are non-negative and sum to the number of spanning
+    forests, at most 2^|E|, so x^i y^j is digit i + d*j.
     """
     edges = g.edge_list() if isinstance(g, PlaneMultigraph) else [tuple(e) for e in g]
-    return SparsePoly(("x", "y"), _times_components({(0, 0): 1}, edges, {}))
+    w, d = len(edges) + 1, len({z for e in edges for z in e}) + 1
+    return SparsePoly.from_base_digits(("x", "y"), _times_components(1, edges, {}, w, w * d), w, d)
 
 
 def diagonal(p: SparsePoly) -> SparsePoly:
@@ -400,7 +397,7 @@ def sp_diagonal_tutte(seq: SPSequence) -> SparsePoly:
         else:
             val[e] = (s * c1 * c2 + mixed, d1 * d2)
     c, d = val["e1"]
-    return SparsePoly.from_base_digits("x", c + s * d, bits)
+    return SparsePoly.from_base_digits(("x",), c + s * d, bits)
 
 
 # -- medial / diagonal identity -----------------------------------------------------

@@ -61,13 +61,29 @@ class SparsePoly:
         return cls(variables, {tuple(exps): 1})
 
     @classmethod
-    def from_base_digits(cls, name: str, value: int, bits: int) -> "SparsePoly":
-        """Undo a Kronecker substitution: the coefficient of name^k is digit k of value in base 2^bits."""
-        if bits < 1 or value < 0:
-            raise ValueError("need bits >= 1 and a non-negative value")
-        mask = (1 << bits) - 1
-        return cls((name,), {(k,): value >> k * bits & mask
-                             for k in range(-(-value.bit_length() // bits))})
+    def from_base_digits(cls, variables: tuple[str, ...], value: int, bits: int,
+                         d: int = 1) -> "SparsePoly":
+        """Undo a Kronecker substitution: digit k of value in base 2^bits, taken in
+        (-2^(bits-1), 2^(bits-1)], is the coefficient of x^k, or with two variables of
+        x^(k mod d) y^(k div d).  An offset with every digit 2^(bits-1) - 1 makes
+        the digits non-negative, so all are cut from one byte string in linear time.
+        """
+        if bits < 1 or d < 1 or value < 0 and bits == 1:
+            raise ValueError("need bits >= 1, d >= 1 and a non-negative value at bits = 1")
+        count = abs(value).bit_length() // bits + 2
+        half, mask = (1 << bits - 1) - 1, (1 << bits) - 1
+        offset, width = half, bits
+        while width < bits * count:
+            offset |= offset << width
+            width *= 2
+        raw = (value + offset).to_bytes(width // 8 + 1, "little")
+        digits = [(int.from_bytes(raw[k >> 3:(k + bits + 7) >> 3], "little") >> (k & 7) & mask)
+                  - half for k in range(0, bits * count, bits)]
+        # the terms are valid by construction, so they skip the checks of __init__
+        out = cls(variables)
+        object.__setattr__(out, "terms", {(k,) if len(variables) == 1 else (k % d, k // d): c
+                                          for k, c in enumerate(digits) if c})
+        return out
 
     # -- ring operations -------------------------------------------------
 

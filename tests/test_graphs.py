@@ -166,3 +166,16 @@ def test_edge_list_stability():
     assert not g.is_simple()
     with pytest.raises(ValueError):
         g.require_simple()
+
+
+def test_constructor_rejects_malformed_adjacency():
+    g = Graph(["a", "b", "c"], [0b011, 0b001, 0b100])
+    assert g.edges() == [("a", "a"), ("a", "b"), ("c", "c")]
+    for ids, rows, error in ((["a", "b", "c"], [0b100, 0, 0], "symmetric"),  # above the diagonal
+                             (["a", "b", "c"], [0, 0, 0b001], "symmetric"),  # below the diagonal
+                             (["a", "b"], [0b100, 0], "outside"),
+                             (["a", "b"], [-1, 0], "outside"),
+                             (["a", "a"], [0, 0], "duplicate"),
+                             (["a", "b"], [0], "row count")):
+        with pytest.raises(ValueError, match=error):
+            Graph(ids, rows)

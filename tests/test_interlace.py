@@ -13,7 +13,7 @@ from graphpoly.graphs import (Graph, complete_graph, component_masks, cycle_grap
                               star_graph)
 from graphpoly.interlace import (CoefficientReport, coefficient_checks,
                                  gamma_invariant, gamma_state_sum, q_recursive,
-                                 q_state_sum, qn_from_q, qn_recursive,
+                                 q_state_sum, qn_from_q, qn_of_q, qn_recursive,
                                  rank_nullity_histogram)
 from graphpoly.poly import SparsePoly
 
@@ -550,3 +550,19 @@ def test_qn_kernel_searches_fewer_dense_subproblems_than_it_solves(monkeypatch):
     # a subproblem is searched only when its connectivity is unknown and the reach falls short
     assert 2 * len(calls) < len(subproblems)
     assert qn_recursive(g) == qn_from_q(g)
+
+
+def test_q_recursive_reads_wide_signed_coefficients_on_complete_graphs():
+    # q(K_8) already has a 10-bit coefficient, wider than the n + 1 bits of the q_N kernel
+    assert max(abs(c) for c in q_state_sum(complete_graph(8)).terms.values()).bit_length() >= 10
+    # K_0 is the empty graph, read back from one digit with d = 1
+    for n in (0, 1, 2, *range(8, 15)):
+        g = complete_graph(n)
+        looped = Graph.from_edges(g.edges() + [(v, v) for v in g.ids], g.ids)
+        assert q_recursive(g) == q_state_sum(g), n
+        assert q_recursive(looped) == q_state_sum(looped), n
+
+
+def test_q_recursive_on_a_long_path_specializes_to_qn():
+    g = path_graph(150)
+    assert qn_of_q(q_recursive(g)) == qn_recursive(g)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -124,3 +125,45 @@ def test_eval_is_ring_homomorphism(p, q, xv, yv):
     at = {"x": xv, "y": yv}
     assert (p * q).eval_int(at) == p.eval_int(at) * q.eval_int(at)
     assert (p + q).eval_int(at) == p.eval_int(at) + q.eval_int(at)
+
+
+# -- Kronecker readout ------------------------------------------------------------
+
+
+def _pack(digits, bits):
+    return sum(c << k * bits for k, c in enumerate(digits))
+
+
+def test_from_base_digits_round_trips_signed_digits():
+    rng = random.Random(4040)
+    for bits in range(1, 41):
+        half = 1 << bits - 1
+        low = 0 if bits == 1 else -half + 1
+        for _ in range(10):
+            digits = [rng.randint(low, half) for _ in range(rng.randint(0, 30))]
+            # the top of the range is a digit; so is a negative top digit when bits > 1
+            digits.insert(rng.randint(0, len(digits)), half)
+            if bits > 1:
+                digits.append(rng.randint(low, -1))
+            value = _pack(digits, bits)
+            assert SparsePoly.from_base_digits(("x",), value, bits) == P(
+                ("x",), {(k,): c for k, c in enumerate(digits)}), (bits, digits)
+            d = rng.randint(1, 6)
+            assert SparsePoly.from_base_digits(("x", "y"), value, bits, d) == P(
+                ("x", "y"), {(k % d, k // d): c for k, c in enumerate(digits)}), (bits, d, digits)
+
+
+def test_from_base_digits_edge_cases():
+    assert SparsePoly.from_base_digits(("x",), 0, 5) == SparsePoly.zero(("x",))
+    assert SparsePoly.from_base_digits(("x", "y"), 0, 5, 3) == SparsePoly.zero(("x", "y"))
+    # two variables with d = 1: every digit is a power of y (q of the empty graph is 1)
+    assert SparsePoly.from_base_digits(("x", "y"), 1, 2, 1) == SparsePoly.const(("x", "y"), 1)
+    assert SparsePoly.from_base_digits(("x", "y"), _pack([1, -1, 2], 3), 3, 1) == P(
+        ("x", "y"), {(0, 0): 1, (0, 1): -1, (0, 2): 2})
+    # one-bit digits are 0 or 1: the top digit 2^(bits-1) of (-2^(bits-1), 2^(bits-1)]
+    assert SparsePoly.from_base_digits(("x",), 0b101, 1) == P(("x",), {(0,): 1, (2,): 1})
+    for bits in (0, -3):
+        with pytest.raises(ValueError):
+            SparsePoly.from_base_digits(("x",), 5, bits)
+    with pytest.raises(ValueError):
+        SparsePoly.from_base_digits(("x",), -1, 1)
