@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Timing and peak memory of the two exact recursions: q and Tutte.
 
-Times ``q_recursive`` on paths, seeded G(n, 1/2) graphs and seeded random
-trees, and ``tutte_polynomial`` on K_7, the Petersen graph, the wheel W_12
-(a hub joined to a 12-cycle) and seeded 15-op series-parallel graphs.  For
-each input it prints the best in-process time of ``--repeats`` runs and the
-peak RSS of a fresh interpreter that builds the input and runs it once
+Times ``q_recursive`` on paths, seeded G(n, 1/2) graphs, seeded random
+trees, and three inputs of high nullity or many components: the edgeless
+graph on 1,000 vertices, the star K_{1,299} and a forest of sixty seeded
+5-vertex trees.
+Times ``tutte_polynomial`` on K_7, the Petersen graph, the wheel W_12 (a hub
+joined to a 12-cycle), seeded 15-op series-parallel graphs, a seeded random
+tree of 1,000 edges, a seeded connected cubic graph on 14 vertices, a seeded
+G(12, 0.3), a 500-vertex path with a loop at every vertex, and 100
+disjoint triangles.
+
+For each input it prints the best in-process time of ``--repeats`` runs and
+the peak RSS of a fresh interpreter that builds the input and runs it once
 (interpreter start-up and imports included; read from /proc, so Linux
 only).  Every input is fixed by its name, so two checkouts can be compared
 by running this script against each ``src`` in turn.  Compiling a module
@@ -24,7 +31,7 @@ import subprocess
 import sys
 import time
 
-from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph
+from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from graphpoly.interlace import q_recursive
 from graphpoly.planar import build_sp, tutte_polynomial
 from graphpoly.randgen import random_graph, random_sp_sequence
@@ -35,6 +42,27 @@ def random_tree(n: int, seed: int) -> Graph:
     rng = random.Random(seed)
     return Graph.from_edges([(f"v{rng.randrange(k)}", f"v{k}") for k in range(1, n)],
                             [f"v{k}" for k in range(n)])
+
+
+def random_forest(trees: int, size: int, seed: int) -> Graph:
+    """Disjoint union of seeded random recursive trees of ``size`` vertices."""
+    rng = random.Random(seed)
+    edges = [(f"t{t}v{rng.randrange(k)}", f"t{t}v{k}")
+             for t in range(trees) for k in range(1, size)]
+    return Graph.from_edges(edges, [f"t{t}v{k}" for t in range(trees) for k in range(size)])
+
+
+def random_cubic_edges(n: int, seed: int) -> list[tuple]:
+    """Seeded connected simple cubic graph: random pairings of 3n half-edges, retried."""
+    rng = random.Random(seed)
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        edges = {tuple(sorted(ends[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            g = Graph.from_edges(edges, range(n))
+            if g.is_connected():
+                return sorted(edges)
 
 
 def petersen_edges() -> list[tuple]:
@@ -57,11 +85,21 @@ INPUTS = {
        for n in (14, 16, 18)},
     "tree_30": (q_recursive, lambda: [random_tree(30, 5)]),
     "tree_40": (q_recursive, lambda: [random_tree(40, 5)]),
+    "edgeless_1000": (q_recursive, lambda: [Graph.edgeless(1000)]),
+    "star_299": (q_recursive, lambda: [star_graph(299)]),
+    "forest_60x5": (q_recursive, lambda: [random_forest(60, 5, 9)]),
     "K_7": (tutte_polynomial, lambda: [complete_graph(7).edges()]),
     "Petersen": (tutte_polynomial, lambda: [petersen_edges()]),
     "W_12": (tutte_polynomial, lambda: [wheel_edges(12)]),
     "SP15_x20": (tutte_polynomial, lambda: [build_sp(random_sp_sequence(15, random.Random(seed)))
                                             for seed in range(20)]),
+    "tree_1000": (tutte_polynomial, lambda: [random_tree(1001, 7).edges()]),
+    "cubic_14": (tutte_polynomial, lambda: [random_cubic_edges(14, 3)]),
+    "Gnp_12_0.3": (tutte_polynomial, lambda: [random_graph(12, random.Random(5), 0.3).edges()]),
+    "looped_P_500": (tutte_polynomial, lambda: [path_graph(500).edges()
+                                                + [(str(v), str(v)) for v in range(1, 501)]]),
+    "triangles_100": (tutte_polynomial, lambda: [[e for t in range(100) for e in (
+        (f"a{t}", f"b{t}"), (f"b{t}", f"c{t}"), (f"c{t}", f"a{t}"))]]),
 }
 
 

@@ -254,13 +254,18 @@ def component_masks(rows: Sequence[int]) -> list[int]:
 
 
 def compact_rows(rows: Sequence[int], mask: int) -> tuple[int, ...]:
-    """Rows of the subgraph induced by a vertex bitmask, with indices compacted."""
+    """Rows of the subgraph induced by a vertex bitmask, with indices compacted.
+
+    Each run of dropped indices [start, top) goes in one pass, from the top.
+    """
     rows = tuple(rows)
     drop = ((1 << len(rows)) - 1) & ~mask
     while drop:
-        i = drop.bit_length() - 1
-        rows = delete_index(rows, i)
-        drop ^= 1 << i
+        top = drop.bit_length()
+        start = (~drop & (1 << top) - 1).bit_length()
+        low = (1 << start) - 1
+        rows = tuple([r & low | r >> top - start & ~low for r in rows[:start] + rows[top:]])
+        drop &= low
     return rows
 
 

@@ -47,13 +47,16 @@ paths, so very long paths exhaust Python's stack.
 
 Both kernels hold each subproblem's polynomial as one int, its value at a
 power of two whose base-2^w digits (read by ``SparsePoly.from_base_digits``)
-are the coefficients; w is set by the top-level graph on n vertices, and
-every memo entry is laid out at that width.  q_N is taken at x = 2^w,
-w = n + 1: the recursion only adds, from x^m, and q_N(G'; 2) = 2^m for any
-G' on m <= n vertices, so every coefficient is at most 2^(n-1) (K_n).  q is
-taken at x = 2^w, y = x^(n+1), so x^i y^j is digit i + (n+1) j (the x-degree
-is at most the rank), with w = bits(3^n) + 1: the absolute coefficients of
-(x-1)^r (y-1)^nl sum to 2^|S|, which sum to 3^n over all S.
+are the coefficients; every memo entry is laid out at the widths of the
+graph the kernel was called on.  q_N is taken at x = 2^w, w = n + 1: the
+recursion only adds, from x^m, and q_N(G'; 2) = 2^m on m vertices, so every
+coefficient is at most 2^(n-1) (K_n).  q takes isolated vertices off as
+factors x (looped) and y and runs the kernel on each other component, at
+x = 2^w, y = x^d for m vertices: x^i y^j is digit i + d j, d = rank + 1 over
+GF(2) bounds the x-degree (the rank of an induced subgraph is at most that),
+and w = bits(3^m) + 1, since the absolute coefficients of (x-1)^r (y-1)^nl
+sum to 2^|S|, which sum to 3^m over all S.  ``poly._packed_product``
+multiplies the components.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import Graph, compact_rows, component_masks, delete_index, pivot_rows
-from .poly import SparsePoly
+from .poly import SparsePoly, _packed_product
 
 _QXY_VARS = ("x", "y")
 
@@ -220,6 +223,17 @@ def _q_reduction(rows: tuple, prefer_loop: bool) -> tuple:
     return a, (nb & -nb).bit_length() - 1
 
 
+def _gf2_rank(rows: tuple) -> int:
+    """Rank over GF(2): each row is reduced by a basis kept in decreasing order."""
+    basis: list[int] = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis = sorted(basis + [r], reverse=True)
+    return len(basis)
+
+
 def _q_kernel(rows: tuple, prefer_loop: bool, w: int, d: int) -> int:
     """q at x = 2^w, y = 2^(w*d) by the loop and pivot rules, memo local to the call.
 
@@ -265,10 +279,15 @@ def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
 
     ``prefer_loop`` switches the reduction order when both a loopless edge
     and a looped vertex are available; both orders must agree with the
-    state sum (property-tested, not assumed).
+    state sum (property-tested, not assumed).  Components are solved apart.
     """
-    w, d = (3 ** g.n).bit_length() + 1, g.n + 1
-    return SparsePoly.from_base_digits(_QXY_VARS, _q_kernel(g.rows, prefer_loop, w, d), w, d)
+    rows, comps = g.rows, component_masks(g.rows)
+    parts = [compact_rows(rows, c) for c in comps if c & (c - 1)]
+    bare = rows.count(0)  # isolated unlooped vertices; the other single ones are looped
+    return _packed_product(parts, lambda part, w, d: _q_kernel(part, prefer_loop, w, d),
+                           lambda parts: ((3 ** sum(map(len, parts))).bit_length() + 1,
+                                          sum(map(_gf2_rank, parts)) + 1),
+                           (len(comps) - len(parts) - bare, bare))
 
 
 def _qn_kernel(rows: tuple, w: int) -> int:

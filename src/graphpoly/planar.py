@@ -30,7 +30,7 @@ from .euler import EulerDigraph, chord_diagram_from_circuit, euler_circuit
 from .chords import circle_graph
 from .graphs import component_masks, label_rows
 from .interlace import gamma_state_sum, qn_recursive
-from .poly import SparsePoly
+from .poly import SparsePoly, _packed_product
 
 Dart = tuple[str, int]  # (edge id, side 0 or 1)
 
@@ -290,30 +290,31 @@ def _bridges(edges: list[tuple]) -> set[int]:
     return out
 
 
-def _times_components(acc: int, edges: Sequence[tuple], memo: dict, w: int, wd: int) -> int:
-    """acc times the Tutte polynomials of the components of edges, packed as in ``_tutte``."""
-    for comp in _components_of(edges):
-        acc *= _tutte(_normalize_edges(comp), memo, w, wd)
-    return acc
+def _peel(edges: Sequence[tuple]) -> tuple[int, int, list]:
+    """Bridges (factors x), loops (factors y) and the other edges, none a bridge.
+
+    Contracting a bridge or deleting it both multiply its two sides' polynomials.
+    """
+    work = [e for e in edges if e[0] != e[1]]
+    br = _bridges(work)
+    return len(br), len(edges) - len(work), [e for idx, e in enumerate(work) if idx not in br]
 
 
 def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
     """Tutte of a non-empty normalized edge tuple at x = 2^w, y = 2^wd.
 
-    A loop is a factor y.  A bridge is a factor x: contracting it or deleting
-    it both multiply the polynomials of its two sides.  If anything was
-    dropped, what is left falls apart into components whose polynomials
-    multiply; otherwise the first edge is deleted and contracted, and both
-    minors stay connected.
+    If a bridge or loop comes off, what is left falls apart into components
+    whose polynomials multiply; otherwise the first edge is deleted and
+    contracted, and both minors stay connected.
     """
     res = memo.get(edges)
     if res is not None:
         return res
-    work = [e for e in edges if e[0] != e[1]]
-    br = _bridges(work)
-    if br or len(work) < len(edges):
-        rest = [e for idx, e in enumerate(work) if idx not in br]
-        res = _times_components(1 << w * len(br) + wd * (len(edges) - len(work)), rest, memo, w, wd)
+    bridges, loops, rest = _peel(edges)
+    if bridges or loops:
+        res = 1 << w * bridges + wd * loops
+        for comp in _components_of(rest):
+            res *= _tutte(_normalize_edges(comp), memo, w, wd)
     else:
         (u, v), rest = edges[0], edges[1:]
         contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
@@ -326,15 +327,20 @@ def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
 def tutte_polynomial(g) -> SparsePoly:
     """Tutte polynomial of a multigraph (PlaneMultigraph or iterable of edge pairs).
 
-    The deletion/contraction memo lives for this call and is shared by the
-    components.  Each subproblem is one int, its polynomial at x = 2^w,
-    y = 2^(w*d) with w = |E| + 1 and d = |V| + 1: the x-degree is below |V|,
-    and the coefficients are non-negative and sum to the number of spanning
-    forests, at most 2^|E|, so x^i y^j is digit i + d*j.
+    Top-level bridges and loops are factors x and y; the components of the
+    rest are solved apart and multiplied.  c components are packed at
+    x = 2^w, y = 2^(w*d), w = |E| + 1 and d = |V| - c + 1: the x-degree is the
+    rank |V| - c, and the coefficients are non-negative and sum to the number
+    of spanning forests, at most 2^|E|.  Each width has one memo for this call.
     """
     edges = g.edge_list() if isinstance(g, PlaneMultigraph) else [tuple(e) for e in g]
-    w, d = len(edges) + 1, len({z for e in edges for z in e}) + 1
-    return SparsePoly.from_base_digits(("x", "y"), _times_components(1, edges, {}, w, w * d), w, d)
+    bridges, loops, rest = _peel(edges)
+    memos: dict = {}
+    return _packed_product([_normalize_edges(c) for c in _components_of(rest)],
+                           lambda part, w, d: _tutte(part, memos.setdefault((w, d), {}), w, w * d),
+                           lambda parts: (sum(map(len, parts)) + 1,
+                                          sum(len({z for e in p for z in e}) - 1 for p in parts) + 1),
+                           (bridges, loops))
 
 
 def diagonal(p: SparsePoly) -> SparsePoly:

@@ -9,6 +9,7 @@ freely between threads.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping
 
 
@@ -23,21 +24,18 @@ class SparsePoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, int] | None = None):
         object.__setattr__(self, "vars", tuple(variables))
-        cleaned = {}
-        if terms:
-            nv = len(self.vars)
+        terms = terms or {}
+        # int tuples and int coefficients are kept as they are; others are converted and merged
+        if not (set(map(type, terms)) <= {tuple} and set(map(type, chain.from_iterable(terms)))
+                | set(map(type, terms.values())) <= {int}):
+            merged: dict = {}
             for exps, coeff in terms.items():
                 exps = tuple(int(e) for e in exps)
-                if len(exps) != nv:
-                    raise ValueError(f"exponent tuple {exps} does not match variables {self.vars}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                coeff = int(coeff)
-                if coeff:
-                    cleaned[exps] = cleaned.get(exps, 0) + coeff
-                    if cleaned[exps] == 0:
-                        del cleaned[exps]
-        object.__setattr__(self, "terms", cleaned)
+                merged[exps] = merged.get(exps, 0) + int(coeff)
+            terms = merged
+        if set(map(len, terms)) - {len(self.vars)} or min(chain(*terms), default=0) < 0:
+            raise ValueError(f"need non-negative exponents, one per variable of {self.vars}")
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -79,11 +77,8 @@ class SparsePoly:
         raw = (value + offset).to_bytes(width // 8 + 1, "little")
         digits = [(int.from_bytes(raw[k >> 3:(k + bits + 7) >> 3], "little") >> (k & 7) & mask)
                   - half for k in range(0, bits * count, bits)]
-        # the terms are valid by construction, so they skip the checks of __init__
-        out = cls(variables)
-        object.__setattr__(out, "terms", {(k,) if len(variables) == 1 else (k % d, k // d): c
-                                          for k, c in enumerate(digits) if c})
-        return out
+        return cls(variables, {(k,) if len(variables) == 1 else (k % d, k // d): c
+                               for k, c in enumerate(digits) if c})
 
     # -- ring operations -------------------------------------------------
 
@@ -275,3 +270,23 @@ class SparsePoly:
             out.append({"exps": {v: e for v, e in zip(self.vars, exps) if e},
                         "coeff": str(coeff)})
         return out
+
+
+def _packed_product(parts: list, solve, widths, shift: tuple[int, int]) -> SparsePoly:
+    """x^shift[0] y^shift[1] times the product of the parts' polynomials in x and y.
+
+    ``solve(part, w, d)`` is a part's polynomial at x = 2^w, y = 2^(w*d), and
+    ``widths(parts)`` the (w, d) that hold their product.  The largest part is
+    packed at the widths of all parts, each other one at its own, read back and
+    multiplied in by one shift and add per term: an int product would pay for
+    every empty digit of a small part laid out at the wide widths.
+    """
+    parts = sorted(parts, key=len, reverse=True)
+    w, d = widths(parts)
+    packed = solve(parts[0], w, d) if parts else 1
+    for part in parts[1:]:
+        pw, pd = widths([part])
+        terms = SparsePoly.from_base_digits(("x", "y"), solve(part, pw, pd), pw, pd).terms
+        packed = sum(c * packed << w * (i + d * j) for (i, j), c in terms.items())
+    terms = SparsePoly.from_base_digits(("x", "y"), packed, w, d).terms
+    return SparsePoly(("x", "y"), {(i + shift[0], j + shift[1]): c for (i, j), c in terms.items()})

@@ -5,8 +5,8 @@ import pytest
 from builders import disjoint_union, two_point_join
 from conftest import all_labeled_graphs
 from state_sum_reference import rank_nullity
-from graphpoly.graphs import (Graph, complete_graph, cycle_graph, path_graph,
-                              star_graph)
+from graphpoly.graphs import (Graph, compact_rows, complete_graph, cycle_graph, delete_index,
+                              path_graph, star_graph)
 
 
 def test_rank_examples():
@@ -179,3 +179,16 @@ def test_constructor_rejects_malformed_adjacency():
                              (["a", "b"], [0], "row count")):
         with pytest.raises(ValueError, match=error):
             Graph(ids, rows)
+
+
+def test_compact_rows_keeps_the_masked_rows_in_order():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randrange(0, 40)
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        mask = rng.getrandbits(n) if rng.random() < 0.6 else ((1 << rng.randrange(n + 1)) - 1) << rng.randrange(3) & ((1 << n) - 1)
+        expected = tuple(rows)
+        for i in reversed(range(n)):
+            if not mask >> i & 1:
+                expected = delete_index(expected, i)
+        assert compact_rows(rows, mask) == expected

@@ -566,3 +566,25 @@ def test_q_recursive_reads_wide_signed_coefficients_on_complete_graphs():
 def test_q_recursive_on_a_long_path_specializes_to_qn():
     g = path_graph(150)
     assert qn_of_q(q_recursive(g)) == qn_recursive(g)
+
+
+def test_q_recursive_takes_isolated_vertices_and_components_apart():
+    rng = random.Random(1921)
+    for _ in range(40):
+        # a few small components, isolated vertices with and without loops, interleaved labels
+        edges, ids = [], [f"v{i}" for i in range(rng.randrange(1, 13))]
+        for u in ids:
+            for v in ids:
+                if u < v and rng.random() < 0.15 or u == v and rng.random() < 0.25:
+                    edges.append((u, v))
+        g = Graph.from_edges(edges, ids)
+        assert q_recursive(g) == q_state_sum(g), edges
+        assert q_recursive(g, prefer_loop=True) == q_state_sum(g), edges
+    # 1,000 isolated vertices are one monomial: nothing is laid out per vertex
+    assert q_recursive(Graph.edgeless(1000)) == XY({(0, 1000): 1})
+    looped = Graph.from_edges([(f"v{i}", f"v{i}") for i in range(300)] + [("a", "b")],
+                              [f"v{i}" for i in range(300)] + ["c"])
+    assert q_recursive(looped) == XY({(300, 1): 1}) * q_recursive(Graph.from_edges([("a", "b")]))
+    # a star has rank 2, so its q is laid out three digits to a power of y
+    assert q_recursive(star_graph(40)) == q_recursive(star_graph(40), prefer_loop=True)
+    assert qn_of_q(q_recursive(star_graph(40))) == qn_recursive(star_graph(40))

@@ -152,6 +152,26 @@ def test_tutte_disconnected_multiplies():
     assert t == XY({(1, 0): 1, (0, 1): 1}) * XY({(1, 0): 1, (0, 1): 1, (0, 2): 1}) * XY({(0, 1): 1})
 
 
+def test_tutte_keeps_top_level_bridges_loops_and_components_apart():
+    # a 500-vertex path with a loop at every vertex is the single term x^499 y^500
+    path = [(i, i + 1) for i in range(499)] + [(i, i) for i in range(500)]
+    assert tutte_polynomial(path) == XY({(499, 500): 1})
+    triangles = [e for t in range(12) for e in ((f"a{t}", f"b{t}"), (f"b{t}", f"c{t}"),
+                                                (f"c{t}", f"a{t}"))]
+    assert tutte_polynomial(triangles) == XY({(2, 0): 1, (1, 0): 1, (0, 1): 1}) ** 12
+    # components of different sizes, joined to each other by bridges and carrying loops
+    rng = random.Random(2024)
+    for _ in range(40):
+        edges = []
+        for k in range(rng.randrange(1, 4)):  # at most 4 edges on at most 3 vertices each
+            n = rng.randrange(1, 4)
+            edges += [(f"{k}.{rng.randrange(n)}", f"{k}.{rng.randrange(n)}")
+                      for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.5:  # a bridge from the first component to each other one
+            edges += [(edges[0][0], f"{k}.0") for k in range(1, int(edges[-1][0].split(".")[0]) + 1)]
+        assert tutte_polynomial(edges) == tutte_by_subsets(edges), edges
+
+
 def random_multigraph(rng: random.Random) -> list:
     """Up to 10 edges on up to 6 vertices; loops and parallel edges are common."""
     n = rng.randrange(1, 7)

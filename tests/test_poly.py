@@ -167,3 +167,15 @@ def test_from_base_digits_edge_cases():
             SparsePoly.from_base_digits(("x",), 5, bits)
     with pytest.raises(ValueError):
         SparsePoly.from_base_digits(("x",), -1, 1)
+
+
+def test_constructor_takes_exact_terms_as_they_are_and_converts_others():
+    assert P(("x", "y"), {(1, 2): 3, (0, 0): 0}).terms == {(1, 2): 3}
+    # exponents given as bools and floats become ints; keys that meet are merged, zeros dropped
+    p = P(("x",), {(True,): 2, (1.5,): 3, (2.0,): -1, (2.7,): 1})
+    assert p.terms == {(1,): 5} and [type(e) for e in p.terms] == [tuple]
+    assert type(next(iter(p.terms))[0]) is int
+    for variables, terms in ((("x",), {(1, 2): 1}), (("x", "y"), {(1,): 1}),
+                             (("x", "y"), {(1, -1): 1}), (("x",), {(-2.0,): 1})):
+        with pytest.raises(ValueError, match="non-negative exponents"):
+            P(variables, terms)
