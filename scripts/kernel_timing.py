@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Timing and peak memory of the two exact recursions: q and Tutte.
+"""Timing and peak memory of the exact recursions: q, q_N and Tutte.
 
 Times ``q_recursive`` on paths, seeded G(n, 1/2) graphs, seeded random
 trees, and three inputs of high nullity or many components: the edgeless
 graph on 1,000 vertices, the star K_{1,299} and a forest of sixty seeded
 5-vertex trees.
+Times ``qn_recursive`` (the inputs named qN_*) on P_300 in natural order
+and with its vertices listed in a seeded random order, on a seeded random
+60-vertex tree listed in a seeded random order, and on three seeded
+G(20, 1/2) graphs.  A q_N kernel that reduces on a fixed vertex without
+reordering its input takes exponential time on the shuffled path, so
+compare such a checkout with ``--only``.
 Times ``tutte_polynomial`` on K_7, the Petersen graph, the wheel W_12 (a hub
 joined to a 12-cycle), seeded 15-op series-parallel graphs, a seeded random
 tree of 1,000 edges, a seeded connected cubic graph on 14 vertices, a seeded
@@ -19,10 +25,11 @@ by running this script against each ``src`` in turn.  Compiling a module
 that has no cached bytecode adds about 1 MiB to that peak, so compare
 checkouts whose ``__pycache__`` directories are both filled (or both empty).
 
-Gnp_<n>_x3 is three seeded G(n, 1/2) graphs and SP15_x20 twenty seeded
-15-op series-parallel graphs, each timed as one run over the whole list.
+Gnp_<n>_x3 and qN_Gnp_20_x3 are three seeded G(n, 1/2) graphs and SP15_x20
+twenty seeded 15-op series-parallel graphs, each timed as one run over the
+whole list.
 
-Usage: PYTHONPATH=src python scripts/kernel_timing.py [--repeats 3] [--only P_100,K_7]
+Usage: PYTHONPATH=src python scripts/kernel_timing.py [--repeats 3] [--only P_100,qN_P_300,K_7]
 """
 
 import argparse
@@ -32,7 +39,7 @@ import sys
 import time
 
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from graphpoly.interlace import q_recursive
+from graphpoly.interlace import q_recursive, qn_recursive
 from graphpoly.planar import build_sp, tutte_polynomial
 from graphpoly.randgen import random_graph, random_sp_sequence
 
@@ -42,6 +49,13 @@ def random_tree(n: int, seed: int) -> Graph:
     rng = random.Random(seed)
     return Graph.from_edges([(f"v{rng.randrange(k)}", f"v{k}") for k in range(1, n)],
                             [f"v{k}" for k in range(n)])
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    """g with its vertices listed in a seeded random order."""
+    ids = list(g.ids)
+    random.Random(seed).shuffle(ids)
+    return Graph.from_edges(g.edges(), ids)
 
 
 def random_forest(trees: int, size: int, seed: int) -> Graph:
@@ -88,6 +102,11 @@ INPUTS = {
     "edgeless_1000": (q_recursive, lambda: [Graph.edgeless(1000)]),
     "star_299": (q_recursive, lambda: [star_graph(299)]),
     "forest_60x5": (q_recursive, lambda: [random_forest(60, 5, 9)]),
+    "qN_P_300": (qn_recursive, lambda: [path_graph(300)]),
+    "qN_P_300_shuf": (qn_recursive, lambda: [shuffled(path_graph(300), 11)]),
+    "qN_tree_60_shuf": (qn_recursive, lambda: [shuffled(random_tree(60, 5), 12)]),
+    "qN_Gnp_20_x3": (qn_recursive, lambda: [random_graph(20, random.Random(seed))
+                                            for seed in (1, 2, 3)]),
     "K_7": (tutte_polynomial, lambda: [complete_graph(7).edges()]),
     "Petersen": (tutte_polynomial, lambda: [petersen_edges()]),
     "W_12": (tutte_polynomial, lambda: [wheel_edges(12)]),
@@ -125,13 +144,13 @@ def main() -> None:
             print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))  # KiB
         return
     names = args.only.split(",") if args.only else list(INPUTS)
-    print(f"{'input':<14} {'function':<17} {'best ms':>9} {'peak RSS MiB':>13}")
+    print(f"{'input':<16} {'function':<17} {'best ms':>9} {'peak RSS MiB':>13}")
     for name in names:
         best = min(run_once(name) for _ in range(args.repeats))
         child = subprocess.run([sys.executable, __file__, "--rss-of", name],
                                capture_output=True, text=True, check=True)
         rss = int(child.stdout.split()[-1]) / 1024
-        print(f"{name:<14} {INPUTS[name][0].__name__:<17} {best * 1000:9.1f} {rss:13.1f}")
+        print(f"{name:<16} {INPUTS[name][0].__name__:<17} {best * 1000:9.1f} {rss:13.1f}")
 
 
 if __name__ == "__main__":

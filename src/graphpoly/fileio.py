@@ -10,15 +10,12 @@ lines and lines starting with ``#`` are ignored everywhere.
 * rotation system: ``v: e1 e2 e3`` per vertex, edge ids appearing twice
   overall (twice in one line means a loop at that vertex)
 * series-parallel script: ``digon`` then ``series <edge>`` / ``parallel <edge>``
-* distance-hereditary script: ``root a`` then ``pendant b on a`` /
-  ``truetwin c of b`` / ``falsetwin c of b``
 * chord word: whitespace-separated labels on one line
 """
 
 from __future__ import annotations
 
 from .chords import ChordDiagram
-from .dh import DHSequence
 from .euler import EulerDigraph
 from .graphs import Graph
 from .planar import PlaneMultigraph, SPSequence
@@ -162,25 +159,6 @@ def parse_sp_sequence(text: str) -> SPSequence:
                               f"'parallel <edge>', got {line!r}", i)
     try:
         return SPSequence(tuple(ops))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-
-
-def parse_dh_sequence(text: str) -> DHSequence:
-    ops: list[tuple] = []
-    for i, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] == "root" and len(parts) == 2:
-            ops.append(("root", parts[1]))
-        elif parts[0] == "pendant" and len(parts) == 4 and parts[2] == "on":
-            ops.append(("pendant", parts[1], parts[3]))
-        elif parts[0] in ("truetwin", "falsetwin") and len(parts) == 4 and parts[2] == "of":
-            ops.append((parts[0], parts[1], parts[3]))
-        else:
-            raise FormatError(f"expected 'root a', 'pendant b on a', "
-                              f"'truetwin c of b' or 'falsetwin c of b', got {line!r}", i)
-    try:
-        return DHSequence(tuple(ops))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

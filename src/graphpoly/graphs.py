@@ -156,9 +156,7 @@ class Graph:
         i, j = self.index_of(u), self.index_of(v)
         if not (self.rows[i] >> j & 1) or i == j:
             raise ValueError(f"{u!r}{v!r} is not an edge")
-        rows = list(self.rows)
-        rows = pivot_rows(rows, i, j)
-        return Graph(self.ids, rows)
+        return Graph(self.ids, pivot_rows(self.rows, i, j))
 
     def local_complement(self, a) -> "Graph":
         """Complement adjacency inside N(a); see the module docstring for loops."""
@@ -167,9 +165,7 @@ class Graph:
         nbhd = rows[i]
         if nbhd >> i & 1:
             # looped: full submatrix complement on N(a), diagonal included
-            for k in range(len(rows)):
-                if nbhd >> k & 1:
-                    rows[k] ^= nbhd
+            toggle_rows(rows, nbhd, nbhd)
         else:
             for k in range(len(rows)):
                 if nbhd >> k & 1:
@@ -269,22 +265,56 @@ def compact_rows(rows: Sequence[int], mask: int) -> tuple[int, ...]:
     return rows
 
 
-def pivot_rows(rows: list[int], i: int, j: int) -> list[int]:
-    """Pivot toggle on dense rows; callers must know ij is an edge."""
+def bfs_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """Rows relabelled in breadth-first order, ties broken by index.
+
+    Each component is searched from its vertex of least degree, components
+    in the order of those vertices, so a tree's last vertex is a leaf and a
+    path already in natural order keeps it.
+    """
+    order: list[int] = []
+    seen = 0
+    for start in sorted(range(len(rows)), key=lambda i: rows[i].bit_count()):
+        if seen >> start & 1:
+            continue
+        head = len(order)
+        order.append(start)
+        seen |= 1 << start
+        while head < len(order):
+            new = rows[order[head]] & ~seen
+            head += 1
+            seen |= new
+            while new:
+                low = new & -new
+                order.append(low.bit_length() - 1)
+                new ^= low
+    out = [0] * len(rows)
+    for i, v in enumerate(order):
+        toggle_rows(out, rows[v], 1 << i)
+    return tuple([out[v] for v in order])
+
+
+def toggle_rows(rows: list[int], mask: int, bits: int) -> None:
+    """rows[k] ^= bits for every k in the bitmask ``mask``, in place."""
+    while mask:
+        low = mask & -mask
+        rows[low.bit_length() - 1] ^= bits
+        mask ^= low
+
+
+def pivot_rows(rows: Sequence[int], i: int, j: int) -> list[int]:
+    """Pivot toggle on dense rows; callers must know ij is an edge.
+
+    Of the neighbours of i and j other than i and j, row k ^= N(j) for k in
+    N(i) and row k ^= N(i) for k in N(j): this toggles N(i)-N(j), N(j)-N(i)
+    and N(i)&N(j) against each other, and no diagonal bit.
+    """
     exclude = (1 << i) | (1 << j)
     ni = rows[i] & ~exclude
     nj = rows[j] & ~exclude
-    both = ni & nj
-    only_i = ni & ~nj
-    only_j = nj & ~ni
     rows = list(rows)
-    for cls, others in ((only_i, only_j | both), (only_j, only_i | both), (both, only_i | only_j)):
-        m = cls
-        while m:
-            low = m & -m
-            k = low.bit_length() - 1
-            m ^= low
-            rows[k] ^= others
+    toggle_rows(rows, ni, nj)
+    toggle_rows(rows, nj, ni)
     return rows
 
 

@@ -37,13 +37,20 @@ new subproblem.  The q_N kernel is told which subproblems are connected
 (the components of a split, and a child that lost a vertex of degree at
 most 1 from a connected graph); any other gets a reach from vertex 0 that
 stops once it covers every vertex, and only one that falls short is split.
-A connected graph on two or more vertices is reduced.  q_N takes the
-pendant rule q_N(G) = q_N(G-0) + x q_N(G-0-b) when N(0) = {b} (Arratia,
-Bollobas & Sorkin, JCTB 92, 2004), else pivots on vertex 0 and its lowest
-neighbour.  The memo, keyed on the compacted rows, lives for one call:
-nothing is kept between calls, and the two reduction orders of
-``q_recursive`` never share entries.  The recursion is about n deep on
-paths, so very long paths exhaust Python's stack.
+A connected graph on two or more vertices is reduced.  The q_N kernel
+first puts the rows in breadth-first order from a vertex of least degree
+(``graphs.bfs_rows``), which puts a leaf last on a tree, and then always
+reduces on the last vertex a and its highest neighbour b: the pendant rule
+q_N(G) = q_N(G-a) + x q_N(G-a-b) when N(a) = {b} (Arratia, Bollobas &
+Sorkin, JCTB 92, 2004), else the pivot.  It deletes a by slicing the rows
+and the pivot's b by moving the last vertex into its slot, so a deletion
+rewrites only the rows of the two vertices' neighbours.  The pendant rule's
+G-a-b keeps the order of G-a, so every subproblem of a tree stays in
+breadth-first order and is reduced on a leaf.  The memo, keyed on
+the rows as the recursion leaves them, lives for one call: nothing is kept
+between calls, and the two reduction orders of ``q_recursive`` never share
+entries.  The recursion is about n deep on paths, so very long paths
+exhaust Python's stack.
 
 Both kernels hold each subproblem's polynomial as one int, its value at a
 power of two whose base-2^w digits (read by ``SparsePoly.from_base_digits``)
@@ -64,7 +71,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, compact_rows, component_masks, delete_index, pivot_rows
+from .graphs import (Graph, bfs_rows, compact_rows, component_masks, delete_index, pivot_rows,
+                     toggle_rows)
 from .poly import SparsePoly, _packed_product
 
 _QXY_VARS = ("x", "y")
@@ -290,15 +298,37 @@ def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
                            (len(comps) - len(parts) - bare, bare))
 
 
+def _drop(rows: list, j: int) -> tuple:
+    """The rows without vertex j, taken from a list the call may change.
+
+    The last vertex moves into slot j, so only the rows of N(j) and of
+    N(last) change: O(deg) steps besides copying the list.
+    """
+    last = rows.pop()
+    top = 1 << len(rows)
+    if j == len(rows):
+        toggle_rows(rows, last, top)
+    else:
+        bit = 1 << j
+        toggle_rows(rows, rows[j] & ~top, bit)
+        rows[j] = last = last & ~bit
+        toggle_rows(rows, last, top | bit)
+    return tuple(rows)
+
+
 def _qn_kernel(rows: tuple, w: int) -> int:
     """q_N at x = 2^w by the pendant and pivot rules, memo local to the call.
 
     Every subproblem's q_N is one int, its coefficients packed as base-2^w
     digits: a sum is one addition, a product of components one
-    multiplication, and an isolated vertex a shift by w.  ``solve(rows,
-    connected)`` searches for components only when ``connected`` is false.
-    The pendant rule's G-0 is connected, and G-0-b is when b has at most one
-    neighbour besides 0; the pivot rule's G^{0b}-b = G-b is when N(b) = {0}.
+    multiplication, and an isolated vertex a shift by w.  The rows are put
+    in breadth-first order once (``bfs_rows``), and every reduction is on
+    the last vertex a and its highest neighbour b: ``_drop`` deletes a by
+    slicing and the pivot's b by moving the last vertex into its slot.
+    ``solve(rows, connected)`` searches for components only when
+    ``connected`` is false.  The pendant rule's G-a is connected, and G-a-b
+    is when b has at most one neighbour besides a; the pivot rule's
+    G^{ab}-b = G-b is when N(b) = {a}.
     """
     memo: dict[tuple, int] = {}
 
@@ -330,42 +360,23 @@ def _qn_kernel(rows: tuple, w: int) -> int:
             res <<= shift
             memo[rows] = res
             return res
-        n0 = rows[0]
-        b = (n0 & -n0).bit_length() - 1
-        bit = 1 << b
-        n0 ^= bit
-        nb = rows[b] ^ 1
-        minus0 = tuple([r >> 1 for r in rows[1:]])
-        if not n0:
-            # q_N(G) = q_N(G-0) + x q_N(G-0-b); in G-0, b is vertex b - 1
-            keep = (bit >> 1) - 1
-            rest = minus0[:b - 1] + minus0[b:]
-            res = (solve(minus0, True)
-                   + (solve(tuple([r & keep | r >> 1 & ~keep for r in rest]),
-                            not nb & (nb - 1)) << w))
+        a = n - 1
+        b = rows[a].bit_length() - 1
+        nb = rows[b] ^ 1 << a
+        minus_a = _drop(list(rows), a)
+        if rows[a] == 1 << b:
+            # q_N(G) = q_N(G-a) + x q_N(G-a-b).  G-a-b keeps the order of G-a, so
+            # every subproblem of a tree stays in breadth-first order and is
+            # reduced on a leaf: a tree never needs the pivot.
+            minus_ab = _drop(list(minus_a), b) if b == a - 1 else delete_index(minus_a, b)
+            res = solve(minus_a, True) + (solve(minus_ab, not nb & (nb - 1)) << w)
         else:
-            # q_N(G) = q_N(G-0) + q_N(G^{0b}-b).  The pivot toggles N(0)-N(b),
-            # N(b)-N(0) and N(0)&N(b) against each other, which is
-            # row k ^= N(b)-{0} for k in N(0) and row k ^= N(0)-{b} for k in N(b).
-            piv = list(rows)
-            m = n0
-            while m:
-                low = m & -m
-                piv[low.bit_length() - 1] ^= nb
-                m ^= low
-            m = nb
-            while m:
-                low = m & -m
-                piv[low.bit_length() - 1] ^= n0
-                m ^= low
-            keep = bit - 1
-            del piv[b]
-            res = (solve(minus0, False)
-                   + solve(tuple([r & keep | r >> 1 & ~keep for r in piv]), not nb))
+            # q_N(G) = q_N(G-a) + q_N(G^{ab}-b)
+            res = solve(minus_a, False) + solve(_drop(pivot_rows(rows, a, b), b), not nb)
         memo[rows] = res
         return res
 
-    return solve(rows, False)
+    return solve(bfs_rows(rows), False)
 
 
 def qn_recursive(g: Graph) -> SparsePoly:

@@ -1,11 +1,14 @@
 """Builders that only the tests use.
 
-Joins of graphs, the writer of the rotation-system format and the reader
+Joins of graphs, the writer of the rotation-system format, the reader of
+distance-hereditary scripts (which ``dh recognize`` prints) and the reader
 of the JSON form of a polynomial.  No pipeline in ``graphpoly`` needs them.
 """
 
 from __future__ import annotations
 
+from graphpoly.dh import DHSequence
+from graphpoly.fileio import FormatError, _content_lines
 from graphpoly.graphs import Graph, _fresh_names
 from graphpoly.planar import PlaneMultigraph
 from graphpoly.poly import SparsePoly
@@ -39,6 +42,25 @@ def format_rotation_system(g: PlaneMultigraph) -> str:
     for v in g.vertex_ids:
         lines.append(f"{v}: " + " ".join(e for e, _ in g.rotation[v]))
     return "\n".join(lines) + "\n"
+
+
+def parse_dh_sequence(text: str) -> DHSequence:
+    ops: list[tuple] = []
+    for i, line in _content_lines(text):
+        parts = line.split()
+        if parts[0] == "root" and len(parts) == 2:
+            ops.append(("root", parts[1]))
+        elif parts[0] == "pendant" and len(parts) == 4 and parts[2] == "on":
+            ops.append(("pendant", parts[1], parts[3]))
+        elif parts[0] in ("truetwin", "falsetwin") and len(parts) == 4 and parts[2] == "of":
+            ops.append((parts[0], parts[1], parts[3]))
+        else:
+            raise FormatError(f"expected 'root a', 'pendant b on a', "
+                              f"'truetwin c of b' or 'falsetwin c of b', got {line!r}", i)
+    try:
+        return DHSequence(tuple(ops))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def poly_from_json_obj(variables, obj: list) -> SparsePoly:

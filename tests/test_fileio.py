@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from builders import format_rotation_system
+from builders import format_rotation_system, parse_dh_sequence
 from graphpoly import fileio
 from graphpoly.euler import EulerDigraph
 from graphpoly.graphs import Graph, cycle_graph
@@ -113,10 +113,10 @@ def test_sp_sequence_round_trip():
 
 def test_dh_sequence_round_trip():
     text = "root a\npendant b on a\nfalsetwin c of b\ntruetwin d of c\n"
-    seq = fileio.parse_dh_sequence(text)
-    assert fileio.parse_dh_sequence(seq.to_text()) == seq
+    seq = parse_dh_sequence(text)
+    assert parse_dh_sequence(seq.to_text()) == seq
     with pytest.raises(fileio.FormatError) as exc:
-        fileio.parse_dh_sequence("root a\npendant b from a\n")
+        parse_dh_sequence("root a\npendant b from a\n")
     assert exc.value.line == 2
 
 

@@ -5,8 +5,8 @@ import pytest
 from builders import disjoint_union, two_point_join
 from conftest import all_labeled_graphs
 from state_sum_reference import rank_nullity
-from graphpoly.graphs import (Graph, compact_rows, complete_graph, cycle_graph, delete_index,
-                              path_graph, star_graph)
+from graphpoly.graphs import (Graph, bfs_rows, compact_rows, complete_graph, cycle_graph,
+                              delete_index, path_graph, star_graph)
 
 
 def test_rank_examples():
@@ -192,3 +192,46 @@ def test_compact_rows_keeps_the_masked_rows_in_order():
             if not mask >> i & 1:
                 expected = delete_index(expected, i)
         assert compact_rows(rows, mask) == expected
+
+
+def _reference_bfs_rows(rows):
+    """Breadth-first relabelling by sets and a queue, each component from its least degree."""
+    n = len(rows)
+    nbrs = [[k for k in range(n) if r >> k & 1] for r in rows]
+    order, seen = [], set()
+    for start in sorted(range(n), key=lambda i: (len(nbrs[i]), i)):
+        if start in seen:
+            continue
+        queue = [start]
+        seen.add(start)
+        for v in queue:
+            for k in nbrs[v]:
+                if k not in seen:
+                    seen.add(k)
+                    queue.append(k)
+        order += queue
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple(sum(1 << pos[k] for k in nbrs[v]) for v in order)
+
+
+def test_bfs_rows_matches_a_queue_search():
+    rng = random.Random(88)
+    for _ in range(300):
+        n = rng.randrange(0, 30)
+        p = rng.choice((0.05, 0.15, 0.5))
+        vs = [str(i) for i in range(n)]
+        g = Graph.from_edges([(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
+                              if rng.random() < p], vs)
+        assert bfs_rows(g.rows) == _reference_bfs_rows(g.rows)
+
+
+def test_bfs_rows_keeps_a_path_and_puts_a_leaf_last():
+    for n in (1, 2, 5, 300):
+        assert bfs_rows(path_graph(n).rows) == path_graph(n).rows
+    rng = random.Random(89)
+    for n in range(2, 60):
+        vs = [str(i) for i in range(n)]
+        rng.shuffle(vs)
+        tree = Graph.from_edges([(vs[k], vs[rng.randrange(k)]) for k in range(1, n)], sorted(vs))
+        last = bfs_rows(tree.rows)[-1]
+        assert last and not last & (last - 1), n

@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import zip_longest
 
 import pytest
 
@@ -221,20 +222,61 @@ def test_disjoint_complete_graphs_and_isolated_vertices():
             assert qn_recursive(g) == qn_from_q(g)
 
 
+def _path_qn(n):
+    # q_N(P_n) = q_N(P_{n-1}) + x q_N(P_{n-2}), q_N(P_0) = 1, q_N(P_1) = x, as coefficient lists
+    prev, cur = [1], [0, 1]
+    for _ in range(2, n + 1):
+        prev, cur = cur, [a + b for a, b in zip_longest(cur, [0] + prev, fillvalue=0)]
+    return X({(i,): c for i, c in enumerate(cur) if c})
+
+
+def _shuffled(g, rng):
+    """g with its vertex ids listed in a random order, so its rows come in that order."""
+    ids = list(g.ids)
+    rng.shuffle(ids)
+    return Graph.from_edges(g.edges(), ids)
+
+
 def test_qn_recursive_long_path_matches_pendant_recurrence():
-    # q_N(P_n) = q_N(P_{n-1}) + x q_N(P_{n-2}), q_N(P_0) = 1, q_N(P_1) = x
-    x = X({(1,): 1})
-    prev, cur = X({(0,): 1}), x
-    for _ in range(2, 401):
-        prev, cur = cur, cur + x * prev
-    assert qn_recursive(path_graph(400)) == cur
+    assert qn_recursive(path_graph(400)) == _path_qn(400)
 
 
-def test_qn_recursive_matches_bdh_fast_on_a_random_tree():
+def test_qn_recursive_shuffled_long_path_matches_pendant_recurrence():
+    # P_900 is about as deep as the recursion gets within Python's default limit
+    for n in (300, 900):
+        assert qn_recursive(_shuffled(path_graph(n), random.Random(303))) == _path_qn(n), n
+
+
+def test_qn_recursive_is_independent_of_the_vertex_order():
+    rng = random.Random(1515)
+    graphs = [_random_graph(rng, rng.randrange(1, 11), rng.choice((0.15, 0.3, 0.6)))
+              for _ in range(60)]
+    graphs += [_scattered_graph(rng, rng.randrange(2, 11), loop_p=0.0) for _ in range(30)]
+    graphs += [Graph.from_edges(g.edges(), list(g.ids) + ["i1", "i2"])
+               for g in graphs[:20]]
+    for m in range(1, 10):
+        star = star_graph(m)
+        graphs += [star, Graph.from_edges(star.edges(), list(star.ids[1:]) + ["c"])]
+    for g in graphs:
+        expected = qn_from_q(g)
+        assert qn_recursive(g) == expected, g
+        assert qn_recursive(_shuffled(g, rng)) == expected, g
+
+
+def _random_tree_50():
     # the 50-vertex tree of tests/test_dh.py::test_qn_bdh_fast_tree_matches_pendant_recursion
     rng = random.Random(76)
     edges = [(f"v{k}", f"v{rng.randrange(1, k)}") for k in range(2, 51)]
-    tree = Graph.from_edges(edges, [f"v{k}" for k in range(1, 51)])
+    return Graph.from_edges(edges, [f"v{k}" for k in range(1, 51)])
+
+
+def test_qn_recursive_matches_bdh_fast_on_a_random_tree():
+    tree = _random_tree_50()
+    assert qn_recursive(tree) == qn_bdh_fast(tree)
+
+
+def test_qn_recursive_matches_bdh_fast_on_a_shuffled_random_tree():
+    tree = _shuffled(_random_tree_50(), random.Random(77))
     assert qn_recursive(tree) == qn_bdh_fast(tree)
 
 
@@ -447,25 +489,32 @@ def test_join_gamma_identities():
 # -- the q_N kernel's pendant rule and connectivity --------------------------------------
 
 
-def _with_order(edges, first, rest):
-    return Graph.from_edges(edges, [first] + [v for v in rest if v != first])
+def _with_order(edges, last, rest):
+    return Graph.from_edges(edges, [v for v in rest if v != last] + [last])
 
 
 def _qn_kernel_corpus():
-    """Seeded graphs on 2-12 vertices that steer vertex 0 into each branch of the q_N kernel."""
+    """Seeded graphs on 2-12 vertices that lead the q_N kernel into each of its branches.
+
+    The kernel reduces on the last vertex of a breadth-first order, so each
+    family lists the vertex it aims at last; the order is recomputed from
+    least degree, so this steers only some first reductions, and
+    ``test_qn_kernel_corpus_reaches_every_pendant_case`` checks the branches on
+    the kernel's own subproblems.
+    """
     rng = random.Random(1010)
     graphs = []
-    # vertex 0 a pendant on b, b of every degree; the core may be disconnected
+    # a pendant "0" on b, b of every degree; the core may be disconnected
     for _ in range(90):
         core = _random_graph(rng, rng.randrange(1, 12), rng.choice((0.1, 0.25, 0.5)))
         b = rng.choice(core.ids)
         graphs.append(_with_order(core.edges() + [("0", b)], "0", core.ids))
-    # stars with vertex 0 as the centre and as a leaf
+    # stars with the centre and a leaf last
     for m in range(1, 12):
         star = star_graph(m)
-        graphs.append(star)
+        graphs.append(_with_order(star.edges(), "c", star.ids))
         graphs.append(_with_order(star.edges(), str(rng.randrange(1, m + 1)), star.ids))
-    # pendant chains hung off G(n, 1/2) cores, the free end or a random vertex first
+    # pendant chains hung off G(n, 1/2) cores, the free end or a random vertex last
     for _ in range(40):
         core = _random_graph(rng, rng.randrange(2, 9))
         chain = [f"p{k}" for k in range(rng.randrange(1, 13 - core.n))]
@@ -486,14 +535,42 @@ def _qn_kernel_corpus():
     return graphs
 
 
+def _kernel_branches(graphs) -> set:
+    """The cases the q_N kernel meets on its subproblems of at least two vertices.
+
+    A connected one is reduced on its last vertex a and a's highest
+    neighbour b: ("pivot",), or ("pendant", where b sits, deg b capped at 3).
+    A split one records where its isolated vertices sit.
+    """
+    seen = set()
+    for g in graphs:
+        for rows, _ in _solve_calls(g):
+            n = len(rows)
+            if n < 2:
+                continue
+            if len(component_masks(rows)) > 1:
+                seen.update(("isolated", "first" if k == 0 else "last" if k == n - 1 else "inside")
+                            for k, r in enumerate(rows) if not r)
+                continue
+            na = rows[-1]
+            if na & (na - 1):
+                seen.add(("pivot",))
+            else:
+                b = na.bit_length() - 1
+                seen.add(("pendant", "b last" if b == n - 2 else "b elsewhere",
+                          min(rows[b].bit_count(), 3)))
+    return seen
+
+
 def test_qn_kernel_corpus_reaches_every_pendant_case():
     graphs = _qn_kernel_corpus()
     assert all(2 <= g.n <= 12 for g in graphs)
-    pendant_degrees = {min(g.degree(g.neighbors(g.ids[0])[0]), 3)
-                       for g in graphs if g.degree(g.ids[0]) == 1}
-    assert pendant_degrees == {1, 2, 3}
-    assert any(g.degree(g.ids[0]) == 0 for g in graphs)
-    assert any(g.degree(g.ids[-1]) == 0 and g.degree(g.ids[0]) for g in graphs)
+    # deg b = 1 is K_2, where b is the only other vertex and so last
+    assert _kernel_branches(graphs) == {
+        ("pivot",),
+        ("pendant", "b last", 1), ("pendant", "b last", 2), ("pendant", "b last", 3),
+        ("pendant", "b elsewhere", 2), ("pendant", "b elsewhere", 3),
+        ("isolated", "first"), ("isolated", "inside"), ("isolated", "last")}
 
 
 def test_qn_recursive_and_gamma_match_specialization_on_the_kernel_corpus():
@@ -534,13 +611,25 @@ def test_qn_kernel_passes_connected_only_for_connected_subproblems():
 
 
 def test_qn_kernel_searches_a_path_at_most_once(monkeypatch):
-    # vertex 0 is an end of path_graph(n): every child is known to be connected
+    # breadth-first order keeps path_graph(n) as it is, so the kernel reduces on
+    # an end of the path and every child is known to be connected
     calls = _count_searches(monkeypatch)
     for n in (3, 50, 300):
         calls.clear()
         solved = _solve_calls(path_graph(n))
         assert len(calls) <= 1, n
         assert all(connected for _, connected in solved[1:]), n
+
+
+def test_qn_kernel_reduces_every_subproblem_of_a_tree_on_a_leaf():
+    rng = random.Random(1616)
+    for n in (12, 30, 60):
+        vs = [f"v{k}" for k in range(n)]
+        tree = _shuffled(Graph.from_edges([(vs[k], vs[rng.randrange(k)]) for k in range(1, n)],
+                                          vs), rng)
+        for rows, _ in _solve_calls(tree):
+            if len(rows) >= 2 and len(component_masks(rows)) == 1:
+                assert rows[-1].bit_count() == 1, n
 
 
 def test_qn_kernel_searches_fewer_dense_subproblems_than_it_solves(monkeypatch):
