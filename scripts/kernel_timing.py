@@ -2,9 +2,11 @@
 """Timing and peak memory of the exact recursions: q, q_N and Tutte.
 
 Times ``q_recursive`` on paths, seeded G(n, 1/2) graphs, seeded random
-trees, and three inputs of high nullity or many components: the edgeless
+trees, three inputs of high nullity or many components: the edgeless
 graph on 1,000 vertices, the star K_{1,299} and a forest of sixty seeded
-5-vertex trees.
+5-vertex trees, and two looped inputs that take the loop rule: three
+seeded G(16, 1/2) graphs with a loop on each vertex with probability 0.3,
+and P_200 with a loop at every vertex.
 Times ``qn_recursive`` (the inputs named qN_*) on P_300 in natural order
 and with its vertices listed in a seeded random order, on a seeded random
 60-vertex tree listed in a seeded random order, and on three seeded
@@ -25,9 +27,9 @@ by running this script against each ``src`` in turn.  Compiling a module
 that has no cached bytecode adds about 1 MiB to that peak, so compare
 checkouts whose ``__pycache__`` directories are both filled (or both empty).
 
-Gnp_<n>_x3 and qN_Gnp_20_x3 are three seeded G(n, 1/2) graphs and SP15_x20
-twenty seeded 15-op series-parallel graphs, each timed as one run over the
-whole list.
+Gnp_<n>_x3, Gnp_16_loops_x3 and qN_Gnp_20_x3 are three seeded G(n, 1/2)
+graphs and SP15_x20 twenty seeded 15-op series-parallel graphs, each timed
+as one run over the whole list.
 
 Usage: PYTHONPATH=src python scripts/kernel_timing.py [--repeats 3] [--only P_100,qN_P_300,K_7]
 """
@@ -102,6 +104,10 @@ INPUTS = {
     "edgeless_1000": (q_recursive, lambda: [Graph.edgeless(1000)]),
     "star_299": (q_recursive, lambda: [star_graph(299)]),
     "forest_60x5": (q_recursive, lambda: [random_forest(60, 5, 9)]),
+    "Gnp_16_loops_x3": (q_recursive, lambda: [random_graph(16, random.Random(seed), loops=True)
+                                              for seed in (1, 2, 3)]),
+    "P_200_loops": (q_recursive, lambda: [Graph.from_edges(
+        path_graph(200).edges() + [(str(v), str(v)) for v in range(1, 201)])]),
     "qN_P_300": (qn_recursive, lambda: [path_graph(300)]),
     "qN_P_300_shuf": (qn_recursive, lambda: [shuffled(path_graph(300), 11)]),
     "qN_tree_60_shuf": (qn_recursive, lambda: [shuffled(random_tree(60, 5), 12)]),

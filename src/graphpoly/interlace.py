@@ -10,9 +10,10 @@ pivot recursion: for an edge ab with both endpoints loopless,
 
     q(G) = q(G-a) + q(G^{ab}-b) + ((x-1)^2 - 1) * q(G^{ab}-a-b),
 
-for a looped vertex a, q(G) = q(G-a) + (x-1) * q(G^a-a), and q(E_n) = y^n on
-the edgeless graph.  ``q_state_sum`` and ``q_recursive`` implement the two
-routes separately so each serves as an oracle for the other.
+for a looped vertex a, q(G) = q(G-a) + (x-1) * q(G^a-a), for a loopless a
+with N(a) = {b}, q(G) = q(G-a) + ((x-1)^2 + y - 1) * q(G-a-b), and
+q(E_n) = y^n on the edgeless graph.  ``q_state_sum`` and ``q_recursive``
+implement the two routes separately so each serves as an oracle for the other.
 
 The state sums (``q_state_sum``, ``gamma_state_sum``, ``qn_from_q``,
 ``chords.c_polynomial``) read ``rank_nullity_histogram``.  It visits the
@@ -21,47 +22,49 @@ popcounts: row v outside col(A_S) = ker(A_S)^perp adds 2 to the rank, and
 otherwise the Schur complement, one bit of a kept mask, adds 1 or 0.  Only
 children that have children of their own are built, each by one GF(2)
 elimination step, except S + {n-2}: only its two masks are formed, to count
-S + {n-2, n-1}, so 2^(n-2) steps run.  It calls neither recursion kernel.
+S + {n-2, n-1}, so 2^(n-2) steps run.  It does not call the recursion.
 
-The vertex-nullity interlace polynomial q_N is the specialization
-q_N(G; x) = q(G; 2, x) for simple graphs; it also has its own recursion
-q_N(G) = q_N(G-v) + q_N(G^{vw}-w) with base x^n.  The gamma invariant is
-the coefficient of x^1 in q_N: ``gamma_invariant`` reads it off the
+The vertex-nullity interlace polynomial q_N(G; x) = q(G; 2, x) of a simple
+graph follows the same rules at x = 2, where the pivot's third term
+vanishes and the pendant rule reads q_N(G) = q_N(G-a) + x q_N(G-a-b)
+(Arratia, Bollobas & Sorkin, JCTB 92, 2004).  The gamma invariant is the
+coefficient of x^1 in q_N: ``gamma_invariant`` reads it off the
 recursion, ``gamma_state_sum`` counts it over all vertex subsets.
 
-Both recursions use that q and q_N are multiplicative over connected
-components.  A disconnected graph is the product of its components, each
-compacted to its own rows; a single vertex contributes x (q_N), y (q,
-unlooped) or x (q, looped).  The q kernel runs ``component_masks`` on every
-new subproblem.  The q_N kernel is told which subproblems are connected
-(the components of a split, and a child that lost a vertex of degree at
-most 1 from a connected graph); any other gets a reach from vertex 0 that
-stops once it covers every vertex, and only one that falls short is split.
-A connected graph on two or more vertices is reduced.  The q_N kernel
-first puts the rows in breadth-first order from a vertex of least degree
-(``graphs.bfs_rows``), which puts a leaf last on a tree, and then always
-reduces on the last vertex a and its highest neighbour b: the pendant rule
-q_N(G) = q_N(G-a) + x q_N(G-a-b) when N(a) = {b} (Arratia, Bollobas &
-Sorkin, JCTB 92, 2004), else the pivot.  It deletes a by slicing the rows
-and the pivot's b by moving the last vertex into its slot, so a deletion
-rewrites only the rows of the two vertices' neighbours.  The pendant rule's
-G-a-b keeps the order of G-a, so every subproblem of a tree stays in
-breadth-first order and is reduced on a leaf.  The memo, keyed on
-the rows as the recursion leaves them, lives for one call: nothing is kept
-between calls, and the two reduction orders of ``q_recursive`` never share
-entries.  The recursion is about n deep on paths, so very long paths
-exhaust Python's stack.
+One kernel runs the recursion for both, at x = 2^xs, y = 2^ys; q_N is q
+at xs = 1.  A disconnected graph is the product of its components, each
+compacted to its own rows, and a single vertex contributes x (looped) or
+y.  The kernel is told which subproblems are connected (the components of
+a split, and a child that lost a vertex of degree at most 1 from a
+connected graph); any other gets a reach from vertex 0 that stops once it
+covers every vertex, and only one that falls short is split.  It puts the
+rows in breadth-first order from a vertex of least degree
+(``graphs.bfs_rows``), which puts a leaf last on a tree, and reduces a
+connected graph on its last vertex a and a's highest neighbour b: by the
+pendant rule if N(a) = {b}, else by the loop rule on a if a is looped or
+on b if b is, else by the pivot.  It deletes a by slicing the rows and the
+pivot's b by moving the last vertex into its slot, so such a deletion
+rewrites only the rows of the two vertices' neighbours; one that may move
+or remove a looped vertex rewrites every row.  The pendant rule's G-a-b
+keeps the order of G-a, so every subproblem of a tree stays in
+breadth-first order and is reduced on a leaf.  G-a-b is solved first, so
+a path recurses about n/2 deep, but the pivot about n deep on a cycle:
+paths of about 2,000 vertices and long cycles exhaust Python's stack.
+The memo, keyed on the rows as the recursion leaves them, lives for one
+call: nothing is kept between calls, and the two reduction orders of
+``q_recursive`` never share entries.
 
-Both kernels hold each subproblem's polynomial as one int, its value at a
-power of two whose base-2^w digits (read by ``SparsePoly.from_base_digits``)
-are the coefficients; every memo entry is laid out at the widths of the
-graph the kernel was called on.  q_N is taken at x = 2^w, w = n + 1: the
-recursion only adds, from x^m, and q_N(G'; 2) = 2^m on m vertices, so every
-coefficient is at most 2^(n-1) (K_n).  q takes isolated vertices off as
-factors x (looped) and y and runs the kernel on each other component, at
-x = 2^w, y = x^d for m vertices: x^i y^j is digit i + d j, d = rank + 1 over
-GF(2) bounds the x-degree (the rank of an induced subgraph is at most that),
-and w = bits(3^m) + 1, since the absolute coefficients of (x-1)^r (y-1)^nl
+The kernel holds each subproblem's polynomial as one int, its value at
+x = 2^xs, y = 2^ys, whose binary digits (read by
+``SparsePoly.from_base_digits``) are the coefficients; every memo entry is
+laid out at the widths of the graph the kernel was called on.  q_N is
+taken at x = 2, y = 2^w, w = n + 1: the recursion then only adds, from
+y^m, and q_N(G'; 2) = 2^m on m vertices, so every coefficient is at most
+2^(n-1) (K_n).  q takes isolated vertices off as factors x (looped) and y
+and runs the kernel on each other component, at x = 2^w, y = x^d for m
+vertices: x^i y^j is digit i + d j, d = rank + 1 over GF(2) bounds the
+x-degree (the rank of an induced subgraph is at most that), and
+w = bits(3^m) + 1, since the absolute coefficients of (x-1)^r (y-1)^nl
 sum to 2^|S|, which sum to 3^m over all S.  ``poly._packed_product``
 multiplies the components.
 """
@@ -220,17 +223,6 @@ def qn_from_q(g: Graph) -> SparsePoly:
 # -- recursions ---------------------------------------------------------------
 
 
-def _q_reduction(rows: tuple, prefer_loop: bool) -> tuple:
-    """(a, b) for the pivot rule on the loopless edge ab, or (a, None) for the loop rule on a."""
-    loopless = sum(1 << i for i, r in enumerate(rows) if not r >> i & 1)
-    looped = ((1 << len(rows)) - 1) ^ loopless
-    a = next((i for i, r in enumerate(rows) if loopless >> i & 1 and r & loopless), None)
-    if looped and (prefer_loop or a is None):
-        return (looped & -looped).bit_length() - 1, None
-    nb = rows[a] & loopless
-    return a, (nb & -nb).bit_length() - 1
-
-
 def _gf2_rank(rows: tuple) -> int:
     """Rank over GF(2): each row is reduced by a basis kept in decreasing order."""
     basis: list[int] = []
@@ -242,67 +234,11 @@ def _gf2_rank(rows: tuple) -> int:
     return len(basis)
 
 
-def _q_kernel(rows: tuple, prefer_loop: bool, w: int, d: int) -> int:
-    """q at x = 2^w, y = 2^(w*d) by the loop and pivot rules, memo local to the call.
-
-    A split is the product of its components and is not memoised; a single
-    vertex is a shift by w (looped, x) or by w*d (unlooped, y).
-    """
-    memo: dict[tuple, int] = {}
-
-    def solve(rows: tuple) -> int:
-        res = memo.get(rows)
-        if res is not None:
-            return res
-        comps = component_masks(rows)
-        if len(comps) != 1 or len(rows) == 1:
-            res = 1
-            shift = 0
-            for comp in comps:
-                if comp & (comp - 1):
-                    res *= solve(compact_rows(rows, comp))
-                else:
-                    shift += w if rows[comp.bit_length() - 1] else w * d
-            return res << shift
-        a, b = _q_reduction(rows, prefer_loop)
-        res = solve(delete_index(rows, a))
-        if b is None:
-            # q(G) = q(G-a) + (x-1) q(G^a-a)
-            nb = rows[a]
-            local = solve(delete_index([r ^ nb if nb >> k & 1 else r for k, r in enumerate(rows)], a))
-            res += (local << w) - local
-        else:
-            # q(G) = q(G-a) + q(G^{ab}-b) + (x^2 - 2x) q(G^{ab}-a-b)
-            piv_minus_b = delete_index(pivot_rows(rows, a, b), b)
-            both = solve(delete_index(piv_minus_b, a))
-            res += solve(piv_minus_b) + (both << 2 * w) - (both << w + 1)
-        memo[rows] = res
-        return res
-
-    return solve(rows)
-
-
-def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
-    """Two-variable interlace polynomial by pivot/loop recursion.
-
-    ``prefer_loop`` switches the reduction order when both a loopless edge
-    and a looped vertex are available; both orders must agree with the
-    state sum (property-tested, not assumed).  Components are solved apart.
-    """
-    rows, comps = g.rows, component_masks(g.rows)
-    parts = [compact_rows(rows, c) for c in comps if c & (c - 1)]
-    bare = rows.count(0)  # isolated unlooped vertices; the other single ones are looped
-    return _packed_product(parts, lambda part, w, d: _q_kernel(part, prefer_loop, w, d),
-                           lambda parts: ((3 ** sum(map(len, parts))).bit_length() + 1,
-                                          sum(map(_gf2_rank, parts)) + 1),
-                           (len(comps) - len(parts) - bare, bare))
-
-
 def _drop(rows: list, j: int) -> tuple:
     """The rows without vertex j, taken from a list the call may change.
 
-    The last vertex moves into slot j, so only the rows of N(j) and of
-    N(last) change: O(deg) steps besides copying the list.
+    The last vertex must be loopless.  It moves into slot j, so only the
+    rows of N(j) and of N(last) change: O(deg) steps besides copying the list.
     """
     last = rows.pop()
     top = 1 << len(rows)
@@ -316,26 +252,24 @@ def _drop(rows: list, j: int) -> tuple:
     return tuple(rows)
 
 
-def _qn_kernel(rows: tuple, w: int) -> int:
-    """q_N at x = 2^w by the pendant and pivot rules, memo local to the call.
+def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
+    """q at x = 2^xs, y = 2^ys by the pendant, loop and pivot rules, memo local to the call.
 
-    Every subproblem's q_N is one int, its coefficients packed as base-2^w
-    digits: a sum is one addition, a product of components one
-    multiplication, and an isolated vertex a shift by w.  The rows are put
-    in breadth-first order once (``bfs_rows``), and every reduction is on
-    the last vertex a and its highest neighbour b: ``_drop`` deletes a by
-    slicing and the pivot's b by moving the last vertex into its slot.
-    ``solve(rows, connected)`` searches for components only when
-    ``connected`` is false.  The pendant rule's G-a is connected, and G-a-b
-    is when b has at most one neighbour besides a; the pivot rule's
-    G^{ab}-b = G-b is when N(b) = {a}.
+    The module docstring gives the rules, the order and the packing.
+    ``prefer_loop`` takes the loop rule on the highest looped vertex
+    whenever there is one.  ``solve(rows, connected)`` searches for
+    components only when ``connected`` is false.  The pendant rule's G-a is
+    connected, and G-a-b is when b has at most one neighbour besides a; the
+    pivot rule's G^{ab}-b = G-b is when N(b) = {a}.
     """
     memo: dict[tuple, int] = {}
+    # no rule puts a loop on a loopless graph, so only a looped input needs the loop rule
+    looped = any(r >> k & 1 for k, r in enumerate(rows))
 
     def solve(rows: tuple, connected: bool) -> int:
         n = len(rows)
         if n < 2:
-            return 1 << w * n
+            return 1 << (xs if rows[0] else ys) if n else 1
         res = memo.get(rows)
         if res is not None:
             return res
@@ -356,34 +290,69 @@ def _qn_kernel(rows: tuple, w: int) -> int:
                 if comp & (comp - 1):
                     res *= solve(compact_rows(rows, comp), True)
                 else:
-                    shift += w
+                    shift += xs if rows[comp.bit_length() - 1] else ys
             res <<= shift
             memo[rows] = res
             return res
         a = n - 1
-        b = rows[a].bit_length() - 1
+        b = rows[a].bit_length() - 1  # a itself if a is looped
+        if looped:
+            if prefer_loop:
+                b = next((v for v in range(a, -1, -1) if rows[v] >> v & 1), b)
+            if rows[b] >> b & 1 and (prefer_loop or rows[a] != 1 << b):
+                # q(G) = q(G-b) + (x-1) q(G^b-b)
+                row = rows[b]
+                local = solve(delete_index([r ^ row if row >> k & 1 else r
+                                            for k, r in enumerate(rows)], b), False)
+                res = memo[rows] = solve(delete_index(rows, b), False) + (local << xs) - local
+                return res
         nb = rows[b] ^ 1 << a
-        minus_a = _drop(list(rows), a)
         if rows[a] == 1 << b:
-            # q_N(G) = q_N(G-a) + x q_N(G-a-b).  G-a-b keeps the order of G-a, so
-            # every subproblem of a tree stays in breadth-first order and is
-            # reduced on a leaf: a tree never needs the pivot.
-            minus_ab = _drop(list(minus_a), b) if b == a - 1 else delete_index(minus_a, b)
-            res = solve(minus_a, True) + (solve(minus_ab, not nb & (nb - 1)) << w)
+            # q(G) = q(G-a) + ((x-1)^2 + y - 1) q(G-a-b), b looped or not.  G-a-b
+            # keeps the order of G-a and goes first, which halves the depth on paths.
+            minus_a = _drop(list(rows), a)
+            minus_ab = (_drop(list(minus_a), b) if b == a - 1 and not looped
+                        else delete_index(minus_a, b))
+            both = solve(minus_ab, not nb & (nb - 1))
+            res = solve(minus_a, True) + (both << ys)
+            if xs > 1:
+                res += (both << 2 * xs) - (both << xs + 1)
         else:
-            # q_N(G) = q_N(G-a) + q_N(G^{ab}-b)
-            res = solve(minus_a, False) + solve(_drop(pivot_rows(rows, a, b), b), not nb)
+            # q(G) = q(G-a) + q(G^{ab}-b) + ((x-1)^2 - 1) q(G^{ab}-a-b)
+            piv_minus_b = _drop(pivot_rows(rows, a, b), b)
+            res = solve(_drop(list(rows), a), False) + solve(piv_minus_b, not nb)
+            if xs > 1:
+                # a sits in b's slot
+                both = solve(delete_index(piv_minus_b, b), False)
+                res += (both << 2 * xs) - (both << xs + 1)
         memo[rows] = res
         return res
 
     return solve(bfs_rows(rows), False)
 
 
+def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
+    """Two-variable interlace polynomial by the pendant, loop and pivot rules.
+
+    ``prefer_loop`` takes the loop rule on the highest looped vertex whenever
+    there is one, which changes the reductions on looped graphs; both orders
+    must agree with the state sum (property-tested, not assumed).
+    Components are solved apart.
+    """
+    rows, comps = g.rows, component_masks(g.rows)
+    parts = [compact_rows(rows, c) for c in comps if c & (c - 1)]
+    bare = rows.count(0)  # isolated unlooped vertices; the other single ones are looped
+    return _packed_product(parts, lambda part, w, d: _kernel(part, w, w * d, prefer_loop),
+                           lambda parts: ((3 ** sum(map(len, parts))).bit_length() + 1,
+                                          sum(map(_gf2_rank, parts)) + 1),
+                           (len(comps) - len(parts) - bare, bare))
+
+
 def qn_recursive(g: Graph) -> SparsePoly:
-    """Vertex-nullity interlace polynomial by the pivot recursion."""
+    """Vertex-nullity interlace polynomial q_N(G; x) = q(G; 2, x) by the recursion kernel."""
     g.require_simple("q_N")
     w = g.n + 1
-    return SparsePoly.from_base_digits(("x",), _qn_kernel(g.rows, w), w)
+    return SparsePoly.from_base_digits(("x",), _kernel(g.rows, 1, w), w)
 
 
 def gamma_invariant(g: Graph) -> int:

@@ -14,13 +14,12 @@ from graphpoly.randgen import random_sp_sequence
 
 
 @pytest.fixture
-def no_recursion_kernels(monkeypatch):
-    """Make both interlace recursion kernels raise if anything calls them."""
+def no_recursion_kernel(monkeypatch):
+    """Make the interlace recursion kernel raise if anything calls it."""
     def forbidden(*args):
-        raise AssertionError("a recursion kernel was called")
+        raise AssertionError("the recursion kernel was called")
 
-    monkeypatch.setattr(interlace, "_qn_kernel", forbidden)
-    monkeypatch.setattr(interlace, "_q_kernel", forbidden)
+    monkeypatch.setattr(interlace, "_kernel", forbidden)
 
 
 def all_labeled_graphs(n: int):

@@ -92,7 +92,7 @@ def test_c_polynomial_examples():
     assert c_polynomial(D("1 2 1 2")) == YZ({(0, 0): 1, (1, 0): 2, (2, 1): 1})
 
 
-def test_c_polynomial_matches_per_subset_reference(no_recursion_kernels):
+def test_c_polynomial_matches_per_subset_reference(no_recursion_kernel):
     rng = random.Random(707)
     for _ in range(40):
         d = _random_diagram(rng, rng.randrange(0, 10))

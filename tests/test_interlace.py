@@ -124,7 +124,7 @@ def test_loopless_circle_graphs_have_only_even_ranks():
         assert sum(hist.values()) == 1 << h.n
 
 
-def test_state_sums_call_no_recursion_kernel(no_recursion_kernels):
+def test_state_sums_call_no_recursion_kernel(no_recursion_kernel):
     g = cycle_graph(6)
     assert qn_from_q(g) == X({(3,): 2, (2,): 10, (1,): 4})
     assert gamma_state_sum(g) == 4
@@ -238,11 +238,15 @@ def _shuffled(g, rng):
 
 
 def test_qn_recursive_long_path_matches_pendant_recurrence():
-    assert qn_recursive(path_graph(400)) == _path_qn(400)
+    # the pendant rule solves G-a-b before G-a, so a path recurses about n/2
+    # deep and P_1800 fits in Python's default limit of 1,000 frames
+    assert sys.getrecursionlimit() <= 1000
+    for n in (400, 1800):
+        assert qn_recursive(path_graph(n)) == _path_qn(n), n
 
 
 def test_qn_recursive_shuffled_long_path_matches_pendant_recurrence():
-    # P_900 is about as deep as the recursion gets within Python's default limit
+    # the kernel's breadth-first order puts a shuffled path back in path order
     for n in (300, 900):
         assert qn_recursive(_shuffled(path_graph(n), random.Random(303))) == _path_qn(n), n
 
@@ -486,15 +490,15 @@ def test_join_gamma_identities():
         done += 1
 
 
-# -- the q_N kernel's pendant rule and connectivity --------------------------------------
+# -- the kernel's pendant, loop and pivot rules and connectivity ------------------------
 
 
 def _with_order(edges, last, rest):
     return Graph.from_edges(edges, [v for v in rest if v != last] + [last])
 
 
-def _qn_kernel_corpus():
-    """Seeded graphs on 2-12 vertices that lead the q_N kernel into each of its branches.
+def _kernel_corpus():
+    """Seeded simple graphs on 2-12 vertices that lead the kernel into each of its branches.
 
     The kernel reduces on the last vertex of a breadth-first order, so each
     family lists the vertex it aims at last; the order is recomputed from
@@ -535,35 +539,50 @@ def _qn_kernel_corpus():
     return graphs
 
 
-def _kernel_branches(graphs) -> set:
-    """The cases the q_N kernel meets on its subproblems of at least two vertices.
+def _looped_kernel_corpus():
+    """The kernel corpus with a loop on each vertex with probability 0.3, order kept."""
+    rng = random.Random(1717)
+    return [Graph.from_edges(g.edges() + [(v, v) for v in g.ids if rng.random() < 0.3], g.ids)
+            for g in _kernel_corpus()]
+
+
+def _kernel_branches(graphs, run=qn_recursive) -> set:
+    """The cases the kernel meets on its subproblems of at least two vertices under ``run``.
 
     A connected one is reduced on its last vertex a and a's highest
-    neighbour b: ("pivot",), or ("pendant", where b sits, deg b capped at 3).
-    A split one records where its isolated vertices sit.
+    neighbour b: ("loop", "a") if a is looped; ("pendant", where b sits,
+    deg b capped at 3) if N(a) = {b}, or ("pendant", "b looped"); ("loop",
+    "b") if b is looped; else ("pivot",), or ("pivot", "third child") where
+    x is not 2.  A split one records where its isolated vertices sit.
     """
     seen = set()
     for g in graphs:
-        for rows, _ in _solve_calls(g):
+        for rows, _, xs in _solve_calls(g, run):
             n = len(rows)
             if n < 2:
                 continue
             if len(component_masks(rows)) > 1:
                 seen.update(("isolated", "first" if k == 0 else "last" if k == n - 1 else "inside")
-                            for k, r in enumerate(rows) if not r)
+                            for k, r in enumerate(rows) if r & ~(1 << k) == 0)
                 continue
             na = rows[-1]
-            if na & (na - 1):
-                seen.add(("pivot",))
-            else:
-                b = na.bit_length() - 1
-                seen.add(("pendant", "b last" if b == n - 2 else "b elsewhere",
+            b = na.bit_length() - 1
+            b_looped = rows[b] >> b & 1
+            if b == n - 1:
+                seen.add(("loop", "a"))
+            elif na == 1 << b:
+                seen.add(("pendant", "b looped") if b_looped else
+                         ("pendant", "b last" if b == n - 2 else "b elsewhere",
                           min(rows[b].bit_count(), 3)))
+            elif b_looped:
+                seen.add(("loop", "b"))
+            else:
+                seen.add(("pivot", "third child") if xs > 1 else ("pivot",))
     return seen
 
 
 def test_qn_kernel_corpus_reaches_every_pendant_case():
-    graphs = _qn_kernel_corpus()
+    graphs = _kernel_corpus()
     assert all(2 <= g.n <= 12 for g in graphs)
     # deg b = 1 is K_2, where b is the only other vertex and so last
     assert _kernel_branches(graphs) == {
@@ -574,7 +593,7 @@ def test_qn_kernel_corpus_reaches_every_pendant_case():
 
 
 def test_qn_recursive_and_gamma_match_specialization_on_the_kernel_corpus():
-    for g in _qn_kernel_corpus():
+    for g in _kernel_corpus():
         expected = qn_from_q(g)
         assert qn_recursive(g) == expected, g
         assert gamma_invariant(g) == expected.coefficient({"x": 1}), g
@@ -588,26 +607,56 @@ def _count_searches(monkeypatch) -> list:
     return calls
 
 
-def _solve_calls(g) -> list:
-    """(rows, connected) of every call of the q_N kernel's ``solve`` on g."""
+def _solve_calls(g, run=qn_recursive) -> list:
+    """(rows, connected, xs) of every call of the kernel's ``solve`` while ``run(g)`` runs."""
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_qualname.endswith("_qn_kernel.<locals>.solve"):
-            calls.append((frame.f_locals["rows"], frame.f_locals["connected"]))
+        if event == "call" and frame.f_code.co_qualname.endswith("_kernel.<locals>.solve"):
+            f = frame.f_locals
+            calls.append((f["rows"], f["connected"], f["xs"]))
 
     sys.setprofile(profile)
     try:
-        qn_recursive(g)
+        run(g)
     finally:
         sys.setprofile(None)
     return calls
 
 
+def _q_loop_first(g):
+    return q_recursive(g, prefer_loop=True)
+
+
 def test_qn_kernel_passes_connected_only_for_connected_subproblems():
-    for g in _qn_kernel_corpus():
-        for rows, connected in _solve_calls(g):
+    for g in _kernel_corpus():
+        for rows, connected, _ in _solve_calls(g):
             assert not connected or len(component_masks(rows)) <= 1, g
+
+
+def test_looped_kernel_corpus_reaches_every_loop_and_pivot_case():
+    graphs = _looped_kernel_corpus()
+    seen = _kernel_branches(graphs, q_recursive)
+    assert {("loop", "a"), ("loop", "b"), ("pendant", "b looped"),
+            ("pivot", "third child")} <= seen
+    assert any(case[0] == "pendant" and len(case) == 3 for case in seen)
+    assert ("pivot",) not in seen
+
+
+def test_q_recursive_matches_state_sum_on_the_looped_kernel_corpus():
+    differ = 0
+    for g in _looped_kernel_corpus():
+        expected = q_state_sum(g)
+        solved = []
+        for run in (q_recursive, _q_loop_first):
+            assert run(g) == expected, (run.__name__, g)
+            calls = _solve_calls(g, run)
+            assert all(not connected or len(component_masks(rows)) <= 1
+                       for rows, connected, _ in calls), (run.__name__, g)
+            solved.append({rows for rows, _, _ in calls})
+        differ += solved[0] != solved[1]
+    # the two orders must take different reductions somewhere, or prefer_loop tests nothing
+    assert differ
 
 
 def test_qn_kernel_searches_a_path_at_most_once(monkeypatch):
@@ -618,7 +667,16 @@ def test_qn_kernel_searches_a_path_at_most_once(monkeypatch):
         calls.clear()
         solved = _solve_calls(path_graph(n))
         assert len(calls) <= 1, n
-        assert all(connected for _, connected in solved[1:]), n
+        assert all(connected for _, connected, _ in solved[1:]), n
+
+
+def test_q_recursive_searches_a_star_about_once_per_leaf(monkeypatch):
+    # each sub-star is reduced on a leaf by the pendant rule; the only split is
+    # the edgeless G-a-b, solved once and memoised
+    calls = _count_searches(monkeypatch)
+    q = q_recursive(star_graph(299))
+    assert len(calls) <= 300
+    assert qn_of_q(q) == qn_recursive(star_graph(299))
 
 
 def test_qn_kernel_reduces_every_subproblem_of_a_tree_on_a_leaf():
@@ -627,7 +685,7 @@ def test_qn_kernel_reduces_every_subproblem_of_a_tree_on_a_leaf():
         vs = [f"v{k}" for k in range(n)]
         tree = _shuffled(Graph.from_edges([(vs[k], vs[rng.randrange(k)]) for k in range(1, n)],
                                           vs), rng)
-        for rows, _ in _solve_calls(tree):
+        for rows, _, _ in _solve_calls(tree):
             if len(rows) >= 2 and len(component_masks(rows)) == 1:
                 assert rows[-1].bit_count() == 1, n
 
@@ -635,7 +693,7 @@ def test_qn_kernel_reduces_every_subproblem_of_a_tree_on_a_leaf():
 def test_qn_kernel_searches_fewer_dense_subproblems_than_it_solves(monkeypatch):
     calls = _count_searches(monkeypatch)
     g = _random_graph(random.Random(1414), 14)
-    subproblems = {rows for rows, _ in _solve_calls(g)}
+    subproblems = {rows for rows, _, _ in _solve_calls(g)}
     # a subproblem is searched only when its connectivity is unknown and the reach falls short
     assert 2 * len(calls) < len(subproblems)
     assert qn_recursive(g) == qn_from_q(g)
