@@ -16,8 +16,9 @@ compare such a checkout with ``--only``.
 Times ``tutte_polynomial`` on K_7, the Petersen graph, the wheel W_12 (a hub
 joined to a 12-cycle), seeded 15-op series-parallel graphs, a seeded random
 tree of 1,000 edges, a seeded connected cubic graph on 14 vertices, a seeded
-G(12, 0.3), a 500-vertex path with a loop at every vertex, and 100
-disjoint triangles.
+G(12, 0.3), a 500-vertex path with a loop at every vertex, 100 disjoint
+triangles, a chain of 100 triangles and a chain of 30 copies of K_4 (in a
+chain, each block shares one vertex with the next).
 
 For each input it prints the best in-process time of ``--repeats`` runs and
 the peak RSS of a fresh interpreter that builds the input and runs it once
@@ -39,6 +40,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from graphpoly.interlace import q_recursive, qn_recursive
@@ -79,6 +81,11 @@ def random_cubic_edges(n: int, seed: int) -> list[tuple]:
             g = Graph.from_edges(edges, range(n))
             if g.is_connected():
                 return sorted(edges)
+
+
+def block_chain(block: list[tuple], joint: int, k: int) -> list[tuple]:
+    """k copies of a block on vertices 0, 1, ..., copy t shifted by t * joint."""
+    return [(u + t * joint, v + t * joint) for t in range(k) for u, v in block]
 
 
 def petersen_edges() -> list[tuple]:
@@ -125,6 +132,8 @@ INPUTS = {
                                                 + [(str(v), str(v)) for v in range(1, 501)]]),
     "triangles_100": (tutte_polynomial, lambda: [[e for t in range(100) for e in (
         (f"a{t}", f"b{t}"), (f"b{t}", f"c{t}"), (f"c{t}", f"a{t}"))]]),
+    "cactus_100": (tutte_polynomial, lambda: [block_chain([(0, 1), (1, 2), (2, 0)], 2, 100)]),
+    "K4chain_30": (tutte_polynomial, lambda: [block_chain(list(combinations(range(4), 2)), 3, 30)]),
 }
 
 

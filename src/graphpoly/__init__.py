@@ -11,7 +11,7 @@ independent brute-force oracle in the test suite.
 from .chords import (ChordDiagram, c_polynomial, chord_pivot, circle_graph,
                      verify_c_identity, verify_c_reduction)
 from .dh import (DHSequence, apply_dh_sequence, bdh_to_sp, gamma_from_sequence,
-                 is_bdh, qn_bdh_fast, recognize_dh, structural_checks)
+                 is_bdh, qn_bdh_fast, recognize_dh)
 from .euler import (EulerDigraph, all_euler_circuits, chord_diagram_from_circuit,
                     circuit_partition_polynomial, euler_circuit, graph_states,
                     martin_polynomial, verify_circuit_partition_identity)
@@ -29,7 +29,7 @@ __all__ = [
     "ChordDiagram", "c_polynomial", "chord_pivot", "circle_graph",
     "verify_c_identity", "verify_c_reduction",
     "DHSequence", "apply_dh_sequence", "bdh_to_sp", "gamma_from_sequence",
-    "is_bdh", "qn_bdh_fast", "recognize_dh", "structural_checks",
+    "is_bdh", "qn_bdh_fast", "recognize_dh",
     "EulerDigraph", "all_euler_circuits", "chord_diagram_from_circuit",
     "circuit_partition_polynomial", "euler_circuit", "graph_states",
     "martin_polynomial", "verify_circuit_partition_identity",

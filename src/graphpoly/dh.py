@@ -309,83 +309,3 @@ def qn_bdh_fast(g: Graph) -> SparsePoly:
         raise ValueError(f"not a bipartite distance-hereditary graph: {check.reason}")
     sp, _ = bdh_to_sp(check.recognition.sequence)
     return sp_diagonal_tutte(sp)
-
-
-# -- structural property report ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    """Bundle of structural facts checked on one graph."""
-
-    pendant_pivot_duality_ok: bool
-    removal_closure_ok: bool
-    true_twin_count_constant: bool
-    join_closure_ok: bool
-    peel_orders_tried: int
-
-    @property
-    def ok(self) -> bool:
-        return (self.pendant_pivot_duality_ok and self.removal_closure_ok
-                and self.true_twin_count_constant and self.join_closure_ok)
-
-    def __str__(self) -> str:
-        bits = [
-            f"pendant/false-twin pivot duality: {'ok' if self.pendant_pivot_duality_ok else 'FAIL'}",
-            f"closure under pendant/false-twin removal: {'ok' if self.removal_closure_ok else 'FAIL'}",
-            f"true-twin count over {self.peel_orders_tried} peel orders: "
-            f"{'constant' if self.true_twin_count_constant else 'VARIES'}",
-            f"one-point join stays BDH: {'ok' if self.join_closure_ok else 'FAIL'}",
-        ]
-        return "; ".join(bits)
-
-
-def _is_false_twin(g: Graph, u, v) -> bool:
-    return (not g.has_edge(u, v)
-            and set(g.neighbors(u)) - {str(v)} == set(g.neighbors(v)) - {str(u)})
-
-
-def structural_checks(g: Graph, seq: DHSequence | None = None,
-                      peel_orders: int = 20, seed: int = 0) -> StructuralReport:
-    """Pivot duality, removal closure, peel-order independence and join closure on g.
-
-    When a construction sequence is supplied it must replay to g, and its
-    true-twin count anchors the order-independence check.
-    """
-    g.require_simple("structural checks")
-    if seq is not None and apply_dh_sequence(seq) != g:
-        raise ValueError("sequence does not replay to the given graph")
-    duality_ok = True
-    for w in g.ids:
-        if g.degree(w) != 1:
-            continue
-        (u,) = g.neighbors(w)
-        for v in g.neighbors(u):
-            if v == w:
-                continue
-            piv = g.pivot(u, v)
-            if not _is_false_twin(piv, w, v):
-                duality_ok = False
-    check = is_bdh(g)
-    removal_ok = True
-    if check.value and g.n >= 3:
-        for v in g.ids:
-            if g.degree(v) == 1 or any(_is_false_twin(g, v, u) for u in g.ids if u != v):
-                if not is_bdh(g.without(v)).value:
-                    removal_ok = False
-    rng = random.Random(seed)
-    counts = set()
-    constant = True
-    if seq is not None:
-        counts.add(seq.true_twin_count)
-    if recognize_dh(g).accepted:
-        for _ in range(peel_orders):
-            rec = recognize_dh(g, rng)
-            counts.add(rec.true_twin_count)
-        constant = len(counts) == 1
-    join_ok = True
-    if check.value and g.n >= 2:
-        u = next(v for v in g.ids if g.degree(v) > 0)
-        joined = g.one_point_join(u, g, u)
-        join_ok = is_bdh(joined).value
-    return StructuralReport(duality_ok, removal_ok, constant, join_ok, peel_orders)

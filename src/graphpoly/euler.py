@@ -185,13 +185,12 @@ def martin_polynomial(g: EulerDigraph) -> SparsePoly:
     f = circuit_partition_polynomial(g)
     if not g.arcs:
         return f
-    shifted = {}
+    quotient = {}  # f / x
     for (k,), c in f.terms.items():
         if k == 0:
             raise ValueError("circuit partition polynomial has a constant term")
-        shifted[(k - 1,)] = c
-    div = SparsePoly(("x",), shifted)
-    return div.subs_poly("x", SparsePoly(("x",), {(1,): 1, (0,): -1}))
+        quotient[(k - 1,)] = c
+    return SparsePoly(("x",), quotient).shift(-1)
 
 
 def euler_circuit(g: EulerDigraph) -> tuple:
@@ -286,13 +285,12 @@ def verify_circuit_partition_identity(g: EulerDigraph) -> CircuitPartitionIdenti
     if not circuits:
         raise ValueError("no Euler circuit (disconnected or empty digraph)")
     x = SparsePoly.var("x")
-    x_plus_1 = SparsePoly(("x",), {(1,): 1, (0,): 1})
     qns = []
     identity_ok = True
     for circ in circuits:
         h = circle_graph(chord_diagram_from_circuit(g, circ))
         qn = qn_recursive(h)
         qns.append(qn)
-        identity_ok = identity_ok and (x * qn.subs_poly("x", x_plus_1) == f)
+        identity_ok = identity_ok and (x * qn.shift(1) == f)
     independent = all(qn == qns[0] for qn in qns)
     return CircuitPartitionIdentityReport(f, len(circuits), identity_ok, independent)

@@ -12,13 +12,14 @@ directed cycle, which makes the faces containing original vertices the
 consistently oriented ones, and gives every medial vertex in- and
 out-degree 2.
 
-Tutte polynomials are computed two ways: deletion/contraction that takes
-loops and bridges off as factors and multiplies over components (any
-multigraph), and for series-parallel construction sequences a
-polynomial-time diagonal evaluator.  The latter composes a two-terminal
-(terminals joined, terminals apart) pair per edge over the construction
-script.  Both hold one int per subproblem, its polynomial at a power of
-two, whose digits ``SparsePoly.from_base_digits`` reads back.
+Tutte polynomials are computed two ways: for any multigraph as the product
+over its blocks (a bridge gives x, a loop y), each other block by
+deletion/contraction whose minors split into blocks again; and for
+series-parallel construction sequences by a polynomial-time diagonal
+evaluator, which composes a two-terminal (terminals joined, terminals apart)
+pair per edge over the construction script.  Both hold one int per
+subproblem, its polynomial at a power of two, whose digits
+``SparsePoly.from_base_digits`` reads back.
 """
 
 from __future__ import annotations
@@ -235,86 +236,68 @@ def _normalize_edges(edges: Sequence[tuple]) -> tuple:
     return tuple(sorted(out))
 
 
-def _components_of(edges: Sequence[tuple]) -> list[list[tuple]]:
-    index, rows = label_rows((), edges)
-    masks = component_masks(rows)
-    owner = [0] * len(rows)
-    for c, m in enumerate(masks):
-        while m:
-            low = m & -m
-            owner[low.bit_length() - 1] = c
-            m ^= low
-    groups: list[list[tuple]] = [[] for _ in masks]
-    for e in edges:
-        groups[owner[index[e[0]]]].append(e)
-    return groups
+def _blocks(edges: Sequence[tuple]) -> tuple[int, int, list[list[tuple]]]:
+    """Bridges, loops and the other blocks of a multigraph, each block a list of its edges.
 
-
-def _bridges(edges: list[tuple]) -> set[int]:
-    """Indices of bridge edges (parallel copies are never bridges)."""
+    Hopcroft-Tarjan on an explicit stack, with a stack of edges: when the
+    search steps back from w to its parent u and nothing below w reaches
+    above u, the edges stacked since the tree edge u-w are one block.
+    Parallel edges share a block, so a block of one edge is a bridge.
+    """
     adj: dict = {}
     for idx, (u, v) in enumerate(edges):
-        adj.setdefault(u, []).append((v, idx))
-        adj.setdefault(v, []).append((u, idx))
+        if u != v:
+            adj.setdefault(u, []).append((v, idx))
+            adj.setdefault(v, []).append((u, idx))
     disc: dict = {}
     low: dict = {}
-    out: set[int] = set()
-    timer = [0]
-
+    stacked: list[int] = []
+    bridges, blocks = 0, []
     for root in adj:
         if root in disc:
             continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            v, pedge, it = stack[-1]
-            advanced = False
+        disc[root] = low[root] = len(disc)
+        search = [(root, -1, 0, iter(adj[root]))]
+        while search:
+            v, up, base, it = search[-1]
             for w, idx in it:
-                if idx == pedge:
-                    continue
                 if w not in disc:
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    stack.append((w, idx, iter(adj[w])))
-                    advanced = True
+                    disc[w] = low[w] = len(disc)
+                    search.append((w, idx, len(stacked), iter(adj[w])))
+                    stacked.append(idx)
                     break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        out.add(pedge)
-    return out
-
-
-def _peel(edges: Sequence[tuple]) -> tuple[int, int, list]:
-    """Bridges (factors x), loops (factors y) and the other edges, none a bridge.
-
-    Contracting a bridge or deleting it both multiply its two sides' polynomials.
-    """
-    work = [e for e in edges if e[0] != e[1]]
-    br = _bridges(work)
-    return len(br), len(edges) - len(work), [e for idx, e in enumerate(work) if idx not in br]
+                if idx != up and disc[w] < disc[v]:
+                    stacked.append(idx)
+                    low[v] = min(low[v], disc[w])
+            else:
+                search.pop()
+                if search:
+                    u = search[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        if len(stacked) - base == 1:
+                            bridges += 1
+                        else:
+                            blocks.append([edges[k] for k in stacked[base:]])
+                        del stacked[base:]
+    return bridges, sum(u == v for u, v in edges), blocks
 
 
 def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
     """Tutte of a non-empty normalized edge tuple at x = 2^w, y = 2^wd.
 
-    If a bridge or loop comes off, what is left falls apart into components
-    whose polynomials multiply; otherwise the first edge is deleted and
-    contracted, and both minors stay connected.
+    Unless the edges form one block of two or more edges, the polynomial is
+    the product over the blocks, a bridge giving x and a loop y; otherwise
+    the first edge is deleted and contracted.
     """
     res = memo.get(edges)
     if res is not None:
         return res
-    bridges, loops, rest = _peel(edges)
-    if bridges or loops:
+    bridges, loops, blocks = _blocks(edges)
+    if bridges or loops or len(blocks) > 1:
         res = 1 << w * bridges + wd * loops
-        for comp in _components_of(rest):
-            res *= _tutte(_normalize_edges(comp), memo, w, wd)
+        for block in blocks:
+            res *= _tutte(_normalize_edges(block), memo, w, wd)
     else:
         (u, v), rest = edges[0], edges[1:]
         contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
@@ -327,16 +310,19 @@ def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
 def tutte_polynomial(g) -> SparsePoly:
     """Tutte polynomial of a multigraph (PlaneMultigraph or iterable of edge pairs).
 
-    Top-level bridges and loops are factors x and y; the components of the
-    rest are solved apart and multiplied.  c components are packed at
-    x = 2^w, y = 2^(w*d), w = |E| + 1 and d = |V| - c + 1: the x-degree is the
-    rank |V| - c, and the coefficients are non-negative and sum to the number
+    The vertices are relabelled 0, 1, ... first, so any hashable labels do.
+    Bridges and loops are factors x and y, and the other blocks are solved
+    apart and multiplied.  Blocks B are packed at x = 2^w, y = 2^(w*d),
+    w = |E| + 1 and d = sum(|V_B| - 1) + 1: the x-degree is the rank
+    sum(|V_B| - 1), and the coefficients are non-negative and sum to the number
     of spanning forests, at most 2^|E|.  Each width has one memo for this call.
     """
     edges = g.edge_list() if isinstance(g, PlaneMultigraph) else [tuple(e) for e in g]
-    bridges, loops, rest = _peel(edges)
+    index: dict = {}
+    edges = [(index.setdefault(u, len(index)), index.setdefault(v, len(index))) for u, v in edges]
+    bridges, loops, blocks = _blocks(edges)
     memos: dict = {}
-    return _packed_product([_normalize_edges(c) for c in _components_of(rest)],
+    return _packed_product([_normalize_edges(b) for b in blocks],
                            lambda part, w, d: _tutte(part, memos.setdefault((w, d), {}), w, w * d),
                            lambda parts: (sum(map(len, parts)) + 1,
                                           sum(len({z for e in p for z in e}) - 1 for p in parts) + 1),

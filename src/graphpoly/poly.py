@@ -10,6 +10,7 @@ freely between threads.
 from __future__ import annotations
 
 from itertools import chain
+from math import comb
 from typing import Iterable, Mapping
 
 
@@ -185,38 +186,15 @@ class SparsePoly:
                 out[e] = out.get(e, 0) + c
         return SparsePoly(new_vars, out)
 
-    def subs_poly(self, name: str, replacement: "SparsePoly") -> "SparsePoly":
-        """Substitute a polynomial for one variable.
-
-        The result is over the remaining variables followed by any new
-        variables of the replacement, in order.
-        """
-        i = self.vars.index(name)
-        kept = self.vars[:i] + self.vars[i + 1:]
-        new_vars = kept + tuple(v for v in replacement.vars if v not in kept)
-        rep = replacement._embed(new_vars)
-        max_k = max((e[i] for e in self.terms), default=0)
-        powers = [SparsePoly.const(new_vars, 1)]
-        for _ in range(max_k):
-            powers.append(powers[-1] * rep)
-        kept_idx = {v: j for j, v in enumerate(kept)}
-        out = SparsePoly.zero(new_vars)
-        for exps, coeff in sorted(self.terms.items()):
-            rest = exps[:i] + exps[i + 1:]
-            mono_exps = tuple(rest[kept_idx[v]] if v in kept_idx else 0 for v in new_vars)
-            out = out + SparsePoly(new_vars, {mono_exps: coeff}) * powers[exps[i]]
-        return out
-
-    def _embed(self, new_vars: tuple) -> "SparsePoly":
-        """Reinterpret over a superset variable tuple."""
-        pos = [new_vars.index(v) for v in self.vars]
-        out = {}
-        for exps, coeff in self.terms.items():
-            e = [0] * len(new_vars)
-            for p, x in zip(pos, exps):
-                e[p] = x
-            out[tuple(e)] = coeff
-        return SparsePoly(new_vars, out)
+    def shift(self, c: int) -> "SparsePoly":
+        """p(x + c) for a polynomial p in one variable x."""
+        if len(self.vars) != 1:
+            raise ValueError(f"shift needs one variable, not {self.vars}")
+        out: dict = {}
+        for (k,), a in self.terms.items():
+            for i in range(k + 1):
+                out[(i,)] = out.get((i,), 0) + a * comb(k, i) * c ** (k - i)
+        return SparsePoly(self.vars, out)
 
     def rename_var(self, old: str, new: str) -> "SparsePoly":
         i = self.vars.index(old)

@@ -6,7 +6,7 @@ from conftest import all_labeled_graphs, medial_circle_graphs
 from dh_reference import is_62_chordal, is_bipartite, reference_peel
 from graphpoly.dh import (DHSequence, apply_dh_sequence, bdh_to_sp,
                           gamma_from_sequence, is_bdh,
-                          qn_bdh_fast, recognize_dh, structural_checks)
+                          qn_bdh_fast, recognize_dh)
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph
 from graphpoly.interlace import gamma_invariant, gamma_state_sum, qn_from_q, qn_recursive
 from graphpoly.planar import sp_diagonal_tutte
@@ -306,19 +306,6 @@ def test_one_point_join_of_bdh_is_bdh():
         v = rng.choice([w for w in h.ids if h.degree(w) > 0])
         assert is_bdh(g.one_point_join(u, h, v)).value
     assert is_bdh(path_graph(3).one_point_join("1", path_graph(3), "1")).value
-
-
-def test_structural_checks_bundle():
-    rng = random.Random(81)
-    for _ in range(20):
-        seq = random_dh_sequence(rng.randrange(2, 9), rng, allow_true_twins=False)
-        g = apply_dh_sequence(seq)
-        rep = structural_checks(g, seq, peel_orders=8, seed=3)
-        assert rep.ok, str(rep)
-    rep = structural_checks(cycle_graph(6))
-    assert rep.ok  # vacuous duality, no peel, not BDH: nothing fails
-    with pytest.raises(ValueError):
-        structural_checks(cycle_graph(4), SEQ(("root", "a"), ("pendant", "b", "a")))
 
 
 def test_every_medial_circuit_of_an_sp_graph_gives_a_bdh_circle_graph():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -178,24 +179,77 @@ def random_multigraph(rng: random.Random) -> list:
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(11))]
 
 
+def cactus(k: int) -> list:
+    """k triangles in a chain, each sharing one vertex with the next."""
+    return [e for t in range(0, 2 * k, 2) for e in ((t, t + 1), (t + 1, t + 2), (t + 2, t))]
+
+
 def test_tutte_matches_subset_expansion():
     triangle = [(0, 1), (1, 2), (2, 0)]
+    k4_chain = [(a + 3 * k, b + 3 * k) for k in range(3) for a, b in combinations(range(4), 2)]
     fixed = [[], [(0, 0)], [(0, 0), (0, 0)], [(0, 1)], [(0, 1), (0, 1)],
              triangle + [(3, 4), (4, 5), (5, 3)],  # two disjoint triangles
              triangle + [(2, 3)] + [(3, 4), (4, 5), (5, 3)] + [(5, 5)],  # bridge between cycles
-             [(0, 1), (1, 2), (2, 3), (3, 4)], K4, K4 + [("a", "b"), ("c", "c")]]
+             [(0, 1), (1, 2), (2, 3), (3, 4)], K4, K4 + [("a", "b"), ("c", "c")],
+             triangle + [(2, 3), (3, 4), (4, 2)],  # bowtie
+             cactus(6), k4_chain,
+             # a triangle and a 4-cycle at vertex 0, a bridge to 6, loops at 0 and 6
+             triangle + [(0, 3), (3, 4), (4, 5), (5, 0), (2, 6), (6, 6), (0, 0)],
+             # labels of mixed types, which do not sort against each other
+             [(1, "a"), ("a", 1), (1, "a")], [(None, 1), (1, None)],
+             [((0, 1), "b"), ("b", (0, 1)), ("b", "c")]]
     rng = random.Random(65)
     graphs = fixed + [random_multigraph(rng) for _ in range(300)]
-    seen = dict.fromkeys(("loop", "parallel", "bridge", "bridgeless disconnected"), False)
+    seen = dict.fromkeys(("loop", "parallel", "bridge", "bridgeless disconnected",
+                          "cut vertex, no bridge"), False)
     for edges in graphs:
         assert tutte_polynomial(edges) == tutte_by_subsets(edges), edges
         plain = [e for e in edges if e[0] != e[1]]
-        seen["loop"] |= len(plain) < len(edges)
+        bridges, loops, blocks = planar._blocks(edges)
+        assert loops == len(edges) - len(plain)
+        assert bridges + sum(map(len, blocks)) == len(plain)
+        # how many blocks of two or more edges each vertex lies in
+        in_blocks = Counter(z for b in blocks for z in {z for e in b for z in e})
+        seen["loop"] |= loops > 0
         seen["parallel"] |= len({frozenset(e) for e in plain}) < len(plain)
-        seen["bridge"] |= bool(planar._bridges(plain))
-        seen["bridgeless disconnected"] |= (not planar._bridges(plain)
-                                            and len(planar._components_of(edges)) > 1)
+        seen["bridge"] |= bridges > 0
+        # with no bridge, a component is a tree of blocks that meet at cut vertices
+        seen["bridgeless disconnected"] |= (not bridges and len(blocks)
+                                            > 1 + sum(c - 1 for c in in_blocks.values()))
+        seen["cut vertex, no bridge"] |= not bridges and max(in_blocks.values(), default=0) > 1
     assert all(seen.values()), seen
+
+
+def test_tutte_splits_every_subproblem_into_its_blocks(monkeypatch):
+    # deletion and contraction leave minors with cut vertices and no bridge or loop;
+    # each must be solved as the product of its blocks, not deleted and contracted
+    calls = []
+    solve = planar._tutte
+
+    def spy(edges, memo, w, wd):
+        calls.append(edges)
+        return solve(edges, memo, w, wd)
+
+    monkeypatch.setattr(planar, "_tutte", spy)
+    rng = random.Random(67)
+    for edges in [K4, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)]] + [
+            [(rng.randrange(6), rng.randrange(6)) for _ in range(9)] for _ in range(40)]:
+        assert tutte_polynomial(edges) == tutte_by_subsets(edges), edges
+    solved = set(calls)
+    split = 0
+    for edges in solved:
+        bridges, loops, blocks = planar._blocks(edges)
+        if not bridges and not loops and len(blocks) > 1:
+            split += 1
+            assert {planar._normalize_edges(b) for b in blocks} <= solved, edges
+    assert split
+
+
+def test_tutte_of_a_cactus_is_the_product_over_its_triangles():
+    expected = XY({(0, 0): 1})
+    for _ in range(100):  # one factor at a time: squaring the dense powers is slow
+        expected = expected * XY({(2, 0): 1, (1, 0): 1, (0, 1): 1})
+    assert tutte_polynomial(cactus(100)) == expected
 
 
 def test_tutte_k4():
@@ -249,6 +303,7 @@ def test_beta_examples():
     assert beta_invariant(build_sp(SP())) == 1
     assert beta_invariant(build_sp(SP(("series", "e2")))) == 1
     assert beta_invariant(K4) == 2
+    assert beta_invariant([(None, 1), (1, None)]) == 1  # labels that do not sort
     with pytest.raises(ValueError):
         beta_invariant([("a", "b")])
 

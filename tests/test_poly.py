@@ -72,16 +72,17 @@ def test_subs_int_and_rename():
     assert qn == P(("x",), {(1,): 2})
 
 
-def test_subs_poly_shift():
+def test_shift():
     p = P(("x",), {(2,): 1})  # x^2
-    shifted = p.subs_poly("x", P(("x",), {(1,): 1, (0,): 1}))
-    assert shifted == P(("x",), {(2,): 1, (1,): 2, (0,): 1})
-
-
-def test_subs_poly_diagonal():
-    t = P(("x", "y"), {(1, 0): 1, (0, 1): 1})  # x + y
-    d = t.subs_poly("y", P(("x",), {(1,): 1}))
-    assert d == P(("x",), {(1,): 2})
+    assert p.shift(1) == P(("x",), {(2,): 1, (1,): 2, (0,): 1})
+    assert p.shift(-1) == P(("x",), {(2,): 1, (1,): -2, (0,): 1})
+    q = P(("x",), {(3,): 2, (1,): -1, (0,): 5})
+    assert q.shift(0) == q and q.shift(3).shift(-3) == q
+    assert all(q.shift(c).eval_int({"x": v}) == q.eval_int({"x": v + c})
+               for c in (-2, 1, 4) for v in range(-3, 4))
+    assert SparsePoly.zero(("x",)).shift(5) == SparsePoly.zero(("x",))
+    with pytest.raises(ValueError):
+        P(("x", "y"), {(1, 0): 1}).shift(1)
 
 
 def test_str_canonical_order():
