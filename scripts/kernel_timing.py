@@ -19,6 +19,10 @@ tree of 1,000 edges, a seeded connected cubic graph on 14 vertices, a seeded
 G(12, 0.3), a 500-vertex path with a loop at every vertex, 100 disjoint
 triangles, a chain of 100 triangles and a chain of 30 copies of K_4 (in a
 chain, each block shares one vertex with the next).
+Times ``rank_nullity_histogram``, which every state sum reads (the inputs
+named hist_*), on three seeded G(n, 1/2) graphs for n = 8, 12, 16 and 18,
+on P_22, C_22 and K_20, and on the circle graph of an Euler circuit of the
+oriented medial of a seeded 15-op series-parallel graph (17 vertices).
 
 For each input it prints the best in-process time of ``--repeats`` runs and
 the peak RSS of a fresh interpreter that builds the input and runs it once
@@ -28,8 +32,8 @@ by running this script against each ``src`` in turn.  Compiling a module
 that has no cached bytecode adds about 1 MiB to that peak, so compare
 checkouts whose ``__pycache__`` directories are both filled (or both empty).
 
-Gnp_<n>_x3, Gnp_16_loops_x3 and qN_Gnp_20_x3 are three seeded G(n, 1/2)
-graphs and SP15_x20 twenty seeded 15-op series-parallel graphs, each timed
+Gnp_<n>_x3, hist_Gnp_<n>_x3, Gnp_16_loops_x3 and qN_Gnp_20_x3 are three
+seeded G(n, 1/2) graphs and SP15_x20 twenty seeded 15-op series-parallel graphs, each timed
 as one run over the whole list.
 
 Usage: PYTHONPATH=src python scripts/kernel_timing.py [--repeats 3] [--only P_100,qN_P_300,K_7]
@@ -42,9 +46,11 @@ import sys
 import time
 from itertools import combinations
 
+from graphpoly.chords import circle_graph
+from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from graphpoly.interlace import q_recursive, qn_recursive
-from graphpoly.planar import build_sp, tutte_polynomial
+from graphpoly.interlace import q_recursive, qn_recursive, rank_nullity_histogram
+from graphpoly.planar import build_sp, medial_digraph, tutte_polynomial
 from graphpoly.randgen import random_graph, random_sp_sequence
 
 
@@ -86,6 +92,12 @@ def random_cubic_edges(n: int, seed: int) -> list[tuple]:
 def block_chain(block: list[tuple], joint: int, k: int) -> list[tuple]:
     """k copies of a block on vertices 0, 1, ..., copy t shifted by t * joint."""
     return [(u + t * joint, v + t * joint) for t in range(k) for u, v in block]
+
+
+def medial_circle_graph(ops: int, seed: int) -> Graph:
+    """Circle graph of an Euler circuit of the oriented medial of a seeded SP graph."""
+    med = medial_digraph(build_sp(random_sp_sequence(ops, random.Random(seed))))
+    return circle_graph(chord_diagram_from_circuit(med, euler_circuit(med)))
 
 
 def petersen_edges() -> list[tuple]:
@@ -134,6 +146,14 @@ INPUTS = {
         (f"a{t}", f"b{t}"), (f"b{t}", f"c{t}"), (f"c{t}", f"a{t}"))]]),
     "cactus_100": (tutte_polynomial, lambda: [block_chain([(0, 1), (1, 2), (2, 0)], 2, 100)]),
     "K4chain_30": (tutte_polynomial, lambda: [block_chain(list(combinations(range(4), 2)), 3, 30)]),
+    **{f"hist_Gnp_{n}_x3": (rank_nullity_histogram,
+                            lambda n=n: [random_graph(n, random.Random(seed)).rows
+                                         for seed in (1, 2, 3)])
+       for n in (8, 12, 16, 18)},
+    "hist_P_22": (rank_nullity_histogram, lambda: [path_graph(22).rows]),
+    "hist_C_22": (rank_nullity_histogram, lambda: [cycle_graph(22).rows]),
+    "hist_K_20": (rank_nullity_histogram, lambda: [complete_graph(20).rows]),
+    "hist_SP15_circle": (rank_nullity_histogram, lambda: [medial_circle_graph(15, 1).rows]),
 }
 
 
@@ -159,13 +179,13 @@ def main() -> None:
             print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))  # KiB
         return
     names = args.only.split(",") if args.only else list(INPUTS)
-    print(f"{'input':<16} {'function':<17} {'best ms':>9} {'peak RSS MiB':>13}")
+    print(f"{'input':<16} {'function':<22} {'best ms':>9} {'peak RSS MiB':>13}")
     for name in names:
         best = min(run_once(name) for _ in range(args.repeats))
         child = subprocess.run([sys.executable, __file__, "--rss-of", name],
                                capture_output=True, text=True, check=True)
         rss = int(child.stdout.split()[-1]) / 1024
-        print(f"{name:<16} {INPUTS[name][0].__name__:<17} {best * 1000:9.1f} {rss:13.1f}")
+        print(f"{name:<16} {INPUTS[name][0].__name__:<22} {best * 1000:9.1f} {rss:13.1f}")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ consistently oriented ones, and gives every medial vertex in- and
 out-degree 2.
 
 Tutte polynomials are computed two ways: for any multigraph as the product
-over its blocks (a bridge gives x, a loop y), each other block by
-deletion/contraction whose minors split into blocks again; and for
+over its blocks (a bridge gives x, a loop y), a cycle by its closed form
+and each other block by deletion/contraction whose minors split into
+blocks again; and for
 series-parallel construction sequences by a polynomial-time diagonal
 evaluator, which composes a two-terminal (terminals joined, terminals apart)
 pair per edge over the construction script.  Both hold one int per
@@ -287,8 +288,10 @@ def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
     """Tutte of a non-empty normalized edge tuple at x = 2^w, y = 2^wd.
 
     Unless the edges form one block of two or more edges, the polynomial is
-    the product over the blocks, a bridge giving x and a loop y; otherwise
-    the first edge is deleted and contracted.
+    the product over the blocks, a bridge giving x and a loop y.  A block
+    with as many edges m as vertices is a cycle (a digon is one), whose
+    polynomial is x + x^2 + ... + x^(m-1) + y.  Otherwise the first edge is
+    deleted and contracted.
     """
     res = memo.get(edges)
     if res is not None:
@@ -298,6 +301,9 @@ def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
         res = 1 << w * bridges + wd * loops
         for block in blocks:
             res *= _tutte(_normalize_edges(block), memo, w, wd)
+    elif len(edges) == 1 + max(v for _, v in edges):
+        x = 1 << w  # x + ... + x^(m-1) is the geometric sum (x^m - x) / (x - 1)
+        res = ((1 << w * len(edges)) - x) // (x - 1) + (1 << wd)
     else:
         (u, v), rest = edges[0], edges[1:]
         contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]

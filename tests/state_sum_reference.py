@@ -3,7 +3,10 @@
 Each vertex subset gets its own elimination by ``rank_nullity_mask``, with
 nothing shared between subsets.  ``reference_histogram`` is the
 oracle for the incremental ``interlace.rank_nullity_histogram``, and
-``reference_c_polynomial`` for ``chords.c_polynomial``.
+``reference_c_polynomial`` for ``chords.c_polynomial``.  ``boundary_key``
+forms the key by which that histogram shares the walk over the tail
+vertices, from every row combination of a head subset instead of an
+elimination.
 """
 
 from __future__ import annotations
@@ -33,6 +36,36 @@ def rank_nullity_mask(rows, mask: int) -> tuple[int, int]:
                 rank += 1
                 break
     return rank, size - rank
+
+
+def boundary_key(rows, h: int, mask: int) -> tuple[frozenset, tuple]:
+    """The key (B, C) of the head subset S = ``mask`` against the tail h, h + 1, ...
+
+    All 2^|S| row combinations zA of S are formed.  B is the set of the tail
+    parts of those that vanish on S: the span of S's dependents restricted
+    to the tail.  The key positions of S are the lowest bits inside S of
+    the others.  C holds, for each tail vertex v, the least tail part of
+    row v + zA over the combinations that clear every key position: these
+    tail parts form one coset of B, and its least element is the one that
+    the reduction against echelon rows of B leaves.
+    """
+    combos = {0: 0}
+    sub = 0
+    while True:
+        sub = (sub - mask) & mask  # the submasks of S in increasing order
+        if not sub:
+            break
+        low = sub & -sub
+        combos[sub] = combos[sub ^ low] ^ rows[low.bit_length() - 1]
+    values = list(combos.values())
+    keys = 0
+    for z in values:
+        if z & mask:
+            keys |= z & mask & -(z & mask)
+    dependents = frozenset(z >> h for z in values if not z & mask)
+    cosets = tuple(min((rows[v] ^ z) >> h for z in values if not (rows[v] ^ z) & keys)
+                   for v in range(h, len(rows)))
+    return dependents, cosets
 
 
 def rank_nullity(g: Graph, subset=None) -> tuple[int, int]:

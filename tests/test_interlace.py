@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import zip_longest
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from builders import disjoint_union, two_point_join
 from conftest import (all_labeled_graphs, all_looped_labeled_graphs, graph_with_extra,
                       medial_circle_graphs)
-from state_sum_reference import reference_histogram
+from state_sum_reference import boundary_key, rank_nullity_mask, reference_histogram
 from graphpoly import interlace
 from graphpoly.dh import qn_bdh_fast
 from graphpoly.graphs import (Graph, complete_graph, component_masks, cycle_graph, path_graph,
@@ -128,6 +129,128 @@ def test_state_sums_call_no_recursion_kernel(no_recursion_kernel):
     g = cycle_graph(6)
     assert qn_from_q(g) == X({(3,): 2, (2,): 10, (1,): 4})
     assert gamma_state_sum(g) == 4
+    assert coefficient_checks(g).ok
+
+
+def _bordered_rank(key, m: int, tmask: int) -> int:
+    """GF(2) rank of [[0, B_T], [B_T^t, C_T]] for the tail subset T = tmask of a key (B, C)."""
+    span, cosets = key
+    basis, reach = [], {0}
+    for b in sorted(span):
+        if b not in reach:
+            basis.append(b)
+            reach |= {r ^ b for r in reach}
+    ts = [j for j in range(m) if tmask >> j & 1]
+    k = len(basis)
+
+    def on_t(row):
+        return sum((row >> j & 1) << (k + i) for i, j in enumerate(ts))
+
+    top = [on_t(b) for b in basis]
+    side = [sum((b >> j & 1) << i for i, b in enumerate(basis)) | on_t(cosets[j]) for j in ts]
+    return rank_nullity_mask(top + side, (1 << k + len(ts)) - 1)[0]
+
+
+def test_boundary_keys_satisfy_the_bordered_rank_identity():
+    # rank A[S + T] = rank A[S] + rank [[0, B_T], [B_T^t, C_T]] for every head
+    # subset S and tail subset T, at every split h, so head subsets with equal
+    # keys get equal increments over every T
+    rng = random.Random(1018)
+    shared = 0
+    for n in range(2, 10):
+        for p in (0.2, 0.5, 0.8):
+            for loop_p in (0.0, 0.4):
+                rows = _random_graph(rng, n, p, loop_p).rows
+                for h in range(n + 1):
+                    m = n - h
+                    increments: dict = {}
+                    for mask in range(1 << h):
+                        key = boundary_key(rows, h, mask)
+                        r0, nl0 = rank_nullity_mask(rows, mask)
+                        steps = []
+                        for tmask in range(1 << m):
+                            r, nl = rank_nullity_mask(rows, mask | tmask << h)
+                            assert r == r0 + _bordered_rank(key, m, tmask), (rows, h, mask, tmask)
+                            steps.append((r - r0, nl - nl0))
+                        assert increments.setdefault(key, steps) == steps, (rows, h, mask)
+                    shared += (1 << h) - len(increments)
+    assert shared > 1000
+
+
+def _split_trace(rows: tuple):
+    """The histogram, the boundary key formed at each head subset, and the walked tails.
+
+    A tail walk is a call of ``grow`` from start h to stop n; below the
+    cut-off, h = 0 and the one walk is the whole histogram.
+    """
+    n = len(rows)
+    h = n // 2 if n >= interlace.SPLIT_FROM else 0
+    keys, walked = {}, []
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "return" and name == "boundary_key":
+            keys[frame.f_back.f_locals["mask"]] = arg
+        elif event == "call" and name == "grow":
+            local = frame.f_locals
+            if local["start"] == h and local["stop"] == n:
+                walked.append(local["mask"])
+
+    sys.setprofile(profile)
+    try:
+        hist = rank_nullity_histogram(rows)
+    finally:
+        sys.setprofile(None)
+    return hist, keys, walked
+
+
+def _classes(keys: dict) -> list:
+    """The head subsets grouped by equal key."""
+    groups: dict = {}
+    for mask, key in keys.items():
+        groups.setdefault(key, []).append(mask)
+    return sorted(groups.values())
+
+
+def test_split_histogram_walks_the_tail_at_most_twice_per_boundary_key():
+    rng = random.Random(1019)
+    beyond_two = 0
+    for n in range(interlace.SPLIT_FROM, 17):
+        h = n // 2
+        path = path_graph(n)
+        looped_path = Graph.from_edges(path.edges() + [(v, v) for v in path.ids
+                                                       if rng.random() < 0.3], path.ids)
+        for g in (_random_graph(rng, n, 0.3, loop_p=0.3), looped_path):
+            hist, keys, walked = _split_trace(g.rows)
+            assert hist == reference_histogram(g.rows), g
+            assert sorted(keys) == list(range(1 << h))
+            assert _classes(keys) == _classes({m: boundary_key(g.rows, h, m) for m in keys}), g
+            seen = Counter(keys.values())
+            assert Counter(keys[m] for m in walked) == {k: min(c, 2) for k, c in seen.items()}
+            beyond_two += sum(c > 2 for c in seen.values())
+    assert beyond_two
+    # below the cut-off no key is formed and the histogram is one walk
+    _, keys, walked = _split_trace(_random_graph(rng, interlace.SPLIT_FROM - 1, 0.5, 0.3).rows)
+    assert keys == {} and walked == [0]
+
+
+@pytest.mark.parametrize("build, count", [(path_graph, 2), (cycle_graph, 5), (complete_graph, 2)])
+def test_paths_cycles_and_complete_graphs_have_few_boundary_keys(build, count):
+    for n in (16, 22):
+        g = build(n)
+        hist, keys, walked = _split_trace(g.rows)
+        assert len(set(keys.values())) == count, n
+        assert len(walked) <= 2 * count
+        assert sum(hist.values()) == 1 << n
+        assert q_state_sum(g) == q_recursive(g)
+        assert qn_from_q(g) == qn_recursive(g)
+        assert gamma_state_sum(g) == gamma_invariant(g)
+    assert len({boundary_key(build(16).rows, 8, m) for m in range(1 << 8)}) == count
+
+
+def test_split_state_sums_call_no_recursion_kernel(no_recursion_kernel):
+    g = cycle_graph(interlace.SPLIT_FROM + 2)
+    assert gamma_state_sum(g) == g.n - 2
     assert coefficient_checks(g).ok
 
 

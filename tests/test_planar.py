@@ -252,6 +252,27 @@ def test_tutte_of_a_cactus_is_the_product_over_its_triangles():
     assert tutte_polynomial(cactus(100)) == expected
 
 
+def test_tutte_of_a_cycle_is_its_closed_form(monkeypatch):
+    rng = random.Random(68)
+    for n in range(2, 9):
+        labels = rng.sample(range(100), n)
+        edges = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+        rng.shuffle(edges)
+        assert tutte_polynomial(edges) == tutte_by_subsets(edges), edges
+    # a long cycle is one block, solved without deleting or contracting an edge
+    calls = []
+    solve = planar._tutte
+
+    def spy(edges, memo, w, wd):
+        calls.append(len(edges))
+        return solve(edges, memo, w, wd)
+
+    monkeypatch.setattr(planar, "_tutte", spy)
+    edges = [(i, (i + 1) % 2000) for i in range(2000)]
+    assert tutte_polynomial(edges) == XY({(0, 1): 1, **{(i, 0): 1 for i in range(1, 2000)}})
+    assert calls == [2000]
+
+
 def test_tutte_k4():
     t = tutte_polynomial(K4)
     assert t.eval_int({"x": 1, "y": 1}) == 16  # spanning trees of K4
