@@ -2,11 +2,14 @@
 """Timing experiment for the bipartite distance-hereditary fast path.
 
 Times the two stages of qn_bdh_fast on random BDH graphs of growing size:
-peel recognition (recognize_dh) and evaluation (bdh_to_sp followed by
-sp_diagonal_tutte), and fits the log-log slope of each, which should stay
-a small constant (polynomial growth).  The general recursion is timed
-alongside on the sizes where it is feasible, to show the gap the fast path
-closes.
+the peel (dh._peel) and the two-terminal evaluation
+(planar._two_terminal_diagonal of the script dh._sp_script reads off the
+peel's removals), and fits the log-log slope of each, which should stay a
+small constant (polynomial growth).  Each row also prints the digit width of the
+packed evaluation, bits(tau) + 1 for the spanning-tree count tau, next to
+n + 1, the width a bound by 2^|E| would give.  The general recursion is
+timed alongside on the sizes where it is feasible, to show the gap the
+fast path closes.
 
 Usage: python scripts/fastpath_scaling.py [--sizes 50,100,200,400,800,1600] [--seed 7]
 """
@@ -16,9 +19,9 @@ import math
 import random
 import time
 
-from graphpoly.dh import bdh_to_sp, recognize_dh
+from graphpoly.dh import _peel, _sp_script
 from graphpoly.interlace import qn_recursive
-from graphpoly.planar import sp_diagonal_tutte
+from graphpoly.planar import _two_terminal_diagonal
 from graphpoly.randgen import random_bdh_graph, random_connected_graph
 
 
@@ -33,26 +36,30 @@ def main() -> None:
 
     rows = []
     for n in sizes:
-        best_rec = best_eval = math.inf
+        best_peel = best_eval = math.inf
         for _ in range(args.repeats):
             g = random_bdh_graph(n, rng)
             t0 = time.perf_counter()
-            seq = recognize_dh(g).sequence
+            steps, _ = _peel(g.rows)
             t1 = time.perf_counter()
-            poly = sp_diagonal_tutte(bdh_to_sp(seq)[0])
+            script = _sp_script(steps)
             t2 = time.perf_counter()
-            best_rec = min(best_rec, t1 - t0)
-            best_eval = min(best_eval, t2 - t1)
-        rows.append((n, best_rec, best_eval))
-        print(f"n={n:5d}  recognition {best_rec * 1000:9.1f} ms   "
-              f"evaluation {best_eval * 1000:9.1f} ms   deg q_N = {poly.degree('x')}")
+            poly = _two_terminal_diagonal(script)
+            t3 = time.perf_counter()
+            best_peel = min(best_peel, t1 - t0)
+            best_eval = min(best_eval, t3 - t2)
+        width = sum(poly.terms.values()).bit_length() + 1
+        rows.append((n, best_peel, best_eval))
+        print(f"n={n:5d}  peel {best_peel * 1000:9.1f} ms   "
+              f"pair DP {best_eval * 1000:9.1f} ms   slot {width:5d} bits (n + 1 = {n + 1})   "
+              f"deg q_N = {poly.degree('x')}")
 
     print()
     for (n1, r1, e1), (n2, r2, e2) in zip(rows, rows[1:]):
         slopes = [math.log(max(b, 1e-4) / max(a, 1e-4)) / math.log(n2 / n1)
                   for a, b in ((r1, r2), (e1, e2))]
-        print(f"log-log slope {n1} -> {n2}: recognition {slopes[0]:.2f}, "
-              f"evaluation {slopes[1]:.2f}")
+        print(f"log-log slope {n1} -> {n2}: peel {slopes[0]:.2f}, "
+              f"pair DP {slopes[1]:.2f}")
 
     print()
     print("general recursion for contrast (exponential; dense random graphs):")

@@ -10,12 +10,17 @@ Recognition peels greedily: a pendant vertex or a twin of an existing
 vertex can always be removed from a DH graph until one vertex is left;
 replaying the removals backwards is a construction sequence.  A graph where
 the peel gets stuck is not DH, and the stuck residual is the certificate.
-The peel keeps the rows at their original indices and buckets the live
-vertices by open neighbourhood and by closed neighbourhood, with one
-bitmask each for pendants, vertices with a false twin and vertices with a
-true twin.  Removing v changes only the rows of its neighbours, so a step
-re-buckets v and its neighbours: O(deg v) bucket updates on n-bit keys,
-O(|E|) over the whole peel.
+The peel ``_peel`` works in vertex-index space: it keeps the rows at their
+original indices, records each removal as an index triple, and buckets the
+live vertices by open neighbourhood, with one bitmask each for pendants and
+for vertices with a false twin.  Removing v changes only the rows of its
+neighbours, so a step re-buckets v and its neighbours: O(deg v) bucket
+updates on n-bit keys, O(|E|) over the whole peel.  True twins of degree
+two or more are adjacent vertices with a common neighbour, a triangle, so a
+graph that a breadth-first search two-colours has none, and neither has any
+induced subgraph of it: only an input with an odd cycle also buckets by
+closed neighbourhood and keeps a true-twin mask.  ``recognize_dh`` and
+``is_bdh`` map the triples to vertex ids.
 
 ``bdh_to_sp`` converts a true-twin-free sequence into a series-parallel
 construction whose diagonal Tutte polynomial equals q_N of the graph.  Each
@@ -27,6 +32,11 @@ the colour.  The attachment vertex keeps its edge and colour.  Globally
 flipping every colour builds the planar dual, which leaves the diagonal
 Tutte evaluation unchanged, so only the relative colours matter; the root
 starts white and the first pendant black.
+
+``qn_bdh_fast`` takes the same route without the labelled sequences: it
+replays the peel's triples forwards to colour the vertices, with vertex v
+tracking edge v, and hands the series/parallel steps as integers to the
+two-terminal evaluator of ``planar``.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph
-from .planar import SPSequence, sp_diagonal_tutte
+from .graphs import Graph, compact_rows
+from .planar import SPSequence, _two_terminal_diagonal
 from .poly import SparsePoly
 
 
@@ -138,16 +148,119 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _toggle_bucket(buckets: dict, key: int, bit: int, twins: int) -> int:
-    """Put bit into the bucket of key, or take it out; return the updated twin mask.
+def _two_colourable(rows) -> bool:
+    """Whether the graph has no odd cycle: no edge inside a breadth-first layer."""
+    unseen = (1 << len(rows)) - 1
+    while unseen:
+        layer = unseen & -unseen
+        while layer:
+            unseen ^= layer
+            reach = 0
+            for v in _bits(layer):
+                if rows[v] & layer:
+                    return False
+                reach |= rows[v]
+            layer = reach & unseen
+    return True
 
-    The twin mask holds exactly the vertices whose bucket has another member.
+
+def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
+    """The greedy peel on adjacency rows: removal triples in peel order, and the alive mask.
+
+    Each triple is (kind, removed, partner) in vertex indices, kind 0, 1 or 2
+    for pendant, false twin or true twin.  The peel succeeded iff one vertex
+    is left alive; otherwise the alive vertices are the stuck residual.
     """
-    members = buckets.pop(key, 0) ^ bit
-    if members:
-        buckets[key] = members
-    twins &= ~(bit | members)
-    return twins | members if members & (members - 1) else twins
+    rows = list(rows)
+    alive = (1 << len(rows)) - 1
+    # open neighbourhood -> members (non-isolated vertices), and unless the
+    # input is two-colourable, closed neighbourhood -> members (degree two or
+    # more: keeping the partner must leave it non-isolated, which rules out
+    # recording K_2 as a true twin)
+    open_rows: dict[int, int] = {}
+    closed_rows: dict[int, int] | None = None if _two_colourable(rows) else {}
+    pend = ftwin = ttwin = 0
+    for v, r in enumerate(rows):
+        if r:
+            bit = 1 << v
+            open_rows[r] = open_rows.get(r, 0) | bit
+            if not r & (r - 1):
+                pend |= bit
+            elif closed_rows is not None:
+                closed_rows[r | bit] = closed_rows.get(r | bit, 0) | bit
+    for members in open_rows.values():
+        if members & (members - 1):
+            ftwin |= members
+    for members in (closed_rows or {}).values():
+        if members & (members - 1):
+            ttwin |= members
+    steps = []
+    while alive & (alive - 1):
+        if rng is None:
+            if pend:
+                kind, bit = 0, pend & -pend
+                rem = bit.bit_length() - 1
+                partner = rows[rem].bit_length() - 1
+            elif ftwin or ttwin:
+                kind, bit = (1, ftwin & -ftwin) if ftwin else (2, ttwin & -ttwin)
+                rem = bit.bit_length() - 1
+                group = (open_rows[rows[rem]] if ftwin else closed_rows[rows[rem] | bit]) ^ bit
+                partner = (group & -group).bit_length() - 1
+            else:
+                break
+        else:
+            # pendants by index, then each twin group by its lowest member
+            cands = [(0, v, rows[v].bit_length() - 1) for v in _bits(pend)]
+            for kind, mask in ((1, ftwin), (2, ttwin)):
+                for v in _bits(mask):
+                    group = open_rows[rows[v]] if kind == 1 else closed_rows[rows[v] | 1 << v]
+                    if group & -group == 1 << v:
+                        cands += [(kind, a, b) for a in _bits(group) for b in _bits(group ^ 1 << a)]
+            if not cands:
+                break
+            kind, rem, partner = cands[rng.randrange(len(cands))]
+            bit = 1 << rem
+        steps.append((kind, rem, partner))
+        alive ^= bit
+        # rem leaves its buckets, and each neighbour moves from the buckets
+        # of its row to those of its row without rem
+        todo = r = rows[rem]
+        ubit, nr = bit, 0
+        while True:
+            members = open_rows.pop(r) ^ ubit
+            if members:
+                open_rows[r] = members
+                ftwin ^= ubit if members & (members - 1) else ubit | members
+            if not r & (r - 1):
+                pend ^= ubit
+            elif nr and not nr & (nr - 1):
+                pend |= ubit
+            if closed_rows is not None:
+                if r & (r - 1):
+                    key = r | ubit
+                    members = closed_rows.pop(key) ^ ubit
+                    if members:
+                        closed_rows[key] = members
+                        ttwin ^= ubit if members & (members - 1) else ubit | members
+                if nr & (nr - 1):
+                    key = nr | ubit
+                    old = closed_rows.get(key, 0)
+                    closed_rows[key] = old | ubit
+                    if old:
+                        ttwin |= ubit if old & (old - 1) else old | ubit
+            if nr:
+                old = open_rows.get(nr, 0)
+                open_rows[nr] = old | ubit
+                if old:
+                    ftwin |= ubit if old & (old - 1) else old | ubit
+            if not todo:
+                break
+            ubit = todo & -todo
+            todo ^= ubit
+            u = ubit.bit_length() - 1
+            r = rows[u]
+            rows[u] = nr = r ^ bit
+    return steps, alive
 
 
 def recognize_dh(g: Graph, rng: random.Random | None = None) -> DHRecognition:
@@ -164,64 +277,12 @@ def recognize_dh(g: Graph, rng: random.Random | None = None) -> DHRecognition:
     if g.n == 0:
         raise ValueError("empty graph")
     ids = g.ids
-    rows = list(g.rows)
-    alive = (1 << g.n) - 1
-    # open neighbourhood -> members (non-isolated vertices) and closed
-    # neighbourhood -> members (degree two or more: keeping the partner must
-    # leave it non-isolated, which rules out recording K_2 as a true twin)
-    open_rows: dict[int, int] = {}
-    closed_rows: dict[int, int] = {}
-    pend = ftwin = ttwin = 0
-
-    def toggle(v):
-        nonlocal pend, ftwin, ttwin
-        r, bit = rows[v], 1 << v
-        if r & (r - 1):
-            ttwin = _toggle_bucket(closed_rows, r | bit, bit, ttwin)
-        elif r:
-            pend ^= bit
-        else:
-            return
-        ftwin = _toggle_bucket(open_rows, r, bit, ftwin)
-
-    def partners(kind, v):
-        bit = 1 << v
-        if kind == 0:
-            return rows[v]
-        if kind == 1:
-            return open_rows[rows[v]] ^ bit
-        return closed_rows[rows[v] | bit] ^ bit
-
-    for v in range(g.n):
-        toggle(v)
-    removed_ops = []
-    while alive & (alive - 1):
-        if not (pend | ftwin | ttwin):
-            keep = list(_bits(alive))
-            pos = {v: k for k, v in enumerate(keep)}
-            return DHRecognition(None, Graph([ids[v] for v in keep],
-                                             [sum(1 << pos[u] for u in _bits(rows[v])) for v in keep]))
-        if rng is None:
-            kind = 0 if pend else 1 if ftwin else 2
-            rem = next(_bits((pend, ftwin, ttwin)[kind]))
-            partner = next(_bits(partners(kind, rem)))
-        else:
-            cands = [(0, v, rows[v].bit_length() - 1) for v in _bits(pend)]
-            for kind, mask in ((1, ftwin), (2, ttwin)):
-                for v in _bits(mask):
-                    group = partners(kind, v) | 1 << v
-                    if group & -group == 1 << v:
-                        cands += [(kind, a, b) for a in _bits(group) for b in _bits(group ^ 1 << a)]
-            kind, rem, partner = cands[rng.randrange(len(cands))]
-        removed_ops.append((_KINDS[kind], ids[rem], ids[partner]))
-        # only rem and its neighbours change buckets
-        toggle(rem)
-        alive ^= 1 << rem
-        for u in _bits(rows[rem]):
-            toggle(u)
-            rows[u] ^= 1 << rem
-            toggle(u)
-    ops = [("root", ids[alive.bit_length() - 1])] + removed_ops[::-1]
+    steps, alive = _peel(g.rows, rng)
+    if alive & (alive - 1):
+        return DHRecognition(None, Graph([ids[v] for v in _bits(alive)],
+                                         compact_rows(g.rows, alive)))
+    ops = [("root", ids[alive.bit_length() - 1])]
+    ops += [(_KINDS[kind], ids[rem], ids[partner]) for kind, rem, partner in reversed(steps)]
     return DHRecognition(DHSequence(tuple(ops)), None)
 
 
@@ -276,36 +337,46 @@ def bdh_to_sp(seq: DHSequence) -> tuple[SPSequence, dict]:
     ops = seq.ops
     if ops[1][0] != "pendant":
         raise ValueError("second op must be a pendant (twins need a non-isolated vertex)")
-    root, first = ops[0][1], ops[1][1]
-    sp_ops: list[tuple] = [("digon",)]
-    edge_of = {root: "e1", first: "e2"}
-    black = {root: False, first: True}
-    counter = 2
-    for kind, new, at in ops[2:]:
-        e = edge_of[at]
-        series = black[at] if kind == "pendant" else not black[at]
-        sp_ops.append(("series" if series else "parallel", e))
-        counter += 1
-        edge_of[new] = f"e{counter}"
-        black[new] = (not black[at]) if kind == "pendant" else black[at]
-    return SPSequence(tuple(sp_ops)), edge_of
+    index = {op[1]: k for k, op in enumerate(ops)}
+    script = _sp_script([(_KINDS.index(kind), index[new], index[at])
+                         for kind, new, at in reversed(ops[1:])])
+    sp_ops = [("digon",)] + [("series" if series else "parallel", f"e{at + 1}")
+                             for series, at, _ in script[1:]]
+    return SPSequence(tuple(sp_ops)), {v: f"e{k + 1}" for v, k in index.items()}
 
 
 def qn_bdh_fast(g: Graph) -> SparsePoly:
     """Vertex-nullity interlace polynomial through the series-parallel route.
 
     Recognition, conversion and the weighted Tutte evaluation are all
-    polynomial in the vertex count, unlike the general routes.
+    polynomial in the vertex count, unlike the general routes.  The peel's
+    removals give the two-terminal script directly, with no labelled
+    sequence in between.
     """
     g.require_simple("fast interlace evaluation")
     if g.n == 0:
         raise ValueError("empty graph")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
     if g.n == 1:
         return SparsePoly(("x",), {(1,): 1})
-    check = is_bdh(g)
-    if not check.value:
-        raise ValueError(f"not a bipartite distance-hereditary graph: {check.reason}")
-    sp, _ = bdh_to_sp(check.recognition.sequence)
-    return sp_diagonal_tutte(sp)
+    steps, alive = _peel(g.rows)
+    if alive & (alive - 1) or any(kind == 2 for kind, _, _ in steps):
+        # a disconnected graph never peels to one vertex
+        if not g.is_connected():
+            raise ValueError("graph is disconnected")
+        raise ValueError(f"not a bipartite distance-hereditary graph: {is_bdh(g).reason}")
+    return _two_terminal_diagonal(_sp_script(steps))
+
+
+def _sp_script(steps: list) -> list:
+    """The two-terminal script of a true-twin-free peel, by the colour rule of the module docstring.
+
+    Replaying the removals forwards colours the vertices, root white; vertex
+    v tracks edge v, and a step (series, at, new) splits edge at.
+    """
+    black = [False] * (len(steps) + 1)
+    script = []
+    for kind, new, at in reversed(steps):
+        pendant = kind == 0
+        script.append((black[at] == pendant, at, new))
+        black[new] = black[at] ^ pendant
+    return script

@@ -366,36 +366,57 @@ def beta_invariant(g) -> int:
 def sp_diagonal_tutte(seq: SPSequence) -> SparsePoly:
     """t(G; x, x) of a series-parallel construction, in polynomial time.
 
-    Every edge id carries the pair (c, d) of its two-terminal network: the
-    partition function with the terminals joined and apart, normalised so
-    that a single edge is (1, 1).  With s = x - 1,
+    Edge e{k} is index k - 1 of the two-terminal script that
+    ``_two_terminal_diagonal`` evaluates with one pair per edge: the digon
+    composes e2 into e1 in parallel, and the k-th op after it splits its
+    edge into that edge and e{k+2}.  The packed evaluation's digit width
+    comes from the spanning-tree count tau = t(G; 1, 1), which bounds every
+    coefficient, found by a first run at x = 1; not from the bound 2^|E|
+    on tau.
+    """
+    steps = [(False, 0, 1)]
+    steps += [(kind == "series", int(e[1:]) - 1, k) for k, (kind, e) in enumerate(seq.ops[1:], 2)]
+    return _two_terminal_diagonal(steps)
+
+
+def _two_terminal_diagonal(steps: Sequence[tuple[bool, int, int]]) -> SparsePoly:
+    """t(G; x, x) of a two-terminal script on the edges 0, 1, ..., len(steps).
+
+    Each step (series, e, f) splits edge e into e and the new edge f, in
+    series or in parallel; the first step's e is the root edge.  Every edge
+    carries the pair (c, d) of its two-terminal network: the partition
+    function with the terminals joined and apart, normalised so that a
+    single edge is (1, 1).  With s = x - 1,
 
         series:   (c1*c2, c1*d2 + d1*c2 + s*d1*d2)
         parallel: (s*c1*c2 + c1*d2 + d1*c2, d1*d2).
 
-    The k-th op after the digon splits edge e into e and e{k+2}, so replaying
-    the script backwards composes the pair of e{k+2} into e.  The digon is
-    the parallel composition of e1 and e2, and t(G; x, x) = c + s*d.
+    Replaying the steps backwards composes the pair of each f into its e,
+    and t(G; x, x) = c + s*d at the root.
 
-    The coefficients of t(G; x, x) are non-negative and sum to the number of
-    spanning trees, which is below 2^|E|.  So one evaluation in plain
-    integers at x0 = 2^(|E|+1) holds each coefficient as one base-x0 digit.
+    The coefficients of t(G; x, x) are non-negative and sum to the number
+    tau of spanning trees, t(G; 1, 1).  So one run in plain integers at
+    s = 0 gives tau, and a second at x0 = 2^bits, bits = bits(tau) + 1,
+    holds each coefficient as one base-x0 digit.
     """
-    m = len(seq.ops) + 1
-    bits = m + 1
-    s = (1 << bits) - 1
-    steps = [("parallel", "e1", "e2")]
-    steps += [(kind, e, f"e{k}") for k, (kind, e) in enumerate(seq.ops[1:], 3)]
-    val = {f"e{k}": (1, 1) for k in range(1, m + 1)}
-    for kind, e, f in reversed(steps):
-        (c1, d1), (c2, d2) = val[e], val.pop(f)
-        mixed = c1 * d2 + d1 * c2
-        if kind == "series":
-            val[e] = (c1 * c2, mixed + s * d1 * d2)
-        else:
-            val[e] = (s * c1 * c2 + mixed, d1 * d2)
-    c, d = val["e1"]
-    return SparsePoly.from_base_digits(("x",), c + s * d, bits)
+    def run(bits):
+        # s * t is (t << bits) - t, which is 0 at s = 0, and three products
+        # give c1*d2 + d1*c2 = (c1 + d1)(c2 + d2) - c1*c2 - d1*d2
+        c, d = [1] * (len(steps) + 1), [1] * (len(steps) + 1)
+        for series, e, f in reversed(steps):
+            c1, d1, c2, d2 = c[e], d[e], c[f], d[f]
+            c[f] = d[f] = None
+            cc, dd = c1 * c2, d1 * d2
+            mixed = (c1 + d1) * (c2 + d2) - cc - dd
+            if series:
+                c[e], d[e] = cc, mixed + (dd << bits) - dd
+            else:
+                c[e], d[e] = mixed + (cc << bits) - cc, dd
+        root = steps[0][1]
+        return c[root] + (d[root] << bits) - d[root]
+
+    bits = run(0).bit_length() + 1
+    return SparsePoly.from_base_digits(("x",), run(bits), bits)
 
 
 # -- medial / diagonal identity -----------------------------------------------------

@@ -4,14 +4,18 @@ import pytest
 
 from conftest import all_labeled_graphs, medial_circle_graphs
 from dh_reference import is_62_chordal, is_bipartite, reference_peel
-from graphpoly.dh import (DHSequence, apply_dh_sequence, bdh_to_sp,
+from tutte_reference import matrix_tree_count
+from graphpoly.chords import circle_graph
+from graphpoly.dh import (DHSequence, _two_colourable, apply_dh_sequence, bdh_to_sp,
                           gamma_from_sequence, is_bdh,
                           qn_bdh_fast, recognize_dh)
+from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph
 from graphpoly.interlace import gamma_invariant, gamma_state_sum, qn_from_q, qn_recursive
-from graphpoly.planar import sp_diagonal_tutte
+from graphpoly.planar import build_sp, medial_digraph, sp_diagonal_tutte
 from graphpoly.poly import SparsePoly
-from graphpoly.randgen import random_bdh_graph, random_dh_sequence, random_graph
+from graphpoly.randgen import (random_bdh_graph, random_dh_sequence, random_graph,
+                               random_sp_sequence)
 
 
 def SEQ(*ops):
@@ -318,3 +322,81 @@ def test_every_medial_circuit_of_an_sp_graph_gives_a_bdh_circle_graph():
         assert gamma_state_sum(h) == 2, h
         circuits += 1
     assert circuits > 100
+
+
+def _shared_peel_corpus(seed):
+    """Shuffled DH graphs of 2-40 vertices with and without true twins, each
+    followed by a copy with one vertex pair toggled, which often is not DH."""
+    rng = random.Random(seed)
+    for twins in (False, True):
+        for _ in range(80):
+            g = apply_dh_sequence(random_dh_sequence(rng.randrange(2, 41), rng, twins))
+            ids = list(g.ids)
+            rng.shuffle(ids)
+            yield Graph.from_edges(g.edges(), ids)
+            pair = {frozenset(rng.sample(ids, 2))}
+            yield Graph.from_edges([tuple(e) for e in set(map(frozenset, g.edges())) ^ pair], ids)
+
+
+def test_shared_peel_matches_reference_and_both_sp_routes():
+    # recognize_dh, is_bdh and qn_bdh_fast share one peel, which skips the
+    # closed-neighbourhood buckets on two-colourable inputs: every mix of
+    # bipartite or not and accepted or not must come out as the slow peel says
+    seen = set()
+    for k, g in enumerate(_shared_peel_corpus(85)):
+        bipartite = is_bipartite(g)
+        assert _two_colourable(g.rows) == bipartite, g
+        for rng_seed in (None, k):
+            rec = recognize_dh(g, None if rng_seed is None else random.Random(rng_seed))
+            ref = reference_peel(g, None if rng_seed is None else random.Random(rng_seed))
+            assert rec.accepted == ref.accepted, g
+            seen.add((bipartite, rec.accepted))
+            if not rec.accepted:
+                assert rec.residual.n == ref.residual.n, g
+                continue
+            assert rec.true_twin_count == ref.true_twin_count, g
+            assert apply_dh_sequence(rec.sequence) == g
+            if rec.true_twin_count:
+                continue
+            # the peel with an rng builds another SP graph than qn_bdh_fast's own
+            qn = qn_bdh_fast(g)
+            assert qn == sp_diagonal_tutte(bdh_to_sp(rec.sequence)[0]), g
+            if g.n <= 20 and rng_seed is None:
+                assert qn == qn_recursive(g), g
+        if not is_bdh(g).value:
+            with pytest.raises(ValueError):
+                qn_bdh_fast(g)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_qn_bdh_fast_error_messages_on_larger_inputs():
+    with pytest.raises(ValueError, match=r"not distance-hereditary \(stuck residual on 5 "):
+        qn_bdh_fast(cycle_graph(5))
+    # P_4 with a true twin of an inner vertex: DH, not bipartite
+    twinned = apply_dh_sequence(SEQ(("root", "a"), ("pendant", "b", "a"), ("pendant", "c", "b"),
+                                ("pendant", "d", "c"), ("truetwin", "e", "c")))
+    assert twinned.n == 5 and recognize_dh(twinned).accepted
+    with pytest.raises(ValueError, match="construction needs 1 true twin"):
+        qn_bdh_fast(twinned)
+    # a disconnected graph never peels to one vertex, whatever its components are
+    for parts in ((path_graph(3), path_graph(2)), (complete_graph(3), complete_graph(3))):
+        g = Graph.from_edges([(f"{k}{u}", f"{k}{v}") for k, h in enumerate(parts)
+                              for u, v in h.edges()])
+        with pytest.raises(ValueError, match="disconnected"):
+            qn_bdh_fast(g)
+
+
+@pytest.mark.parametrize("ops", [200, 400, 800])
+def test_qn_bdh_fast_of_a_medial_circle_graph_at_scale(ops):
+    # Theorem B at scale: H, the circle graph of an Euler circuit of the
+    # medial of G, is BDH with q_N(H) = t(G; x, x).  The peel of H builds
+    # another SP graph than the script of G, so the two evaluations check
+    # each other, and the coefficients sum to G's spanning-tree count.
+    seq = random_sp_sequence(ops, random.Random(8600 + ops))
+    g = build_sp(seq)
+    med = medial_digraph(g)
+    h = circle_graph(chord_diagram_from_circuit(med, euler_circuit(med)))
+    assert h.n == ops + 2
+    qn = qn_bdh_fast(h)
+    assert qn == sp_diagonal_tutte(seq)
+    assert sum(qn.terms.values()) == matrix_tree_count(g.vertex_ids, g.edge_list())

@@ -6,11 +6,15 @@ vertices minus the number of components of (V, A), found by union-find.
 It shares nothing with the deletion/contraction route of
 ``planar.tutte_polynomial`` and takes 2^|E| steps, so it is for small
 inputs only.
+
+``matrix_tree_count`` gives t(G; 1, 1), the number of spanning trees, by
+Kirchhoff's matrix-tree theorem instead, for graphs of hundreds of vertices.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 from graphpoly.poly import SparsePoly
@@ -50,3 +54,38 @@ def tutte_by_subsets(edges) -> SparsePoly:
             for j in range(q + 1):
                 terms[i, j] += count * comb(p, i) * comb(q, j) * (-1) ** (p - i + q - j)
     return SparsePoly(("x", "y"), terms)
+
+
+def matrix_tree_count(vertices, edges) -> int:
+    """Spanning trees of a connected multigraph: the determinant of its reduced Laplacian.
+
+    The row and column of the first vertex are removed, and Gaussian
+    elimination over the rationals takes the other vertices from the last
+    to the second; the determinant is the product of the pivots.  Any order
+    is correct.  Rows are sparse dicts, and on a series-parallel graph
+    whose vertices are listed in the order they were built each eliminated
+    vertex has at most two neighbours left, so the work stays linear.
+    Loops do not count.
+    """
+    lap: dict = {v: Counter() for v in vertices}
+    for u, v in edges:
+        if u != v:
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+            lap[u][u] += 1
+            lap[v][v] += 1
+    del lap[vertices[0]]
+    for row in lap.values():
+        row.pop(vertices[0], None)
+    det = Fraction(1)
+    for v in reversed(vertices[1:]):
+        row = lap.pop(v)
+        pivot = Fraction(row.pop(v))
+        det *= pivot
+        for a in row:
+            lap[a].pop(v)
+        for a, la in row.items():
+            for b, lb in row.items():
+                lap[a][b] -= la * lb / pivot
+    assert det.denominator == 1
+    return det.numerator
