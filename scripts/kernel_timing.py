@@ -23,6 +23,11 @@ Times ``rank_nullity_histogram``, which every state sum reads (the inputs
 named hist_*), on three seeded G(n, 1/2) graphs for n = 8, 12, 16 and 18,
 on P_22, C_22 and K_20, and on the circle graph of an Euler circuit of the
 oriented medial of a seeded 15-op series-parallel graph (17 vertices).
+Times ``circle_graph`` on the chord diagram of an Euler circuit of the
+oriented medial of a seeded 800- or 1,600-op series-parallel graph
+(circle_SP800, circle_SP1600: 802 and 1,602 chords, the script drawn by
+``random_sp_sequence(ops, random.Random(ops))``), and ``Graph.edges`` on the
+circle graph of the 1,600-op one (edges_SP1600).
 
 For each input it prints the best in-process time of ``--repeats`` runs and
 the peak RSS of a fresh interpreter that builds the input and runs it once
@@ -46,7 +51,7 @@ import sys
 import time
 from itertools import combinations
 
-from graphpoly.chords import circle_graph
+from graphpoly.chords import ChordDiagram, circle_graph
 from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from graphpoly.interlace import q_recursive, qn_recursive, rank_nullity_histogram
@@ -94,10 +99,15 @@ def block_chain(block: list[tuple], joint: int, k: int) -> list[tuple]:
     return [(u + t * joint, v + t * joint) for t in range(k) for u, v in block]
 
 
+def medial_chord_diagram(ops: int, seed: int) -> ChordDiagram:
+    """Chord diagram of an Euler circuit of the oriented medial of a seeded SP graph."""
+    med = medial_digraph(build_sp(random_sp_sequence(ops, random.Random(seed))))
+    return chord_diagram_from_circuit(med, euler_circuit(med))
+
+
 def medial_circle_graph(ops: int, seed: int) -> Graph:
     """Circle graph of an Euler circuit of the oriented medial of a seeded SP graph."""
-    med = medial_digraph(build_sp(random_sp_sequence(ops, random.Random(seed))))
-    return circle_graph(chord_diagram_from_circuit(med, euler_circuit(med)))
+    return circle_graph(medial_chord_diagram(ops, seed))
 
 
 def petersen_edges() -> list[tuple]:
@@ -154,6 +164,9 @@ INPUTS = {
     "hist_C_22": (rank_nullity_histogram, lambda: [cycle_graph(22).rows]),
     "hist_K_20": (rank_nullity_histogram, lambda: [complete_graph(20).rows]),
     "hist_SP15_circle": (rank_nullity_histogram, lambda: [medial_circle_graph(15, 1).rows]),
+    **{f"circle_SP{ops}": (circle_graph, lambda ops=ops: [medial_chord_diagram(ops, ops)])
+       for ops in (800, 1600)},
+    "edges_SP1600": (Graph.edges, lambda: [medial_circle_graph(1600, 1600)]),
 }
 
 

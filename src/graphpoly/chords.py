@@ -6,6 +6,14 @@ chords as vertices, adjacent iff their occurrences interleave, which for a
 stored linear word means exactly one occurrence of one chord lies strictly
 between the two occurrences of the other.
 
+``circle_graph`` reads every row off one pass over the word.  A running
+parity mask has bit c set while exactly one end of chord c has been passed;
+each chord XORs the mask into its row just after each of its two ends.  The
+XOR of the mask after the first end and after the second holds exactly the
+chords with an odd number of ends from just after c's first end up to its
+second: those with one end strictly inside c, and c itself, whose bit is
+then cleared.
+
 ``chord_pivot`` realizes the graph pivot on the word: with occurrences in
 linear order p1 < p2 < p3 < p4 alternating between the two chords, the
 segments (p1, p2) and (p3, p4) are exchanged and the two chord labels are
@@ -65,11 +73,8 @@ class ChordDiagram:
         return len(self.word) // 2
 
     def labels(self) -> tuple:
-        seen = []
-        for c in self.word:
-            if c not in seen:
-                seen.append(c)
-        return tuple(seen)
+        """The chords in order of first occurrence."""
+        return tuple(dict.fromkeys(self.word))
 
     def positions(self, label: str) -> tuple[int, int]:
         ps = [i for i, c in enumerate(self.word) if c == str(label)]
@@ -85,17 +90,17 @@ class ChordDiagram:
 
 
 def circle_graph(d: ChordDiagram) -> Graph:
-    """Simple graph on the chords, adjacent iff the chords interleave."""
-    labels = d.labels()
-    pos = {c: d.positions(c) for c in labels}
-    edges = []
-    for i, a in enumerate(labels):
-        p1, p2 = pos[a]
-        for b in labels[i + 1:]:
-            q1, q2 = pos[b]
-            if (p1 < q1 < p2) != (p1 < q2 < p2):
-                edges.append((a, b))
-    return Graph.from_edges(edges, labels)
+    """Simple graph on the chords, adjacent iff the chords interleave.
+
+    One pass over the word with a running parity mask; see the module docstring.
+    """
+    bit = {c: 1 << i for i, c in enumerate(d.labels())}
+    row = dict.fromkeys(bit, 0)
+    parity = 0
+    for c in d.word:
+        parity ^= bit[c]
+        row[c] ^= parity
+    return Graph(list(bit), [r ^ bit[c] for c, r in row.items()])
 
 
 def chords_cross(d: ChordDiagram, a: str, b: str) -> bool:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, compact_rows
+from .graphs import Graph, bit_indices, compact_rows
 from .planar import SPSequence, _two_terminal_diagonal
 from .poly import SparsePoly
 
@@ -140,14 +140,6 @@ class DHRecognition:
 _KINDS = ("pendant", "falsetwin", "truetwin")
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _two_colourable(rows) -> bool:
     """Whether the graph has no odd cycle: no edge inside a breadth-first layer."""
     unseen = (1 << len(rows)) - 1
@@ -156,7 +148,7 @@ def _two_colourable(rows) -> bool:
         while layer:
             unseen ^= layer
             reach = 0
-            for v in _bits(layer):
+            for v in bit_indices(layer):
                 if rows[v] & layer:
                     return False
                 reach |= rows[v]
@@ -210,12 +202,13 @@ def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
                 break
         else:
             # pendants by index, then each twin group by its lowest member
-            cands = [(0, v, rows[v].bit_length() - 1) for v in _bits(pend)]
+            cands = [(0, v, rows[v].bit_length() - 1) for v in bit_indices(pend)]
             for kind, mask in ((1, ftwin), (2, ttwin)):
-                for v in _bits(mask):
+                for v in bit_indices(mask):
                     group = open_rows[rows[v]] if kind == 1 else closed_rows[rows[v] | 1 << v]
                     if group & -group == 1 << v:
-                        cands += [(kind, a, b) for a in _bits(group) for b in _bits(group ^ 1 << a)]
+                        cands += [(kind, a, b) for a in bit_indices(group)
+                                  for b in bit_indices(group ^ 1 << a)]
             if not cands:
                 break
             kind, rem, partner = cands[rng.randrange(len(cands))]
@@ -279,7 +272,7 @@ def recognize_dh(g: Graph, rng: random.Random | None = None) -> DHRecognition:
     ids = g.ids
     steps, alive = _peel(g.rows, rng)
     if alive & (alive - 1):
-        return DHRecognition(None, Graph([ids[v] for v in _bits(alive)],
+        return DHRecognition(None, Graph([ids[v] for v in bit_indices(alive)],
                                          compact_rows(g.rows, alive)))
     ops = [("root", ids[alive.bit_length() - 1])]
     ops += [(_KINDS[kind], ids[rem], ids[partner]) for kind, rem, partner in reversed(steps)]

@@ -88,22 +88,16 @@ class Graph:
 
     def neighbors(self, v) -> tuple:
         """Neighbours of v in id order; v itself appears iff v is looped."""
-        i = self.index_of(v)
-        r = self.rows[i]
-        return tuple(self.ids[j] for j in range(self.n) if r >> j & 1)
+        return tuple(self.ids[j] for j in bit_indices(self.rows[self.index_of(v)]))
 
     def degree(self, v) -> int:
         i = self.index_of(v)
         return bin(self.rows[i]).count("1")
 
     def edges(self) -> list[tuple]:
-        out = []
-        for i in range(self.n):
-            r = self.rows[i]
-            for j in range(i, self.n):
-                if r >> j & 1:
-                    out.append((self.ids[i], self.ids[j]))
-        return out
+        """Each edge once as (ids[i], ids[j]) with i <= j, sorted by i, then j."""
+        ids = self.ids
+        return [(ids[i], ids[j]) for i, r in enumerate(self.rows) for j in bit_indices(r >> i << i)]
 
     def is_simple(self) -> bool:
         return all(not (r >> i & 1) for i, r in enumerate(self.rows))
@@ -143,8 +137,7 @@ class Graph:
 
     def components(self) -> list[tuple]:
         """Vertex ids of each connected component, in index order, ordered by lowest vertex."""
-        return [tuple(v for i, v in enumerate(self.ids) if c >> i & 1)
-                for c in component_masks(self.rows)]
+        return [tuple(self.ids[i] for i in bit_indices(c)) for c in component_masks(self.rows)]
 
     def is_connected(self) -> bool:
         return self.n > 0 and len(self.components()) == 1
@@ -167,9 +160,8 @@ class Graph:
             # looped: full submatrix complement on N(a), diagonal included
             toggle_rows(rows, nbhd, nbhd)
         else:
-            for k in range(len(rows)):
-                if nbhd >> k & 1:
-                    rows[k] ^= nbhd & ~(1 << k)
+            for k in bit_indices(nbhd):
+                rows[k] ^= nbhd & ~(1 << k)
         return Graph(self.ids, rows)
 
     # -- joins ----------------------------------------------------------------
@@ -202,6 +194,14 @@ def _fresh_names(taken: Sequence[str], incoming: Sequence[str]) -> dict:
 
 
 # -- bitmask helpers shared with the other modules ---------------------------
+
+
+def bit_indices(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def label_rows(labels: Iterable, pairs: Iterable[tuple]) -> tuple[dict, list[int]]:
@@ -284,10 +284,7 @@ def bfs_rows(rows: Sequence[int]) -> tuple[int, ...]:
             new = rows[order[head]] & ~seen
             head += 1
             seen |= new
-            while new:
-                low = new & -new
-                order.append(low.bit_length() - 1)
-                new ^= low
+            order.extend(bit_indices(new))
     out = [0] * len(rows)
     for i, v in enumerate(order):
         toggle_rows(out, rows[v], 1 << i)

@@ -6,9 +6,12 @@ from state_sum_reference import reference_c_polynomial
 from graphpoly.chords import (ChordDiagram, c_polynomial, chord_pivot,
                               chords_cross, circle_graph, verify_c_identity,
                               verify_c_reduction)
-from graphpoly.graphs import complete_graph
+from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
+from graphpoly.graphs import Graph, complete_graph
 from graphpoly.interlace import q_state_sum
+from graphpoly.planar import build_sp, medial_digraph
 from graphpoly.poly import SparsePoly
+from graphpoly.randgen import random_sp_sequence
 
 
 def D(text):
@@ -43,6 +46,45 @@ def test_circle_graph_rotation_reflection_invariant():
         for k in range(len(d.word)):
             assert circle_graph(ChordDiagram(d.word[k:] + d.word[:k])) == base
         assert circle_graph(ChordDiagram(reversed(d.word))) == base
+
+
+def reference_circle_graph(d):
+    """The pairwise oracle: chords in first-occurrence order, and a, b adjacent
+    iff exactly one end of b lies strictly between the two ends of a."""
+    labels = []
+    for c in d.word:
+        if c not in labels:
+            labels.append(c)
+    pos = {c: d.positions(c) for c in labels}
+    edges = []
+    for i, a in enumerate(labels):
+        p1, p2 = pos[a]
+        for b in labels[i + 1:]:
+            q1, q2 = pos[b]
+            if (p1 < q1 < p2) != (p1 < q2 < p2):
+                edges.append((a, b))
+    return Graph.from_edges(edges, labels)
+
+
+def _assert_matches_reference(d):
+    g, ref = circle_graph(d), reference_circle_graph(d)
+    assert d.labels() == ref.ids
+    assert (g.ids, g.rows) == (ref.ids, ref.rows), d
+
+
+def test_circle_graph_matches_the_pairwise_oracle():
+    rng = random.Random(4040)
+    _assert_matches_reference(ChordDiagram([]))
+    for k in range(41):
+        for _ in range(10):
+            _assert_matches_reference(_random_diagram(rng, k))
+
+
+@pytest.mark.parametrize("ops", [200, 400, 800])
+def test_circle_graph_matches_the_pairwise_oracle_on_medial_circuits(ops):
+    # the scripts of test_dh.py::test_qn_bdh_fast_of_a_medial_circle_graph_at_scale
+    med = medial_digraph(build_sp(random_sp_sequence(ops, random.Random(8600 + ops))))
+    _assert_matches_reference(chord_diagram_from_circuit(med, euler_circuit(med)))
 
 
 def test_chord_pivot_examples():

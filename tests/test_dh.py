@@ -9,7 +9,7 @@ from graphpoly.chords import circle_graph
 from graphpoly.dh import (DHSequence, _two_colourable, apply_dh_sequence, bdh_to_sp,
                           gamma_from_sequence, is_bdh,
                           qn_bdh_fast, recognize_dh)
-from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
+from graphpoly.euler import all_euler_circuits, chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph
 from graphpoly.interlace import gamma_invariant, gamma_state_sum, qn_from_q, qn_recursive
 from graphpoly.planar import build_sp, medial_digraph, sp_diagonal_tutte
@@ -322,6 +322,27 @@ def test_every_medial_circuit_of_an_sp_graph_gives_a_bdh_circle_graph():
         assert gamma_state_sum(h) == 2, h
         circuits += 1
     assert circuits > 100
+
+
+def test_every_bdh_graph_is_the_circle_graph_of_a_medial_circuit_of_its_sp_graph():
+    # The correspondence theorem, converse: bdh_to_sp's edge_of relabels the
+    # circle graph of some Euler circuit of the medial of the built SP graph
+    # to G itself.  The other circuits give other graphs with the same q_N.
+    rng = random.Random(6020)
+    for _ in range(150):
+        g = random_bdh_graph(rng.randrange(2, 9), rng)
+        sp, edge_of = bdh_to_sp(is_bdh(g).recognition.sequence)
+        vertex_of = {e: v for v, e in edge_of.items()}
+        med = medial_digraph(build_sp(sp))
+        qn = qn_bdh_fast(g)
+        found = False
+        for circ in all_euler_circuits(med):
+            h = circle_graph(chord_diagram_from_circuit(med, circ))
+            assert qn_bdh_fast(h) == qn, (g, h)
+            found = found or g == Graph.from_edges(
+                [(vertex_of[a], vertex_of[b]) for a, b in h.edges()],
+                [vertex_of[v] for v in h.ids])
+        assert found, g
 
 
 def _shared_peel_corpus(seed):

@@ -7,6 +7,7 @@ from conftest import all_labeled_graphs
 from state_sum_reference import rank_nullity
 from graphpoly.graphs import (Graph, bfs_rows, compact_rows, complete_graph, cycle_graph,
                               delete_index, path_graph, star_graph)
+from graphpoly.randgen import random_graph
 
 
 def test_rank_examples():
@@ -166,6 +167,19 @@ def test_edge_list_stability():
     assert not g.is_simple()
     with pytest.raises(ValueError):
         g.require_simple()
+
+
+def test_edges_and_neighbors_match_the_index_scans():
+    # the double loop over index pairs and the scan of each row that the
+    # set-bit walks replaced, as the reference for order as well as content
+    rng = random.Random(3030)
+    for n in range(31):
+        for _ in range(3):
+            g = random_graph(n, rng, rng.random(), loops=True)
+            assert g.edges() == [(g.ids[i], g.ids[j]) for i in range(n)
+                                 for j in range(i, n) if g.rows[i] >> j & 1]
+            for i, v in enumerate(g.ids):
+                assert g.neighbors(v) == tuple(g.ids[j] for j in range(n) if g.rows[i] >> j & 1)
 
 
 def test_constructor_rejects_malformed_adjacency():

@@ -5,6 +5,10 @@ from itertools import combinations
 import pytest
 
 from graphpoly import planar
+from graphpoly.chords import circle_graph
+from graphpoly.dh import recognize_dh
+from graphpoly.euler import all_euler_circuits, chord_diagram_from_circuit
+from graphpoly.interlace import gamma_state_sum
 from graphpoly.planar import (PlaneMultigraph, SPSequence, beta_invariant,
                               build_sp, diagonal, medial_digraph, sp_diagonal_tutte,
                               tutte_polynomial, verify_medial_tutte_identity)
@@ -119,6 +123,25 @@ def test_medial_rejects_non_plane_rotation():
     for fn in (medial_digraph, verify_medial_tutte_identity):
         with pytest.raises(ValueError, match="not a plane embedding"):
             fn(torus)
+
+
+def test_every_medial_circuit_of_plane_k4_gives_a_non_dh_circle_graph():
+    # The correspondence theorem, "only if": K_4 is plane but not
+    # series-parallel (beta = 2), and no circle graph of its medial is BDH,
+    # not even DH, while gamma(H) = 2 beta still holds for each circuit.
+    order = {"a": ["ab", "ac", "ad"], "b": ["bc", "ab", "bd"],
+             "c": ["cd", "ac", "bc"], "d": ["bd", "ad", "cd"]}
+    med = medial_digraph(_k4_rotation(order))
+    beta = beta_invariant(K4)
+    assert beta == 2
+    circuits = 0
+    for circ in all_euler_circuits(med):
+        h = circle_graph(chord_diagram_from_circuit(med, circ))
+        rec = recognize_dh(h)
+        assert not rec.accepted and rec.residual.n == 6, h
+        assert gamma_state_sum(h) == 2 * beta, h
+        circuits += 1
+    assert circuits == 16
 
 
 def test_medial_output_always_two_in_two_out():
