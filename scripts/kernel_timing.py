@@ -21,8 +21,10 @@ triangles, a chain of 100 triangles and a chain of 30 copies of K_4 (in a
 chain, each block shares one vertex with the next).
 Times ``rank_nullity_histogram``, which every state sum reads (the inputs
 named hist_*), on three seeded G(n, 1/2) graphs for n = 8, 12, 16 and 18,
-on P_22, C_22 and K_20, and on the circle graph of an Euler circuit of the
-oriented medial of a seeded 15-op series-parallel graph (17 vertices).
+on P_22, C_22, K_20, P_200 and C_200, and on the circle graph of an Euler
+circuit of the oriented medial of a seeded 15- or 40-op series-parallel
+graph (17 and 42 vertices).  The inputs of 42 and 200 vertices are out of
+reach of any 2^n subset walk; the DP's cost follows its live keys.
 Times ``circle_graph`` on the chord diagram of an Euler circuit of the
 oriented medial of a seeded 800- or 1,600-op series-parallel graph
 (circle_SP800, circle_SP1600: 802 and 1,602 chords, the script drawn by
@@ -163,7 +165,10 @@ INPUTS = {
     "hist_P_22": (rank_nullity_histogram, lambda: [path_graph(22).rows]),
     "hist_C_22": (rank_nullity_histogram, lambda: [cycle_graph(22).rows]),
     "hist_K_20": (rank_nullity_histogram, lambda: [complete_graph(20).rows]),
+    "hist_P_200": (rank_nullity_histogram, lambda: [path_graph(200).rows]),
+    "hist_C_200": (rank_nullity_histogram, lambda: [cycle_graph(200).rows]),
     "hist_SP15_circle": (rank_nullity_histogram, lambda: [medial_circle_graph(15, 1).rows]),
+    "hist_SP40_circle": (rank_nullity_histogram, lambda: [medial_circle_graph(40, 1).rows]),
     **{f"circle_SP{ops}": (circle_graph, lambda ops=ops: [medial_chord_diagram(ops, ops)])
        for ops in (800, 1600)},
     "edges_SP1600": (Graph.edges, lambda: [medial_circle_graph(1600, 1600)]),

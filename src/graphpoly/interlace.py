@@ -16,22 +16,16 @@ q(E_n) = y^n on the edgeless graph.  ``q_state_sum`` and ``q_recursive``
 implement the two routes separately so each serves as an oracle for the other.
 
 The state sums (``q_state_sum``, ``gamma_state_sum``, ``qn_from_q``,
-``chords.c_polynomial``) read ``rank_nullity_histogram``.  It visits the
-subsets S depth first and counts all children S + {v} of each by three
-popcounts: row v outside col(A_S) = ker(A_S)^perp adds 2 to the rank, and
-otherwise the Schur complement, one bit of a kept mask, adds 1 or 0.  Only
-children that have children of their own are built, each by one GF(2)
-elimination step, except S + {n-2}: only its two masks are formed, to count
-S + {n-2, n-1}, so one walk takes 2^(n-2) steps.  From ``SPLIT_FROM``
-vertices on, the walk splits the vertices into a head, the first half, and
-a tail.  By the bordered-rank identity
-rank A[S + T] = rank A[S] + rank [[0, B_T], [B_T^t, C_T]] for a head subset
-S and a tail subset T, where the boundary key (B, C) of S is its
-dependents restricted to the tail (B, in reduced echelon form) and its
-reductions of the tail rows (C, modulo B).  So the tail is walked at most
-twice per distinct key instead of once per head subset, and a graph whose
-cut between the halves has small GF(2) rank has few keys: 2 on a path.
-It does not call the recursion.
+``chords.c_polynomial``) read ``rank_nullity_histogram``, one DP over the
+vertices in the given order.  Its state for a subset S of the vertices
+before u is S's boundary key (B, C) against the tail u..n-1: B spans the
+tail parts of S's dependents, C has one row per tail vertex.  By the
+bordered-rank identity
+rank A[S + T] = rank A[S] + rank [[0, B_T], [B_T^t, C_T]] for every tail
+subset T, the key fixes every later (rank, nullity) step, so the subsets
+with one key share a state and a histogram.  The cost is n steps of O(n)
+bit operations per live key: 2 keys on a path, 5 on a cycle, up to 2^u
+at step u on a random graph.  It does not call the recursion.
 
 The vertex-nullity interlace polynomial q_N(G; x) = q(G; 2, x) of a simple
 graph follows the same rules at x = 2, where the pivot's third term
@@ -89,184 +83,84 @@ from .poly import SparsePoly, _packed_product
 
 _QXY_VARS = ("x", "y")
 
-# the subset walk of the state sums splits in half from this many vertices on
-SPLIT_FROM = 14
-
 
 # -- state sums ---------------------------------------------------------------
+
+
+def _insert(basis: tuple, r: int) -> tuple:
+    """Row r joined to a GF(2) basis in reduced echelon form, leads at lowest bits, by lead."""
+    for b in basis:
+        if r & b & -b:
+            r ^= b
+    if not r:
+        return basis
+    low = r & -r
+    return tuple(sorted([b ^ r if b & low else b for b in basis] + [r], key=lambda b: b & -b))
 
 
 def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
     """Count vertex subsets by the GF(2) (rank, nullity) of their induced submatrix.
 
-    Subsets are visited depth first.  At each subset S the row combinations
-    of S are kept at full width (XORs of whole rows), split into ``pivots``,
-    keyed by their lowest bit inside S, and the dependents, which vanish on
-    S and span ker(A_S); bit v of a full-width combination is its entry in
-    column v.  Two masks give the rank of every child S + {v}, v > max S:
-
-    - ``dor``, the OR of the dependents, has bit v iff row v is outside
-      col(A_S) = ker(A_S)^perp, and then the rank grows by 2;
-    - otherwise A_Sv = A_S z, and the rank grows by the Schur complement
-      A_vv + z.diag(A_S), which is bit v of ``t``: diag(A) plus the row
-      combination of S that equals diag(A) on S.  On a loopless graph t = 0.
-
-    A subset costs three popcounts for all its children, plus one
-    elimination step for each child v <= n - 3 it descends into: O(nullity)
-    XORs and a reduction against the pivots when ``dor`` has bit v, else
-    only the reduction of row v over S, where every lead bit has a pivot.
-    The child v = n - 2 gets only its two masks (O(nullity) XORs, else the
-    reduction of row v over S; no pivot is written), and their bit n - 1
-    counts S + {v, n - 1}.  So one walk over n vertices takes 2^(n-2) steps.
-
-    From ``SPLIT_FROM`` vertices on, the walk is split: the first
-    h = n // 2 vertices are the head, the others the tail, and the walk
-    below a head subset S over the tail is shared by every S with the same
-    boundary key (B, C).  B is S's dependents restricted to the tail, in
-    reduced row echelon form.  C has one row per tail vertex v: row v
-    reduced against S's pivots (a lead bit with no pivot is skipped),
-    restricted to the tail and reduced modulo B.  By the bordered-rank
-    identity, for every subset T of the tail
+    A DP over the vertices 0, ..., n - 1 in the given order.  Before vertex
+    u, a subset S of 0..u-1 is summed up against the tail u..n-1 by its
+    boundary key (B, C).  B holds the tail parts of S's dependents (the row
+    combinations of S that vanish on S) in reduced echelon form: the lead of
+    a row is its lowest set bit, no other row has it, and the rows are
+    sorted by lead.  C holds one row per tail vertex; it starts as the
+    adjacency rows, loops on the diagonal, and stays symmetric.  By the
+    bordered-rank identity, for every subset T of the tail
 
         rank A[S + T] = rank A[S] + rank [[0, B_T], [B_T^t, C_T]],
 
-    so S's key fixes the (rank, nullity) increments of every S + T.  On a
-    key's first occurrence the tail walk (``grow`` from start h, stop n)
-    counts straight into the table; on its second, the increments it adds
-    are kept, and every later occurrence adds the kept list at its own
-    (rank, nullity).  The cost is 2^h head steps and keys plus at most two
-    tail walks of 2^(n-h-2) steps per distinct key.  The keys are few when
-    the cut between head and tail has small GF(2) rank: 2 on a path or a
-    complete graph, 5 on a cycle, and 2 to 20 on the 17-vertex circle
-    graphs of series-parallel medials, against about 2^h on a random graph,
-    which then pays up to about 5% for its keys.  Below ``SPLIT_FROM``,
-    h = 0 and the one walk is the whole histogram.
+    so the key fixes every later increment, and the subsets with one key
+    share a state: the key and a histogram over rank * (n + 2) + nullity.
+    At u, with c = C[u], each state has two children.  Since leads are
+    lowest bits, at most one row beta of B has bit u, and it is B's first.
+
+    - Skip u: bit u leaves every row of C and C[u] goes; beta, if any, goes
+      back into B without bit u.
+    - Take u, with beta: rank + 2, nullity - 1, the Schur complement of the
+      pivot [[0, 1], [1, c_uu]].  Row w of C gets c + c_uu beta if beta has
+      bit w, then beta if it has bit u.  Beta goes.
+    - Take u, no beta, c_uu = 1: rank + 1.  Each row of C with bit u gets c.
+    - Take u, otherwise: nullity + 1, and c joins B.
+
+    C is not reduced modulo B.  Children with equal keys merge by adding
+    their histograms, and at the end every subset has the empty key.  The
+    cost is n steps of O(n) bit operations per live key.  Step u has at most
+    2^u keys, but few when the cuts between prefix and tail have small GF(2)
+    rank: 2 on a path, 5 on a cycle.  It does not call the recursion.
     """
     n = len(rows)
-    h = n // 2 if n >= SPLIT_FROM else 0
-    # one flat table, index at = rank * wide + nullity, with a spare row and
-    # column: an empty class may index rank + 2 or nullity - 1 = -1.  A child
-    # of S is at S's at + up2 (rank + 2, nullity - 1), + wide or + 1.
     wide = n + 2
-    up2 = 2 * wide - 1
-    counts = [0] * ((n + 3) * wide)
-    counts[0] = 1
-    pivots: dict[int, int] = {}
-    last, top = n - 2, 1 << n >> 1
-    # per key: () once its tail is walked, then the increments kept from the second walk
-    seen: dict[tuple, tuple | list] = {}
-
-    def boundary_key(deps: list) -> tuple:
-        """B's rows, then C's, of the head subset with dependents ``deps`` and ``pivots``."""
-        basis: list[tuple[int, int]] = []  # B as (lead bit, row), zero at the other leads
-        for d in deps:
-            d >>= h
-            for lead, b in basis:
-                if d & lead:
-                    d ^= b
-            if d:
-                lead = 1 << d.bit_length() - 1
-                basis = [(lb, b ^ d if b & lead else b) for lb, b in basis] + [(lead, d)]
-        order = sorted(pivots.items())
-        key = [b for _, b in sorted(basis)]
-        for v in range(h, n):
-            cur = rows[v]
-            for low, p in order:
-                if cur & low:
-                    cur ^= p
-            cur >>= h
-            for lead, b in basis:
-                if cur & lead:
-                    cur ^= b
-            key.append(cur)
-        return tuple(key)
-
-    def grow(mask: int, deps: list, dor: int, t: int, at: int, start: int, stop: int) -> None:
-        if stop < n:
-            # a head subset S (its own children end at h): the walk over the tail, shared by key
-            key = boundary_key(deps)
-            steps = seen.get(key)
-            if steps is None:
-                seen[key] = ()
-                grow(mask, deps, dor, t, at, h, n)
-            elif not steps:
-                before = counts[:]
-                grow(mask, deps, dor, t, at, h, n)
-                seen[key] = [(i - at, c - b) for i, (c, b) in enumerate(zip(counts, before))
-                             if c != b]
+    states: dict[tuple, dict[int, int]] = {((), tuple(rows)): {0: 1}}
+    for u in range(n):
+        bit = 1 << u
+        nxt: dict[tuple, dict[int, int]] = {}
+        for (basis, tail), hist in states.items():
+            c, rest = tail[0], tail[1:]
+            skip = tuple(r & ~bit for r in rest)
+            if basis and basis[0] & bit:
+                beta, basis = basis[0], basis[1:]
+                add = c ^ beta if c & bit else c
+                later = (r ^ add if beta >> w & 1 else r for w, r in enumerate(rest, u + 1))
+                kids = ((_insert(basis, beta ^ bit), skip),
+                        (basis, tuple(r ^ beta if r & bit else r for r in later)))
+                shift = 2 * wide - 1
+            elif c & bit:
+                kids = (basis, skip), (basis, tuple(r ^ c if r & bit else r for r in rest))
+                shift = wide
             else:
-                for off, c in steps:
-                    counts[at + off] += c
-        span = (1 << stop) - (1 << start)
-        two = (dor & span).bit_count()
-        one = (t & ~dor & span).bit_count()
-        counts[at + up2] += two
-        counts[at + wide] += one
-        counts[at + 1] += stop - start - two - one
-        for v in range(start, stop if stop < n else last + 1):
-            bit = 1 << v
-            sub = mask | bit
-            cur = rows[v]
-            if dor & bit:
-                # the first dependent with bit v becomes the pivot at v, and
-                # row v, reduced over S + {v}, a second new pivot
-                kept = []
-                kor = 0
-                col = 0
-                for d in deps:
-                    if d & bit:
-                        if not col:
-                            col = d
-                            continue
-                        d ^= col
-                    kept.append(d)
-                    kor |= d
-                tc = t ^ col if t & bit else t
-                if v == last:
-                    cdor, ct, cat = kor, tc, at + up2
-                else:
-                    pivots[bit] = col
-                    left = cur & sub
-                    while left:
-                        low = left & -left
-                        p = pivots.get(low)
-                        if p is None:
-                            break
-                        cur ^= p
-                        left = cur & sub
-                    pivots[low] = cur
-                    grow(sub, kept, kor, tc, at + up2, v + 1, stop)
-                    del pivots[bit], pivots[low]
-                    continue
-            else:
-                # row v lies in col(A_S): reduced over S it vanishes there, and
-                # its bit v is the Schur complement, bit v of t
-                left = cur & mask
-                while left:
-                    cur ^= pivots[left & -left]
-                    left = cur & mask
-                if v == last:
-                    cdor, ct, cat = ((dor, t ^ cur, at + wide) if t & bit
-                                     else (dor | cur, t, at + 1))
-                elif t & bit:
-                    pivots[bit] = cur
-                    grow(sub, deps, dor, t ^ cur, at + wide, v + 1, stop)
-                    del pivots[bit]
-                    continue
-                else:
-                    grow(sub, deps + [cur], dor | cur, t, at + 1, v + 1, stop)
-                    continue
-            # v = n - 2: the child's one subset left to count is S + {n - 2, n - 1}
-            if cdor & top:
-                counts[cat + up2] += 1
-            elif ct & top:
-                counts[cat + wide] += 1
-            else:
-                counts[cat + 1] += 1
-
-    diag = sum(r & 1 << i for i, r in enumerate(rows))
-    grow(0, [], 0, diag, 0, 0, h or n)
-    return {divmod(i, wide): c for i, c in enumerate(counts) if c}
+                kids = (basis, skip), (_insert(basis, c), skip)
+                shift = 1
+            # the skip child takes the parent's dict, which no later parent reads
+            for key, part in zip(kids, (hist, {i + shift: k for i, k in hist.items()})):
+                have = nxt.setdefault(key, part)
+                if have is not part:
+                    for i, k in part.items():
+                        have[i] = have.get(i, 0) + k
+        states = nxt
+    return {divmod(i, wide): k for i, k in sorted(states[(), ()].items())}
 
 
 def q_state_sum(g: Graph) -> SparsePoly:

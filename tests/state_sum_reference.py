@@ -2,11 +2,12 @@
 
 Each vertex subset gets its own elimination by ``rank_nullity_mask``, with
 nothing shared between subsets.  ``reference_histogram`` is the
-oracle for the incremental ``interlace.rank_nullity_histogram``, and
+oracle for the DP ``interlace.rank_nullity_histogram``, and
 ``reference_c_polynomial`` for ``chords.c_polynomial``.  ``boundary_key``
-forms the key by which that histogram shares the walk over the tail
-vertices, from every row combination of a head subset instead of an
-elimination.
+forms the key (B, C) of a head subset against the tail from every row
+combination of the subset, with no elimination.  It is the witness of the
+bordered-rank identity that the DP rests on: head subsets with equal keys
+have equal (rank, nullity) increments over every tail subset.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 import random
 import sys
-from collections import Counter
 from itertools import zip_longest
 
 import pytest
@@ -10,14 +9,18 @@ from conftest import (all_labeled_graphs, all_looped_labeled_graphs, graph_with_
                       medial_circle_graphs)
 from state_sum_reference import boundary_key, rank_nullity_mask, reference_histogram
 from graphpoly import interlace
+from graphpoly.chords import circle_graph
 from graphpoly.dh import qn_bdh_fast
+from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import (Graph, complete_graph, component_masks, cycle_graph, path_graph,
                               star_graph)
 from graphpoly.interlace import (CoefficientReport, coefficient_checks,
                                  gamma_invariant, gamma_state_sum, q_recursive,
                                  q_state_sum, qn_from_q, qn_of_q, qn_recursive,
                                  rank_nullity_histogram)
+from graphpoly.planar import build_sp, medial_digraph
 from graphpoly.poly import SparsePoly
+from graphpoly.randgen import random_sp_sequence
 
 
 def XY(terms):
@@ -95,27 +98,6 @@ def test_histogram_matches_reference_for_every_pattern_on_the_last_two_vertices(
                 assert rank_nullity_histogram(g.rows) == reference_histogram(g.rows), g
 
 
-def test_histogram_steps_once_per_subset_of_all_but_the_last_two_vertices():
-    # S + {n-2} is counted and classified in its parent, never stepped into
-    steps = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_qualname.endswith("histogram.<locals>.grow"):
-            steps.append(frame.f_locals["mask"])
-
-    rng = random.Random(918)
-    for n in range(2, 11):
-        g = _random_graph(rng, n, 0.5, loop_p=0.3)
-        steps.clear()
-        sys.setprofile(profile)
-        try:
-            hist = rank_nullity_histogram(g.rows)
-        finally:
-            sys.setprofile(None)
-        assert sorted(steps) == list(range(1 << (n - 2))), n
-        assert hist == reference_histogram(g.rows), g
-
-
 def test_loopless_circle_graphs_have_only_even_ranks():
     # An alternating form has even rank, so on a loopless graph no subset
     # extends by rank + 1: the diagonal defect t stays 0.
@@ -177,81 +159,51 @@ def test_boundary_keys_satisfy_the_bordered_rank_identity():
     assert shared > 1000
 
 
-def _split_trace(rows: tuple):
-    """The histogram, the boundary key formed at each head subset, and the walked tails.
-
-    A tail walk is a call of ``grow`` from start h to stop n; below the
-    cut-off, h = 0 and the one walk is the whole histogram.
-    """
-    n = len(rows)
-    h = n // 2 if n >= interlace.SPLIT_FROM else 0
-    keys, walked = {}, []
-
-    def profile(frame, event, arg):
-        name = frame.f_code.co_name
-        if event == "return" and name == "boundary_key":
-            keys[frame.f_back.f_locals["mask"]] = arg
-        elif event == "call" and name == "grow":
-            local = frame.f_locals
-            if local["start"] == h and local["stop"] == n:
-                walked.append(local["mask"])
-
-    sys.setprofile(profile)
-    try:
-        hist = rank_nullity_histogram(rows)
-    finally:
-        sys.setprofile(None)
-    return hist, keys, walked
-
-
-def _classes(keys: dict) -> list:
-    """The head subsets grouped by equal key."""
-    groups: dict = {}
-    for mask, key in keys.items():
-        groups.setdefault(key, []).append(mask)
-    return sorted(groups.values())
-
-
-def test_split_histogram_walks_the_tail_at_most_twice_per_boundary_key():
-    rng = random.Random(1019)
-    beyond_two = 0
-    for n in range(interlace.SPLIT_FROM, 17):
-        h = n // 2
-        path = path_graph(n)
-        looped_path = Graph.from_edges(path.edges() + [(v, v) for v in path.ids
-                                                       if rng.random() < 0.3], path.ids)
-        for g in (_random_graph(rng, n, 0.3, loop_p=0.3), looped_path):
-            hist, keys, walked = _split_trace(g.rows)
-            assert hist == reference_histogram(g.rows), g
-            assert sorted(keys) == list(range(1 << h))
-            assert _classes(keys) == _classes({m: boundary_key(g.rows, h, m) for m in keys}), g
-            seen = Counter(keys.values())
-            assert Counter(keys[m] for m in walked) == {k: min(c, 2) for k, c in seen.items()}
-            beyond_two += sum(c > 2 for c in seen.values())
-    assert beyond_two
-    # below the cut-off no key is formed and the histogram is one walk
-    _, keys, walked = _split_trace(_random_graph(rng, interlace.SPLIT_FROM - 1, 0.5, 0.3).rows)
-    assert keys == {} and walked == [0]
-
-
-@pytest.mark.parametrize("build, count", [(path_graph, 2), (cycle_graph, 5), (complete_graph, 2)])
-def test_paths_cycles_and_complete_graphs_have_few_boundary_keys(build, count):
+@pytest.mark.parametrize("build", [path_graph, cycle_graph, complete_graph])
+def test_state_sums_of_paths_cycles_and_complete_graphs_match_the_recursion(build):
     for n in (16, 22):
         g = build(n)
-        hist, keys, walked = _split_trace(g.rows)
-        assert len(set(keys.values())) == count, n
-        assert len(walked) <= 2 * count
-        assert sum(hist.values()) == 1 << n
+        assert sum(rank_nullity_histogram(g.rows).values()) == 1 << n
         assert q_state_sum(g) == q_recursive(g)
         assert qn_from_q(g) == qn_recursive(g)
         assert gamma_state_sum(g) == gamma_invariant(g)
-    assert len({boundary_key(build(16).rows, 8, m) for m in range(1 << 8)}) == count
 
 
 def test_split_state_sums_call_no_recursion_kernel(no_recursion_kernel):
-    g = cycle_graph(interlace.SPLIT_FROM + 2)
+    g = cycle_graph(16)
     assert gamma_state_sum(g) == g.n - 2
     assert coefficient_checks(g).ok
+
+
+def test_histogram_does_not_depend_on_the_vertex_order():
+    # the DP's keys, and so its cost, follow the order; its counts must not
+    rng = random.Random(1020)
+    for n in range(1, 12):
+        for p in (0.2, 0.5, 0.8):
+            g = _random_graph(rng, n, p, loop_p=0.3)
+            ids = list(g.ids)
+            want = reference_histogram(g.rows)
+            for _ in range(3):
+                rng.shuffle(ids)
+                h = Graph.from_edges(g.edges(), ids)
+                assert rank_nullity_histogram(h.rows) == want, h
+
+
+def test_state_sums_reach_two_hundred_vertices():
+    path = path_graph(200)
+    assert sum(rank_nullity_histogram(path.rows).values()) == 1 << 200
+    assert gamma_state_sum(path) == 2
+    assert gamma_state_sum(cycle_graph(200)) == 198
+
+
+@pytest.mark.parametrize("ops, seed", [(40, 2), (40, 8), (60, 2), (60, 8)])
+def test_gamma_is_two_on_large_medial_circle_graphs_by_two_routes(ops, seed):
+    # gamma(H) = 2 on a BDH graph, counted over all 2^(ops + 2) vertex
+    # subsets and read off the series-parallel route
+    med = medial_digraph(build_sp(random_sp_sequence(ops, random.Random(seed))))
+    h = circle_graph(chord_diagram_from_circuit(med, euler_circuit(med)))
+    assert h.n == ops + 2
+    assert gamma_state_sum(h) == 2 == qn_bdh_fast(h).coefficient((1,))
 
 
 def test_q_recursive_base_cases():
