@@ -30,6 +30,10 @@ oriented medial of a seeded 800- or 1,600-op series-parallel graph
 (circle_SP800, circle_SP1600: 802 and 1,602 chords, the script drawn by
 ``random_sp_sequence(ops, random.Random(ops))``), and ``Graph.edges`` on the
 circle graph of the 1,600-op one (edges_SP1600).
+Times ``recognize_dh`` on ``random_bdh_graph(1600, random.Random(83))``
+(peel_BDH_1600), whose peel takes no true twin, and on the graph of
+``random_dh_sequence(800, random.Random(91))`` (peel_DH_800), whose peel
+takes true twins and so keeps closed-neighbourhood buckets.
 
 For each input it prints the best in-process time of ``--repeats`` runs and
 the peak RSS of a fresh interpreter that builds the input and runs it once
@@ -54,11 +58,13 @@ import time
 from itertools import combinations
 
 from graphpoly.chords import ChordDiagram, circle_graph
+from graphpoly.dh import apply_dh_sequence, recognize_dh
 from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from graphpoly.interlace import q_recursive, qn_recursive, rank_nullity_histogram
 from graphpoly.planar import build_sp, medial_digraph, tutte_polynomial
-from graphpoly.randgen import random_graph, random_sp_sequence
+from graphpoly.randgen import (random_bdh_graph, random_dh_sequence, random_graph,
+                               random_sp_sequence)
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -172,6 +178,9 @@ INPUTS = {
     **{f"circle_SP{ops}": (circle_graph, lambda ops=ops: [medial_chord_diagram(ops, ops)])
        for ops in (800, 1600)},
     "edges_SP1600": (Graph.edges, lambda: [medial_circle_graph(1600, 1600)]),
+    "peel_BDH_1600": (recognize_dh, lambda: [random_bdh_graph(1600, random.Random(83))]),
+    "peel_DH_800": (recognize_dh, lambda: [apply_dh_sequence(
+        random_dh_sequence(800, random.Random(91)))]),
 }
 
 

@@ -15,12 +15,13 @@ original indices, records each removal as an index triple, and buckets the
 live vertices by open neighbourhood, with one bitmask each for pendants and
 for vertices with a false twin.  Removing v changes only the rows of its
 neighbours, so a step re-buckets v and its neighbours: O(deg v) bucket
-updates on n-bit keys, O(|E|) over the whole peel.  True twins of degree
-two or more are adjacent vertices with a common neighbour, a triangle, so a
-graph that a breadth-first search two-colours has none, and neither has any
-induced subgraph of it: only an input with an odd cycle also buckets by
-closed neighbourhood and keeps a true-twin mask.  ``recognize_dh`` and
-``is_bdh`` map the triples to vertex ids.
+updates on n-bit keys, O(|E|) over the whole peel.  The buckets by closed
+neighbourhood and the true-twin mask are built from the live rows the
+first time a true twin could be chosen (at the first step of a seeded
+peel, else when no pendant or false twin is left) and kept from then on,
+so a peel that never gets there, such as that of any BDH graph, never
+builds them.  ``recognize_dh`` and ``is_bdh`` map the triples to vertex
+ids.
 
 ``bdh_to_sp`` converts a true-twin-free sequence into a series-parallel
 construction whose diagonal Tutte polynomial equals q_N of the graph.  Each
@@ -140,22 +141,6 @@ class DHRecognition:
 _KINDS = ("pendant", "falsetwin", "truetwin")
 
 
-def _two_colourable(rows) -> bool:
-    """Whether the graph has no odd cycle: no edge inside a breadth-first layer."""
-    unseen = (1 << len(rows)) - 1
-    while unseen:
-        layer = unseen & -unseen
-        while layer:
-            unseen ^= layer
-            reach = 0
-            for v in bit_indices(layer):
-                if rows[v] & layer:
-                    return False
-                reach |= rows[v]
-            layer = reach & unseen
-    return True
-
-
 def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
     """The greedy peel on adjacency rows: removal triples in peel order, and the alive mask.
 
@@ -165,12 +150,12 @@ def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
     """
     rows = list(rows)
     alive = (1 << len(rows)) - 1
-    # open neighbourhood -> members (non-isolated vertices), and unless the
-    # input is two-colourable, closed neighbourhood -> members (degree two or
+    # open neighbourhood -> members (non-isolated vertices), and once a true
+    # twin could be chosen, closed neighbourhood -> members (degree two or
     # more: keeping the partner must leave it non-isolated, which rules out
     # recording K_2 as a true twin)
     open_rows: dict[int, int] = {}
-    closed_rows: dict[int, int] | None = None if _two_colourable(rows) else {}
+    closed_rows: dict[int, int] | None = None
     pend = ftwin = ttwin = 0
     for v, r in enumerate(rows):
         if r:
@@ -178,16 +163,21 @@ def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
             open_rows[r] = open_rows.get(r, 0) | bit
             if not r & (r - 1):
                 pend |= bit
-            elif closed_rows is not None:
-                closed_rows[r | bit] = closed_rows.get(r | bit, 0) | bit
     for members in open_rows.values():
         if members & (members - 1):
             ftwin |= members
-    for members in (closed_rows or {}).values():
-        if members & (members - 1):
-            ttwin |= members
     steps = []
     while alive & (alive - 1):
+        if closed_rows is None and (rng is not None or not pend | ftwin):
+            closed_rows = {}
+            for v in bit_indices(alive):
+                r = rows[v]
+                if r & (r - 1):
+                    key = r | 1 << v
+                    closed_rows[key] = closed_rows.get(key, 0) | 1 << v
+            for members in closed_rows.values():
+                if members & (members - 1):
+                    ttwin |= members
         if rng is None:
             if pend:
                 kind, bit = 0, pend & -pend

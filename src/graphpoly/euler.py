@@ -22,13 +22,7 @@ the vertex's two in-arcs lie on one cycle (a split) and falls otherwise (a
 merge), and a walk along the cycle through one of them decides which.  Only
 the first state's cycles are counted from scratch.  On CPython 3.11,
 f(G; x) of a random connected digraph takes 1.1, 4.8, 22 and 79 ms at
-n = 10, 12, 14 and 16, against 7.1, 34, 157 and 703 ms when every state
-rebuilt its successor map and recounted its cycles.  The five theorem-A
-polynomials of the seed-2024 ``verify_sweep`` pass take 6 instead of 55 ms,
-and the benchmark's ``verify_sweep`` workload (seed 4711, ten alternating
-runs each) went from a median of 36.4 to 39.5 instances/s and from 13.7 to
-12.5 ms median latency; its large instances are theorem-B scripts, which
-do not enumerate transition systems.
+n = 10, 12, 14 and 16.
 
 ``verify_circuit_partition_identity`` checks f(G; x) = x * q_N(H; x + 1)
 where H is the circle graph of the chord diagram read off any Euler

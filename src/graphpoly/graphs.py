@@ -42,11 +42,9 @@ class Graph:
         for i, r in enumerate(rows):
             if r >> n:
                 raise ValueError("adjacency row has bits outside the vertex range")
-            m = r & ~(1 << i)
-            while m:
-                if not rows[(m & -m).bit_length() - 1] >> i & 1:
+            for j in bit_indices(r):
+                if not rows[j] >> i & 1:
                     raise ValueError("adjacency is not symmetric")
-                m &= m - 1
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(ids)})
         object.__setattr__(self, "rows", rows)

@@ -39,8 +39,9 @@ at xs = 1.  A disconnected graph is the product of its components, each
 compacted to its own rows, and a single vertex contributes x (looped) or
 y.  The kernel is told which subproblems are connected (the components of
 a split, and a child that lost a vertex of degree at most 1 from a
-connected graph); any other gets a reach from vertex 0 that stops once it
-covers every vertex, and only one that falls short is split.  It puts the
+connected graph); any other goes to ``graphs.component_masks``, whose
+search stops once it covers every vertex, and is split if that finds more
+than one component.  It puts the
 rows in breadth-first order from a vertex of least degree
 (``graphs.bfs_rows``), which puts a leaf last on a tree, and reduces a
 connected graph on its last vertex a and a's highest neighbour b: by the
@@ -75,6 +76,7 @@ multiplies the components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 from .graphs import (Graph, bfs_rows, compact_rows, component_masks, delete_index, pivot_rows,
@@ -197,17 +199,6 @@ def qn_from_q(g: Graph) -> SparsePoly:
 # -- recursions ---------------------------------------------------------------
 
 
-def _gf2_rank(rows: tuple) -> int:
-    """Rank over GF(2): each row is reduced by a basis kept in decreasing order."""
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis = sorted(basis + [r], reverse=True)
-    return len(basis)
-
-
 def _drop(rows: list, j: int) -> tuple:
     """The rows without vertex j, taken from a list the call may change.
 
@@ -247,20 +238,11 @@ def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
         res = memo.get(rows)
         if res is not None:
             return res
-        if not connected:
-            full = (1 << n) - 1
-            comp = todo = 1
-            while todo and comp != full:
-                low = todo & -todo
-                todo ^= low
-                new = rows[low.bit_length() - 1] & ~comp
-                comp |= new
-                todo |= new
-            connected = comp == full
-        if not connected:
+        comps = () if connected else component_masks(rows)
+        if len(comps) > 1:
             res = 1
             shift = 0
-            for comp in component_masks(rows):
+            for comp in comps:
                 if comp & (comp - 1):
                     res *= solve(compact_rows(rows, comp), True)
                 else:
@@ -318,7 +300,7 @@ def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
     bare = rows.count(0)  # isolated unlooped vertices; the other single ones are looped
     return _packed_product(parts, lambda part, w, d: _kernel(part, w, w * d, prefer_loop),
                            lambda parts: ((3 ** sum(map(len, parts))).bit_length() + 1,
-                                          sum(map(_gf2_rank, parts)) + 1),
+                                          sum(len(reduce(_insert, p, ())) for p in parts) + 1),
                            (len(comps) - len(parts) - bare, bare))
 
 

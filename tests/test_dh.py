@@ -6,7 +6,7 @@ from conftest import all_labeled_graphs, medial_circle_graphs
 from dh_reference import is_62_chordal, is_bipartite, reference_peel
 from tutte_reference import matrix_tree_count
 from graphpoly.chords import circle_graph
-from graphpoly.dh import (DHSequence, _two_colourable, apply_dh_sequence, bdh_to_sp,
+from graphpoly.dh import (DHSequence, apply_dh_sequence, bdh_to_sp,
                           gamma_from_sequence, is_bdh,
                           qn_bdh_fast, recognize_dh)
 from graphpoly.euler import all_euler_circuits, chord_diagram_from_circuit, euler_circuit
@@ -360,13 +360,12 @@ def _shared_peel_corpus(seed):
 
 
 def test_shared_peel_matches_reference_and_both_sp_routes():
-    # recognize_dh, is_bdh and qn_bdh_fast share one peel, which skips the
-    # closed-neighbourhood buckets on two-colourable inputs: every mix of
-    # bipartite or not and accepted or not must come out as the slow peel says
+    # recognize_dh, is_bdh and qn_bdh_fast share one peel, which builds the
+    # closed-neighbourhood buckets only once a true twin could be chosen: every
+    # mix of bipartite or not and accepted or not must come out as the slow peel says
     seen = set()
     for k, g in enumerate(_shared_peel_corpus(85)):
         bipartite = is_bipartite(g)
-        assert _two_colourable(g.rows) == bipartite, g
         for rng_seed in (None, k):
             rec = recognize_dh(g, None if rng_seed is None else random.Random(rng_seed))
             ref = reference_peel(g, None if rng_seed is None else random.Random(rng_seed))
@@ -388,6 +387,39 @@ def test_shared_peel_matches_reference_and_both_sp_routes():
             with pytest.raises(ValueError):
                 qn_bdh_fast(g)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _late_true_twin_graphs():
+    """DH graphs whose deterministic peel takes pendant or false-twin steps
+    before its first true twin: a triangle with a 10-vertex path hung on one
+    corner, the same with shuffled ids, and a BDH graph with an edge joined
+    between two false twins of highest degree, which makes them true twins."""
+    path = [("t0", "p1")] + [(f"p{k}", f"p{k + 1}") for k in range(1, 10)]
+    tail = Graph.from_edges([("t0", "t1"), ("t1", "t2"), ("t2", "t0")] + path)
+    ids = list(tail.ids)
+    random.Random(2323).shuffle(ids)
+    bdh = random_bdh_graph(30, random.Random(0))
+    groups = {}
+    for v, r in zip(bdh.ids, bdh.rows):
+        groups.setdefault(r, []).append(v)
+    u, v = max((vs for vs in groups.values() if len(vs) > 1), key=lambda vs: bdh.degree(vs[0]))[:2]
+    return [tail, Graph.from_edges(tail.edges(), ids),
+            Graph.from_edges(bdh.edges() + [(u, v)], bdh.ids)]
+
+
+def test_peel_builds_true_twin_buckets_mid_peel_as_the_reference_does():
+    # the closed-neighbourhood buckets are built from the live rows only when
+    # no pendant or false twin is left, here after several removals
+    for g in _late_true_twin_graphs():
+        rec = recognize_dh(g)
+        assert _same_recognition(rec, reference_peel(g)), g
+        kinds = [op[0] for op in reversed(rec.sequence.ops)]
+        assert kinds[0] != "truetwin" and "truetwin" in kinds, g
+        for s in range(10):
+            assert _same_recognition(recognize_dh(g, random.Random(s)),
+                                     reference_peel(g, random.Random(s))), (g, s)
+        assert rec.true_twin_count == 1, g
+        assert apply_dh_sequence(rec.sequence) == g
 
 
 def test_qn_bdh_fast_error_messages_on_larger_inputs():

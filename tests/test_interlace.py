@@ -765,13 +765,23 @@ def test_qn_kernel_reduces_every_subproblem_of_a_tree_on_a_leaf():
                 assert rows[-1].bit_count() == 1, n
 
 
-def test_qn_kernel_searches_fewer_dense_subproblems_than_it_solves(monkeypatch):
+def test_qn_kernel_searches_each_subproblem_of_unknown_connectivity_once(monkeypatch):
+    # the memo answers every later call, so component_masks runs exactly for the
+    # subproblems of two or more vertices whose first call did not say connected
     calls = _count_searches(monkeypatch)
-    g = _random_graph(random.Random(1414), 14)
-    subproblems = {rows for rows, _, _ in _solve_calls(g)}
-    # a subproblem is searched only when its connectivity is unknown and the reach falls short
-    assert 2 * len(calls) < len(subproblems)
-    assert qn_recursive(g) == qn_from_q(g)
+    rng = random.Random(1414)
+    vs = [f"v{k}" for k in range(40)]
+    tree = _shuffled(Graph.from_edges([(vs[k], vs[rng.randrange(k)]) for k in range(1, 40)], vs),
+                     rng)
+    for g in (_random_graph(random.Random(1414), 14), tree):
+        calls.clear()
+        first: dict[tuple, bool] = {}
+        for rows, connected, _ in _solve_calls(g):
+            first.setdefault(rows, connected)
+        assert len(calls) == len(set(calls)), g
+        assert set(calls) == {rows for rows, connected in first.items()
+                              if not connected and len(rows) >= 2}, g
+        assert qn_recursive(g) == qn_from_q(g)
 
 
 def test_q_recursive_reads_wide_signed_coefficients_on_complete_graphs():
