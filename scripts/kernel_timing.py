@@ -8,11 +8,16 @@ graph on 1,000 vertices, the star K_{1,299} and a forest of sixty seeded
 seeded G(16, 1/2) graphs with a loop on each vertex with probability 0.3,
 and P_200 with a loop at every vertex.
 Times ``qn_recursive`` (the inputs named qN_*) on P_300 in natural order
-and with its vertices listed in a seeded random order, on a seeded random
-60-vertex tree listed in a seeded random order, and on three seeded
-G(20, 1/2) graphs.  A q_N kernel that reduces on a fixed vertex without
-reordering its input takes exponential time on the shuffled path, so
-compare such a checkout with ``--only``.
+and with its vertices listed in a seeded random order, on P_1800 and
+P_2500, on a seeded random 60-vertex tree listed in a seeded random order,
+on a seeded spider (a centre with 12 paths of 1-10 vertices hung from it)
+listed in a seeded random order, and on three seeded G(20, 1/2) graphs.
+A q_N kernel that reduces on a fixed vertex without reordering its input
+takes exponential time on the shuffled path, and one that takes a path a
+vertex at a time exceeds the recursion limit on P_2500, so compare such a
+checkout with ``--only``.  The breadth-first order scatters the spider's
+legs, so they go about a vertex at a time and its time grows exponentially
+with the number of legs; a larger spider is left out of the list.
 Times ``tutte_polynomial`` on K_7, the Petersen graph, the wheel W_12 (a hub
 joined to a 12-cycle), seeded 15-op series-parallel graphs, a seeded random
 tree of 1,000 edges, a seeded connected cubic graph on 14 vertices, a seeded
@@ -81,6 +86,16 @@ def shuffled(g: Graph, seed: int) -> Graph:
     return Graph.from_edges(g.edges(), ids)
 
 
+def random_spider(legs: int, longest: int, seed: int) -> Graph:
+    """Centre c with ``legs`` seeded paths of 1..longest vertices hung from it."""
+    rng = random.Random(seed)
+    edges = []
+    for leg in range(legs):
+        path = ["c"] + [f"l{leg}_{k}" for k in range(rng.randint(1, longest))]
+        edges += zip(path, path[1:])
+    return Graph.from_edges(edges)
+
+
 def random_forest(trees: int, size: int, seed: int) -> Graph:
     """Disjoint union of seeded random recursive trees of ``size`` vertices."""
     rng = random.Random(seed)
@@ -147,7 +162,10 @@ INPUTS = {
         path_graph(200).edges() + [(str(v), str(v)) for v in range(1, 201)])]),
     "qN_P_300": (qn_recursive, lambda: [path_graph(300)]),
     "qN_P_300_shuf": (qn_recursive, lambda: [shuffled(path_graph(300), 11)]),
+    "qN_P_1800": (qn_recursive, lambda: [path_graph(1800)]),
+    "qN_P_2500": (qn_recursive, lambda: [path_graph(2500)]),
     "qN_tree_60_shuf": (qn_recursive, lambda: [shuffled(random_tree(60, 5), 12)]),
+    "qN_spider": (qn_recursive, lambda: [shuffled(random_spider(12, 10, 13), 14)]),
     "qN_Gnp_20_x3": (qn_recursive, lambda: [random_graph(20, random.Random(seed))
                                             for seed in (1, 2, 3)]),
     "K_7": (tutte_polynomial, lambda: [complete_graph(7).edges()]),

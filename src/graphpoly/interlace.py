@@ -45,18 +45,24 @@ than one component.  It puts the
 rows in breadth-first order from a vertex of least degree
 (``graphs.bfs_rows``), which puts a leaf last on a tree, and reduces a
 connected graph on its last vertex a and a's highest neighbour b: by the
-pendant rule if N(a) = {b}, else by the loop rule on a if a is looped or
-on b if b is, else by the pivot.  It deletes a by slicing the rows and the
-pivot's b by moving the last vertex into its slot, so such a deletion
+hanging-path rule if N(a) = {b}, else by the loop rule on a if a is looped
+or on b if b is, else by the pivot.  The hanging-path rule walks a = a_1,
+a_2, ... while the next vertex is the one listed just before, loopless,
+with one neighbour besides the last; the first that is not is r.  With
+u_i = q(G - a_1..a_i), the pendant rule on a_i reads
+u_{i-1} = u_i + ((x-1)^2 + y - 1) u_{i+1}, so q(G) = u_0 takes u_L,
+u_{L+1} = q(G - a_1..a_L - r) and L shift-and-add steps; nothing in
+between is built or memoised, and G - a_1..a_L is a slice of the rows
+(L = 1 is the pendant rule).  A path the order scatters, like a spider's
+leg, goes a run at a time.  The kernel deletes a by slicing the rows and
+the pivot's b by moving the last vertex into its slot, so such a deletion
 rewrites only the rows of the two vertices' neighbours; one that may move
-or remove a looped vertex rewrites every row.  The pendant rule's G-a-b
-keeps the order of G-a, so every subproblem of a tree stays in
-breadth-first order and is reduced on a leaf.  G-a-b is solved first, so
-a path recurses about n/2 deep, but the pivot about n deep on a cycle:
-paths of about 2,000 vertices and long cycles exhaust Python's stack.
-The memo, keyed on the rows as the recursion leaves them, lives for one
-call: nothing is kept between calls, and the two reduction orders of
-``q_recursive`` never share entries.
+or remove a looped vertex rewrites every row.  r is deleted in order, so
+every subproblem of a tree stays in breadth-first order and is reduced
+on a leaf.  A path takes one step, but the pivot recurses about n deep
+on a cycle: long cycles exhaust Python's stack.  The memo, keyed on
+the rows as the recursion leaves them, lives for one call: no later call
+sees it, and the two reduction orders of ``q_recursive`` share no entries.
 
 The kernel holds each subproblem's polynomial as one int, its value at
 x = 2^xs, y = 2^ys, whose binary digits (read by
@@ -218,14 +224,14 @@ def _drop(rows: list, j: int) -> tuple:
 
 
 def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
-    """q at x = 2^xs, y = 2^ys by the pendant, loop and pivot rules, memo local to the call.
+    """q at x = 2^xs, y = 2^ys by the hanging-path, loop and pivot rules, memo local to the call.
 
     The module docstring gives the rules, the order and the packing.
     ``prefer_loop`` takes the loop rule on the highest looped vertex
     whenever there is one.  ``solve(rows, connected)`` searches for
-    components only when ``connected`` is false.  The pendant rule's G-a is
-    connected, and G-a-b is when b has at most one neighbour besides a; the
-    pivot rule's G^{ab}-b = G-b is when N(b) = {a}.
+    components only when ``connected`` is false.  The hanging-path rule's
+    u_L is connected, and u_{L+1} is when r has at most one neighbour besides
+    a_L; the pivot rule's G^{ab}-b = G-b is when N(b) = {a}.
     """
     memo: dict[tuple, int] = {}
     # no rule puts a loop on a loopless graph, so only a looped input needs the loop rule
@@ -264,15 +270,25 @@ def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
                 return res
         nb = rows[b] ^ 1 << a
         if rows[a] == 1 << b:
-            # q(G) = q(G-a) + ((x-1)^2 + y - 1) q(G-a-b), b looped or not.  G-a-b
-            # keeps the order of G-a and goes first, which halves the depth on paths.
-            minus_a = _drop(list(rows), a)
-            minus_ab = (_drop(list(minus_a), b) if b == a - 1 and not looped
-                        else delete_index(minus_a, b))
-            both = solve(minus_ab, not nb & (nb - 1))
-            res = solve(minus_a, True) + (both << ys)
-            if xs > 1:
-                res += (both << 2 * xs) - (both << xs + 1)
+            # walk the hanging path a = a_1, ..., a_L = top down the order: b ends
+            # as r, nb as N(r) - a_L, and rest = G - a_1..a_L is a prefix of the rows
+            top = a
+            while b == top - 1 and nb and not nb & (nb - 1) and not nb >> b & 1:
+                top, b = b, nb.bit_length() - 1
+                nb = rows[b] ^ 1 << top
+            rest = list(rows[:top])
+            rest[b] ^= 1 << top
+            rest = tuple(rest)
+            both = solve(_drop(list(rest), b) if b == top - 1 and not looped
+                         else delete_index(rest, b), not nb & (nb - 1))
+            res = solve(rest, True)
+            while top <= a:
+                # back up from a_L = top to a_1 = a: u_{i-1} = u_i + ((x-1)^2 + y - 1) u_{i+1}
+                top += 1
+                step = both << ys
+                if xs > 1:
+                    step += (both << 2 * xs) - (both << xs + 1)
+                res, both = res + step, res
         else:
             # q(G) = q(G-a) + q(G^{ab}-b) + ((x-1)^2 - 1) q(G^{ab}-a-b)
             piv_minus_b = _drop(pivot_rows(rows, a, b), b)
@@ -288,7 +304,7 @@ def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
 
 
 def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
-    """Two-variable interlace polynomial by the pendant, loop and pivot rules.
+    """Two-variable interlace polynomial by the hanging-path, loop and pivot rules.
 
     ``prefer_loop`` takes the loop rule on the highest looped vertex whenever
     there is one, which changes the reductions on looped graphs; both orders

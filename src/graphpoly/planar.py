@@ -397,7 +397,8 @@ def _two_terminal_diagonal(steps: Sequence[tuple[bool, int, int]]) -> SparsePoly
     The coefficients of t(G; x, x) are non-negative and sum to the number
     tau of spanning trees, t(G; 1, 1).  So one run in plain integers at
     s = 0 gives tau, and a second at x0 = 2^bits, bits = bits(tau) + 1,
-    holds each coefficient as one base-x0 digit.
+    holds each coefficient as one base-x0 digit; the digits read back must
+    sum to tau, or ``AssertionError`` is raised.
     """
     def run(bits):
         # s * t is (t << bits) - t, which is 0 at s = 0, and three products
@@ -415,8 +416,11 @@ def _two_terminal_diagonal(steps: Sequence[tuple[bool, int, int]]) -> SparsePoly
         root = steps[0][1]
         return c[root] + (d[root] << bits) - d[root]
 
-    bits = run(0).bit_length() + 1
-    return SparsePoly.from_base_digits(("x",), run(bits), bits)
+    bits = (tau := run(0)).bit_length() + 1
+    poly = SparsePoly.from_base_digits(("x",), run(bits), bits)
+    if sum(poly.terms.values()) != tau:
+        raise AssertionError(f"diagonal Tutte digits do not sum to tau = {tau}")
+    return poly
 
 
 # -- medial / diagonal identity -----------------------------------------------------

@@ -1,11 +1,14 @@
 """Builders that only the tests use.
 
 Joins of graphs, the writer of the rotation-system format, the reader of
-distance-hereditary scripts (which ``dh recognize`` prints) and the reader
-of the JSON form of a polynomial.  No pipeline in ``graphpoly`` needs them.
+distance-hereditary scripts (which ``dh recognize`` prints), the reader
+of the JSON form of a polynomial and q_N of a path by its recurrence.  No
+pipeline in ``graphpoly`` needs them.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from graphpoly.dh import DHSequence
 from graphpoly.fileio import FormatError, _content_lines
@@ -71,3 +74,11 @@ def poly_from_json_obj(variables, obj: list) -> SparsePoly:
         exps = tuple(int(item["exps"].get(v, 0)) for v in variables)
         terms[exps] = terms.get(exps, 0) + int(item["coeff"])
     return SparsePoly(variables, terms)
+
+
+def path_qn(n: int) -> SparsePoly:
+    """q_N(P_n) by q_N(P_n) = q_N(P_{n-1}) + x q_N(P_{n-2}), q_N(P_0) = 1, q_N(P_1) = x."""
+    prev, cur = [1], [0, 1]
+    for _ in range(2, n + 1):
+        prev, cur = cur, [a + b for a, b in zip_longest(cur, [0] + prev, fillvalue=0)]
+    return SparsePoly(("x",), {(i,): c for i, c in enumerate(cur) if c})

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from builders import poly_from_json_obj
+from builders import path_qn, poly_from_json_obj
 from graphpoly import cli, dh, euler, fileio, interlace, planar, randgen
 from graphpoly.cli import main
 from tutte_reference import tutte_by_subsets
@@ -205,9 +205,16 @@ def test_format_error_exits_2(files, capsys):
     assert code == 2 and "line 1" in err
 
 
+def test_qn_recursion_solves_a_2500_vertex_path(tmp_path, capsys):
+    # the hanging-path rule takes the whole path in one step, however long
+    path = tmp_path / "p2500.edges"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 2500)))
+    code, out, err = run(capsys, "qn", "--edges", str(path), "--method", "recursion")
+    assert code == 0 and err == "" and out == str(path_qn(2500))
+
+
 def test_recursion_too_deep_exits_2(tmp_path, capsys):
-    # a cycle recurses through the pivot, which the pendant rule's halving of
-    # the depth on paths does not reach
+    # a cycle recurses about n deep through the pivot; a path would take one step
     path = tmp_path / "c1200.edges"
     path.write_text("".join(f"{i} {i % 1200 + 1}\n" for i in range(1, 1201)))
     code, out, err = run(capsys, "qn", "--edges", str(path), "--method", "recursion")

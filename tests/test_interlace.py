@@ -1,10 +1,9 @@
 import random
 import sys
-from itertools import zip_longest
 
 import pytest
 
-from builders import disjoint_union, two_point_join
+from builders import disjoint_union, path_qn, two_point_join
 from conftest import (all_labeled_graphs, all_looped_labeled_graphs, graph_with_extra,
                       medial_circle_graphs)
 from state_sum_reference import boundary_key, rank_nullity_mask, reference_histogram
@@ -297,14 +296,6 @@ def test_disjoint_complete_graphs_and_isolated_vertices():
             assert qn_recursive(g) == qn_from_q(g)
 
 
-def _path_qn(n):
-    # q_N(P_n) = q_N(P_{n-1}) + x q_N(P_{n-2}), q_N(P_0) = 1, q_N(P_1) = x, as coefficient lists
-    prev, cur = [1], [0, 1]
-    for _ in range(2, n + 1):
-        prev, cur = cur, [a + b for a, b in zip_longest(cur, [0] + prev, fillvalue=0)]
-    return X({(i,): c for i, c in enumerate(cur) if c})
-
-
 def _shuffled(g, rng):
     """g with its vertex ids listed in a random order, so its rows come in that order."""
     ids = list(g.ids)
@@ -313,17 +304,17 @@ def _shuffled(g, rng):
 
 
 def test_qn_recursive_long_path_matches_pendant_recurrence():
-    # the pendant rule solves G-a-b before G-a, so a path recurses about n/2
-    # deep and P_1800 fits in Python's default limit of 1,000 frames
+    # the hanging-path rule takes a whole path in one step, so P_1800 is far
+    # inside Python's default limit of 1,000 frames
     assert sys.getrecursionlimit() <= 1000
     for n in (400, 1800):
-        assert qn_recursive(path_graph(n)) == _path_qn(n), n
+        assert qn_recursive(path_graph(n)) == path_qn(n), n
 
 
 def test_qn_recursive_shuffled_long_path_matches_pendant_recurrence():
     # the kernel's breadth-first order puts a shuffled path back in path order
     for n in (300, 900):
-        assert qn_recursive(_shuffled(path_graph(n), random.Random(303))) == _path_qn(n), n
+        assert qn_recursive(_shuffled(path_graph(n), random.Random(303))) == path_qn(n), n
 
 
 def test_qn_recursive_is_independent_of_the_vertex_order():
@@ -820,3 +811,118 @@ def test_q_recursive_takes_isolated_vertices_and_components_apart():
     # a star has rank 2, so its q is laid out three digits to a power of y
     assert q_recursive(star_graph(40)) == q_recursive(star_graph(40), prefer_loop=True)
     assert qn_of_q(q_recursive(star_graph(40))) == qn_recursive(star_graph(40))
+
+
+# -- the hanging-path rule ------------------------------------------------------------
+
+
+def _legs(root, lengths, tag):
+    """Edges of paths of the given lengths hung from root, on new vertices tag<k>_<i>."""
+    edges = []
+    for k, m in enumerate(lengths):
+        prev = root
+        for i in range(m):
+            edges.append((prev, f"{tag}{k}_{i}"))
+            prev = f"{tag}{k}_{i}"
+    return edges
+
+
+def _hanging_path_corpus():
+    """Seeded graphs with hanging paths, each also with its vertex ids shuffled.
+
+    Spiders, lollipops, caterpillars, paths hung from a looped vertex or
+    ending in one, tails whose would-be chain is cut by a looped or a
+    degree-3 vertex, and tails the breadth-first order lists last.
+    """
+    rng = random.Random(2525)
+    graphs = []
+    # spiders: K_{1,k} with legs of 1-6 vertices
+    for k in range(1, 5):
+        graphs.append(Graph.from_edges(_legs("c", [rng.randint(1, 6) for _ in range(k)], "l")))
+    # lollipops: K_4 and C_5 with a tail
+    for core in (complete_graph(4), cycle_graph(5)):
+        for m in (1, 2, rng.randint(3, 8)):
+            graphs.append(Graph.from_edges(core.edges() + _legs("1", [m], "t")))
+    # caterpillars: a spine with zero to two leaves on each spine vertex
+    for _ in range(4):
+        spine = [f"s{i}" for i in range(rng.randint(2, 7))]
+        edges = [e for v in spine for e in _legs(v, [1] * rng.randint(0, 2), v)]
+        graphs.append(Graph.from_edges(list(zip(spine, spine[1:])) + edges, spine))
+    # a path hung from a looped r, on a core that may be disconnected
+    for m in (1, 3, 6):
+        core = _random_graph(rng, 5)
+        r = rng.choice(core.ids)
+        graphs.append(Graph.from_edges(core.edges() + [(r, r)] + _legs(r, [m], "t"), core.ids))
+    # a seven-vertex tail t0_0..t0_6 on K_4 or C_5 whose fourth vertex is looped or has a leaf
+    for core in (complete_graph(4), cycle_graph(5)):
+        tail = _legs("1", [7], "t")
+        graphs.append(Graph.from_edges(core.edges() + tail + [("t0_3", "t0_3")]))
+        graphs.append(Graph.from_edges(core.edges() + tail + [("t0_3", "x")]))
+    # a tail on C_5 across from a leaf listed first, so the tail comes last in path order
+    for m in (3, 6):
+        edges = cycle_graph(5).edges() + [("y", "1")] + _legs("3", [m], "t")
+        graphs.append(Graph.from_edges(edges, ["y"] + [str(v) for v in range(1, 6)]))
+    # a tail on C_5 whose looped end is listed first, so the walk reaches it from the cycle
+    for m in (1, 4):
+        end = f"t0_{m - 1}"
+        edges = cycle_graph(5).edges() + _legs("1", [m], "t") + [(end, end)]
+        graphs.append(Graph.from_edges(edges, [end] + [str(v) for v in range(1, 6)]))
+    return [h for g in graphs for h in (g, _shuffled(g, rng))]
+
+
+def _hanging_paths(graphs, run) -> set:
+    """(min(L, 3), kind of r, listing) of each hanging path the kernel meets under ``run``.
+
+    Only connected subproblems whose last vertex a is loopless with one
+    neighbour count.  The path is followed whatever the order; r is an
+    "end" (no neighbour besides a_L) or a "branch", and "looped" or not;
+    the listing is "in order" when a_1, ..., a_L are the last L rows.
+    """
+    seen = set()
+    for g in graphs:
+        for rows, _, _ in _solve_calls(g, run):
+            n = len(rows)
+            if n < 2 or len(component_masks(rows)) > 1 or rows[-1].bit_count() != 1:
+                continue
+            prev, r, length = n - 1, rows[-1].bit_length() - 1, 1
+            if r == n - 1:
+                continue
+            while rows[r] >> r & 1 == 0 and (rows[r] ^ 1 << prev).bit_count() == 1:
+                prev, r, length = r, (rows[r] ^ 1 << prev).bit_length() - 1, length + 1
+            others = rows[r] & ~(1 << r | 1 << prev)
+            seen.add((min(length, 3), "looped " * (rows[r] >> r & 1) + ("branch" if others else "end"),
+                      "in order" if prev == n - length else "scattered"))
+    return seen
+
+
+def test_hanging_path_corpus_reaches_long_paths_to_every_kind_of_end():
+    graphs = _hanging_path_corpus()
+    assert all(g.n <= 25 for g in graphs)
+    seen = _hanging_paths(graphs, q_recursive)
+    assert {(3, kind, "in order") for kind in ("end", "branch", "looped end",
+                                               "looped branch")} <= seen
+    assert {(3, "end", "scattered"), (3, "branch", "scattered")} <= seen
+    simple = [g for g in graphs if g.is_simple()]
+    assert {(3, "end", "in order"), (3, "branch", "in order"),
+            (3, "branch", "scattered")} <= _hanging_paths(simple, qn_recursive)
+
+
+def test_hanging_path_rule_matches_the_state_sums():
+    for g in _hanging_path_corpus():
+        expected = q_state_sum(g)
+        assert q_recursive(g) == expected, g
+        assert q_recursive(g, prefer_loop=True) == expected, g
+        if g.is_simple():
+            assert qn_recursive(g) == qn_from_q(g), g
+
+
+def test_qn_kernel_solves_a_path_in_at_most_three_calls():
+    # P_n hangs from its first vertex r: solve(P_n), then u_L = solve(r) and
+    # u_{L+1} = solve(empty), so nothing between the ends is solved
+    for n in (3, 50, 300, 2000):
+        assert len(_solve_calls(path_graph(n))) <= 3, n
+
+
+def test_qn_recursive_solves_a_2500_vertex_path_under_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    assert qn_recursive(path_graph(2500)) == path_qn(2500)

@@ -391,6 +391,19 @@ def test_sp_diagonal_large_sequences():
         assert t == sp_diagonal_tutte(seq.dual())
 
 
+def test_sp_diagonal_raises_when_its_digits_do_not_sum_to_tau(monkeypatch):
+    # reading the packed run one bit narrower, as bits = bits(tau) would, must
+    # trip the digit-sum check rather than return wrong coefficients
+    read = SparsePoly.from_base_digits
+    monkeypatch.setattr(SparsePoly, "from_base_digits",
+                        lambda variables, value, bits, d=1: read(variables, value, bits - 1, d))
+    rng = random.Random(69)
+    for _ in range(10):
+        seq = random_sp_sequence(rng.randrange(1, 40), rng)
+        with pytest.raises(AssertionError, match="sum to tau"):
+            sp_diagonal_tutte(seq)
+
+
 def test_medial_identity_digon_and_triangle():
     rep = verify_medial_tutte_identity(SP())
     assert rep.ok and rep.qn_circle == X({(1,): 2})
