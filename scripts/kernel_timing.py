@@ -7,8 +7,8 @@ graph on 1,000 vertices, the star K_{1,299} and a forest of sixty seeded
 5-vertex trees, and two looped inputs that take the loop rule: three
 seeded G(16, 1/2) graphs with a loop on each vertex with probability 0.3,
 and P_200 with a loop at every vertex.
-Times ``qn_recursive`` (the inputs named qN_*) on P_300 in natural order
-and with its vertices listed in a seeded random order, on P_1800 and
+Times ``qn_recursive`` (the inputs named qN_*) on P_160, on P_300 in natural
+order and with its vertices listed in a seeded random order, on P_1800 and
 P_2500, on a seeded random 60-vertex tree listed in a seeded random order,
 on a seeded spider (a centre with 12 paths of 1-10 vertices hung from it)
 listed in a seeded random order, and on three seeded G(20, 1/2) graphs.
@@ -160,6 +160,7 @@ INPUTS = {
                                               for seed in (1, 2, 3)]),
     "P_200_loops": (q_recursive, lambda: [Graph.from_edges(
         path_graph(200).edges() + [(str(v), str(v)) for v in range(1, 201)])]),
+    "qN_P_160": (qn_recursive, lambda: [path_graph(160)]),
     "qN_P_300": (qn_recursive, lambda: [path_graph(300)]),
     "qN_P_300_shuf": (qn_recursive, lambda: [shuffled(path_graph(300), 11)]),
     "qN_P_1800": (qn_recursive, lambda: [path_graph(1800)]),

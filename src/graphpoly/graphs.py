@@ -263,18 +263,20 @@ def compact_rows(rows: Sequence[int], mask: int) -> tuple[int, ...]:
     return rows
 
 
-def bfs_rows(rows: Sequence[int]) -> tuple[int, ...]:
-    """Rows relabelled in breadth-first order, ties broken by index.
+def bfs_rows(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Rows in breadth-first order, ties broken by index, and the number of components.
 
     Each component is searched from its vertex of least degree, components
-    in the order of those vertices, so a tree's last vertex is a leaf and a
-    path already in natural order keeps it.
+    in the order of those vertices, so a tree's last vertex is a leaf.  Rows
+    already in that order, like a path in natural order, come back as they are.
     """
+    deg = [r.bit_count() for r in rows]
     order: list[int] = []
-    seen = 0
-    for start in sorted(range(len(rows)), key=lambda i: rows[i].bit_count()):
+    seen = components = 0
+    for start in sorted(range(len(rows)), key=deg.__getitem__):
         if seen >> start & 1:
             continue
+        components += 1
         head = len(order)
         order.append(start)
         seen |= 1 << start
@@ -282,11 +284,16 @@ def bfs_rows(rows: Sequence[int]) -> tuple[int, ...]:
             new = rows[order[head]] & ~seen
             head += 1
             seen |= new
-            order.extend(bit_indices(new))
+            if new & (new - 1):
+                order.extend(bit_indices(new))
+            elif new:
+                order.append(new.bit_length() - 1)
+    if order == list(range(len(rows))):
+        return tuple(rows), components
     out = [0] * len(rows)
     for i, v in enumerate(order):
         toggle_rows(out, rows[v], 1 << i)
-    return tuple([out[v] for v in order])
+    return tuple([out[v] for v in order]), components
 
 
 def toggle_rows(rows: list[int], mask: int, bits: int) -> None:

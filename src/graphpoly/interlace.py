@@ -37,17 +37,18 @@ recursion, ``gamma_state_sum`` counts it over all vertex subsets.
 One kernel runs the recursion for both, at x = 2^xs, y = 2^ys; q_N is q
 at xs = 1.  A disconnected graph is the product of its components, each
 compacted to its own rows, and a single vertex contributes x (looped) or
-y.  The kernel is told which subproblems are connected (the components of
-a split, and a child that lost a vertex of degree at most 1 from a
-connected graph); any other goes to ``graphs.component_masks``, whose
-search stops once it covers every vertex, and is split if that finds more
-than one component.  It puts the
-rows in breadth-first order from a vertex of least degree
-(``graphs.bfs_rows``), which puts a leaf last on a tree, and reduces a
-connected graph on its last vertex a and a's highest neighbour b: by the
-hanging-path rule if N(a) = {b}, else by the loop rule on a if a is looped
-or on b if b is, else by the pivot.  The hanging-path rule walks a = a_1,
-a_2, ... while the next vertex is the one listed just before, loopless,
+y.  The kernel is told which subproblems are connected (the root, when
+the order pass below counts one component; the components of a split; and
+a child that lost a vertex of degree at most 1 from a connected graph);
+any other goes to ``graphs.component_masks``, whose search stops once it
+covers every vertex, and is split if that finds more than one component.
+It puts the rows in breadth-first order from a vertex of least degree,
+which puts a leaf last on a tree, in one pass (``graphs.bfs_rows``) that
+also counts the components and leaves rows already in that order as they
+are.  It reduces a connected graph on its last vertex a and a's highest
+neighbour b: by the hanging-path rule if N(a) = {b}, else by the loop rule
+on a if a is looped or on b if b is, else by the pivot.  The hanging-path
+rule walks a = a_1, a_2, ... while the next vertex is the one listed just before, loopless,
 with one neighbour besides the last; the first that is not is r.  With
 u_i = q(G - a_1..a_i), the pendant rule on a_i reads
 u_{i-1} = u_i + ((x-1)^2 + y - 1) u_{i+1}, so q(G) = u_0 takes u_L,
@@ -229,9 +230,11 @@ def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
     The module docstring gives the rules, the order and the packing.
     ``prefer_loop`` takes the loop rule on the highest looped vertex
     whenever there is one.  ``solve(rows, connected)`` searches for
-    components only when ``connected`` is false.  The hanging-path rule's
-    u_L is connected, and u_{L+1} is when r has at most one neighbour besides
-    a_L; the pivot rule's G^{ab}-b = G-b is when N(b) = {a}.
+    components only when ``connected`` is false; the root is connected
+    when the breadth-first pass counts one component.  The hanging-path
+    rule's u_L is connected, and u_{L+1} is when r has at most one
+    neighbour besides a_L; the pivot rule's G^{ab}-b = G-b is when
+    N(b) = {a}.
     """
     memo: dict[tuple, int] = {}
     # no rule puts a loop on a loopless graph, so only a looped input needs the loop rule
@@ -300,7 +303,8 @@ def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
         memo[rows] = res
         return res
 
-    return solve(bfs_rows(rows), False)
+    rows, components = bfs_rows(rows)
+    return solve(rows, components == 1)
 
 
 def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from builders import path_qn, poly_from_json_obj
 from graphpoly import cli, dh, euler, fileio, interlace, planar, randgen
@@ -477,3 +479,41 @@ def test_missing_file_of_every_file_option_exits_2_in_one_line(tmp_path, capsys,
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read {path}: ")
+
+
+
+# every action that reads a file, the file option last
+FILE_ACTIONS = [
+    *[("q", "--method", m, "--edges") for m in ("state-sum", "recursion")],
+    *[("qn", "--method", m, "--edges") for m in ("recursion", "specialize", "bdh-fast")],
+    ("gamma", "--edges"), ("tutte", "--edges"), ("tutte-diag-sp", "--sp"), ("beta", "--edges"),
+    ("cpp", "--arcs"), ("euler-circuit", "--arcs"), ("circle-graph", "--arcs"),
+    ("medial", "--sp"), *[("dh", action, "--edges") for action in ("recognize", "is-bdh", "to-sp")],
+    ("verify", "theorem-a", "--arcs"), ("verify", "theorem-b", "--sp"),
+]
+# lines of node names, arrows, series-parallel words, numbers and junk, or whole well-formed lines
+_TOKENS = st.sampled_from(["a", "b", "c", "u", "1", "2", "->", "digon", "series", "parallel",
+                           "e0", "e1", "e2", "e3", "e9", "0", "-1", "3.5", "#", "->->", "\t",
+                           "\u00e9", ","])
+_LINES = st.one_of(st.lists(_TOKENS, max_size=4).map(" ".join),
+                   st.sampled_from(["u -> w", "w -> u", "a b", "digon", "series e1",
+                                    "parallel e2"]))
+# or a well-formed file of each format with one such line appended
+_FILES = st.one_of(st.lists(_LINES, max_size=6).map("\n".join),
+                   st.tuples(st.sampled_from([BDH_TAILED_C4, THREE_ARCS, C4_SP,
+                                              "u -> w\nu -> w\nw -> u\nw -> u\n"]),
+                             _LINES).map("".join))
+
+
+@given(text=_FILES)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_file_reading_action_exits_with_a_defined_code(tmp_path, capsys, text):
+    # a result (0), a failed check (1), a usage or input error (2) or a broken
+    # invariant (3), and never an exception out of main
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    for argv in FILE_ACTIONS:
+        for fmt in ((), ("--format", "json")):
+            assert main([*fmt, *argv, str(path)]) in (0, 1, 2, 3), (argv, text)
+            capsys.readouterr()

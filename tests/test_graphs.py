@@ -5,8 +5,8 @@ import pytest
 from builders import disjoint_union, two_point_join
 from conftest import all_labeled_graphs
 from state_sum_reference import rank_nullity
-from graphpoly.graphs import (Graph, bfs_rows, compact_rows, complete_graph, cycle_graph,
-                              delete_index, path_graph, star_graph)
+from graphpoly.graphs import (Graph, bfs_rows, compact_rows, complete_graph, component_masks,
+                              cycle_graph, delete_index, path_graph, star_graph)
 from graphpoly.randgen import random_graph
 
 
@@ -236,16 +236,38 @@ def test_bfs_rows_matches_a_queue_search():
         vs = [str(i) for i in range(n)]
         g = Graph.from_edges([(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
                               if rng.random() < p], vs)
-        assert bfs_rows(g.rows) == _reference_bfs_rows(g.rows)
+        assert bfs_rows(g.rows)[0] == _reference_bfs_rows(g.rows)
 
 
 def test_bfs_rows_keeps_a_path_and_puts_a_leaf_last():
     for n in (1, 2, 5, 300):
-        assert bfs_rows(path_graph(n).rows) == path_graph(n).rows
+        assert bfs_rows(path_graph(n).rows)[0] == path_graph(n).rows
     rng = random.Random(89)
     for n in range(2, 60):
         vs = [str(i) for i in range(n)]
         rng.shuffle(vs)
         tree = Graph.from_edges([(vs[k], vs[rng.randrange(k)]) for k in range(1, n)], sorted(vs))
-        last = bfs_rows(tree.rows)[-1]
+        last = bfs_rows(tree.rows)[0][-1]
         assert last and not last & (last - 1), n
+
+
+def test_bfs_rows_counts_the_components_it_starts():
+    # empty, single, looped and isolated vertices, and several pieces whose ids interleave
+    rng = random.Random(90)
+    graphs = [Graph([], []), Graph(["a"], [0]), Graph(["a"], [1]), Graph.edgeless(5)]
+    for _ in range(300):
+        vs = [str(i) for i in range(rng.randrange(1, 30))]
+        rng.shuffle(vs)
+        edges, k = [], 0
+        while k < len(vs):
+            piece = vs[k:k + rng.randrange(1, 8)]
+            k += len(piece)
+            edges += [(u, v) for i, u in enumerate(piece) for v in piece[i + 1:]
+                      if rng.random() < 0.4]
+        edges += [(v, v) for v in vs if rng.random() < 0.2]
+        graphs.append(Graph.from_edges(edges, sorted(vs, key=int)))
+    for g in graphs:
+        rows, components = bfs_rows(g.rows)
+        assert components == len(component_masks(g.rows)), g
+        assert rows == _reference_bfs_rows(g.rows), g
+    assert {bfs_rows(g.rows)[1] for g in graphs} >= {0, 1, 2, 3, 5}

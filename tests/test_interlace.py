@@ -736,6 +736,22 @@ def test_qn_kernel_searches_a_path_at_most_once(monkeypatch):
         assert all(connected for _, connected, _ in solved[1:]), n
 
 
+def test_qn_kernel_root_is_searched_only_when_the_order_pass_finds_several_components(
+        monkeypatch):
+    # the breadth-first pass counts the components, so a connected input is not
+    # searched again; a disconnected one is searched once and split
+    calls = _count_searches(monkeypatch)
+    for n in (2, 50, 300):
+        calls.clear()
+        assert qn_recursive(path_graph(n)) == path_qn(n)
+        assert calls == [], n
+    g = _shuffled(disjoint_union(path_graph(4), cycle_graph(5)), random.Random(1515))
+    calls.clear()
+    root = _solve_calls(g)[0]
+    assert not root[1] and calls[0] == root[0] and calls.count(root[0]) == 1
+    assert qn_recursive(g) == qn_from_q(g)
+
+
 def test_q_recursive_searches_a_star_about_once_per_leaf(monkeypatch):
     # each sub-star is reduced on a leaf by the pendant rule; the only split is
     # the edgeless G-a-b, solved once and memoised
