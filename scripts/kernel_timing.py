@@ -225,13 +225,13 @@ def main() -> None:
             print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))  # KiB
         return
     names = args.only.split(",") if args.only else list(INPUTS)
-    print(f"{'input':<16} {'function':<22} {'best ms':>9} {'peak RSS MiB':>13}")
+    print(f"{'input':<16} {'function':<22} {'best ms':>10} {'peak RSS MiB':>13}")
     for name in names:
         best = min(run_once(name) for _ in range(args.repeats))
         child = subprocess.run([sys.executable, __file__, "--rss-of", name],
                                capture_output=True, text=True, check=True)
         rss = int(child.stdout.split()[-1]) / 1024
-        print(f"{name:<16} {INPUTS[name][0].__name__:<22} {best * 1000:9.1f} {rss:13.1f}")
+        print(f"{name:<16} {INPUTS[name][0].__name__:<22} {best * 1000:10.3f} {rss:13.1f}")
 
 
 if __name__ == "__main__":

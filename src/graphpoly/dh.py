@@ -16,12 +16,10 @@ live vertices by open neighbourhood, with one bitmask each for pendants and
 for vertices with a false twin.  Removing v changes only the rows of its
 neighbours, so a step re-buckets v and its neighbours: O(deg v) bucket
 updates on n-bit keys, O(|E|) over the whole peel.  The buckets by closed
-neighbourhood and the true-twin mask are built from the live rows the
-first time a true twin could be chosen (at the first step of a seeded
-peel, else when no pendant or false twin is left) and kept from then on,
-so a peel that never gets there, such as that of any BDH graph, never
-builds them.  ``recognize_dh`` and ``is_bdh`` map the triples to vertex
-ids.
+neighbourhood and the true-twin mask are built from the live rows once
+no pendant or false twin is left, and kept from then on, so a peel that
+never gets there, such as that of any BDH graph, never builds them.
+``recognize_dh`` and ``is_bdh`` map the triples to vertex ids.
 
 ``bdh_to_sp`` converts a true-twin-free sequence into a series-parallel
 construction whose diagonal Tutte polynomial equals q_N of the graph.  Each
@@ -42,7 +40,6 @@ two-terminal evaluator of ``planar``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .graphs import Graph, bit_indices, compact_rows
@@ -141,7 +138,7 @@ class DHRecognition:
 _KINDS = ("pendant", "falsetwin", "truetwin")
 
 
-def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
+def _peel(rows) -> tuple[list, int]:
     """The greedy peel on adjacency rows: removal triples in peel order, and the alive mask.
 
     Each triple is (kind, removed, partner) in vertex indices, kind 0, 1 or 2
@@ -150,8 +147,8 @@ def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
     """
     rows = list(rows)
     alive = (1 << len(rows)) - 1
-    # open neighbourhood -> members (non-isolated vertices), and once a true
-    # twin could be chosen, closed neighbourhood -> members (degree two or
+    # open neighbourhood -> members (non-isolated vertices), and once only a
+    # true twin can be chosen, closed neighbourhood -> members (degree two or
     # more: keeping the partner must leave it non-isolated, which rules out
     # recording K_2 as a true twin)
     open_rows: dict[int, int] = {}
@@ -168,7 +165,7 @@ def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
             ftwin |= members
     steps = []
     while alive & (alive - 1):
-        if closed_rows is None and (rng is not None or not pend | ftwin):
+        if closed_rows is None and not pend | ftwin:
             closed_rows = {}
             for v in bit_indices(alive):
                 r = rows[v]
@@ -178,31 +175,17 @@ def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
             for members in closed_rows.values():
                 if members & (members - 1):
                     ttwin |= members
-        if rng is None:
-            if pend:
-                kind, bit = 0, pend & -pend
-                rem = bit.bit_length() - 1
-                partner = rows[rem].bit_length() - 1
-            elif ftwin or ttwin:
-                kind, bit = (1, ftwin & -ftwin) if ftwin else (2, ttwin & -ttwin)
-                rem = bit.bit_length() - 1
-                group = (open_rows[rows[rem]] if ftwin else closed_rows[rows[rem] | bit]) ^ bit
-                partner = (group & -group).bit_length() - 1
-            else:
-                break
+        if pend:
+            kind, bit = 0, pend & -pend
+            rem = bit.bit_length() - 1
+            partner = rows[rem].bit_length() - 1
+        elif ftwin or ttwin:
+            kind, bit = (1, ftwin & -ftwin) if ftwin else (2, ttwin & -ttwin)
+            rem = bit.bit_length() - 1
+            group = (open_rows[rows[rem]] if ftwin else closed_rows[rows[rem] | bit]) ^ bit
+            partner = (group & -group).bit_length() - 1
         else:
-            # pendants by index, then each twin group by its lowest member
-            cands = [(0, v, rows[v].bit_length() - 1) for v in bit_indices(pend)]
-            for kind, mask in ((1, ftwin), (2, ttwin)):
-                for v in bit_indices(mask):
-                    group = open_rows[rows[v]] if kind == 1 else closed_rows[rows[v] | 1 << v]
-                    if group & -group == 1 << v:
-                        cands += [(kind, a, b) for a in bit_indices(group)
-                                  for b in bit_indices(group ^ 1 << a)]
-            if not cands:
-                break
-            kind, rem, partner = cands[rng.randrange(len(cands))]
-            bit = 1 << rem
+            break
         steps.append((kind, rem, partner))
         alive ^= bit
         # rem leaves its buckets, and each neighbour moves from the buckets
@@ -246,21 +229,19 @@ def _peel(rows, rng: random.Random | None = None) -> tuple[list, int]:
     return steps, alive
 
 
-def recognize_dh(g: Graph, rng: random.Random | None = None) -> DHRecognition:
-    """Greedy pendant/twin peel; deterministic order unless an rng is supplied.
+def recognize_dh(g: Graph) -> DHRecognition:
+    """Greedy pendant/twin peel in one fixed order.
 
-    The deterministic order prefers pendants, then false twins, then true
-    twins, removing the earliest vertex first against its earliest partner.
-    With an rng the step is chosen uniformly among all legal removals,
-    listed as pendants by index, then each twin group (by its lowest
-    member) with its ordered pairs; this exercises the fact that the
-    number of true twins does not depend on the peel order.
+    The order prefers pendants, then false twins, then true twins,
+    removing the earliest vertex first against its earliest partner.  The
+    number of true twins does not depend on the peel order (Bandelt &
+    Mulder, 1986).
     """
     g.require_simple("distance-hereditary recognition")
     if g.n == 0:
         raise ValueError("empty graph")
     ids = g.ids
-    steps, alive = _peel(g.rows, rng)
+    steps, alive = _peel(g.rows)
     if alive & (alive - 1):
         return DHRecognition(None, Graph([ids[v] for v in bit_indices(alive)],
                                          compact_rows(g.rows, alive)))

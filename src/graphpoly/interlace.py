@@ -63,7 +63,7 @@ every subproblem of a tree stays in breadth-first order and is reduced
 on a leaf.  A path takes one step, but the pivot recurses about n deep
 on a cycle: long cycles exhaust Python's stack.  The memo, keyed on
 the rows as the recursion leaves them, lives for one call: no later call
-sees it, and the two reduction orders of ``q_recursive`` share no entries.
+sees it.
 
 The kernel holds each subproblem's polynomial as one int, its value at
 x = 2^xs, y = 2^ys, whose binary digits (read by
@@ -224,17 +224,15 @@ def _drop(rows: list, j: int) -> tuple:
     return tuple(rows)
 
 
-def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
+def _kernel(rows: tuple, xs: int, ys: int) -> int:
     """q at x = 2^xs, y = 2^ys by the hanging-path, loop and pivot rules, memo local to the call.
 
     The module docstring gives the rules, the order and the packing.
-    ``prefer_loop`` takes the loop rule on the highest looped vertex
-    whenever there is one.  ``solve(rows, connected)`` searches for
-    components only when ``connected`` is false; the root is connected
-    when the breadth-first pass counts one component.  The hanging-path
-    rule's u_L is connected, and u_{L+1} is when r has at most one
-    neighbour besides a_L; the pivot rule's G^{ab}-b = G-b is when
-    N(b) = {a}.
+    ``solve(rows, connected)`` searches for components only when
+    ``connected`` is false; the root is connected when the breadth-first
+    pass counts one component.  The hanging-path rule's u_L is connected,
+    and u_{L+1} is when r has at most one neighbour besides a_L; the pivot
+    rule's G^{ab}-b = G-b is when N(b) = {a}.
     """
     memo: dict[tuple, int] = {}
     # no rule puts a loop on a loopless graph, so only a looped input needs the loop rule
@@ -261,16 +259,13 @@ def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
             return res
         a = n - 1
         b = rows[a].bit_length() - 1  # a itself if a is looped
-        if looped:
-            if prefer_loop:
-                b = next((v for v in range(a, -1, -1) if rows[v] >> v & 1), b)
-            if rows[b] >> b & 1 and (prefer_loop or rows[a] != 1 << b):
-                # q(G) = q(G-b) + (x-1) q(G^b-b)
-                row = rows[b]
-                local = solve(delete_index([r ^ row if row >> k & 1 else r
-                                            for k, r in enumerate(rows)], b), False)
-                res = memo[rows] = solve(delete_index(rows, b), False) + (local << xs) - local
-                return res
+        if looped and rows[b] >> b & 1 and rows[a] != 1 << b:
+            # q(G) = q(G-b) + (x-1) q(G^b-b)
+            local = list(rows)
+            toggle_rows(local, rows[b], rows[b])  # G^b, as Graph.local_complement builds it
+            local = solve(delete_index(local, b), False)
+            res = memo[rows] = solve(delete_index(rows, b), False) + (local << xs) - local
+            return res
         nb = rows[b] ^ 1 << a
         if rows[a] == 1 << b:
             # walk the hanging path a = a_1, ..., a_L = top down the order: b ends
@@ -307,18 +302,16 @@ def _kernel(rows: tuple, xs: int, ys: int, prefer_loop: bool = False) -> int:
     return solve(rows, components == 1)
 
 
-def q_recursive(g: Graph, prefer_loop: bool = False) -> SparsePoly:
+def q_recursive(g: Graph) -> SparsePoly:
     """Two-variable interlace polynomial by the hanging-path, loop and pivot rules.
 
-    ``prefer_loop`` takes the loop rule on the highest looped vertex whenever
-    there is one, which changes the reductions on looped graphs; both orders
-    must agree with the state sum (property-tested, not assumed).
-    Components are solved apart.
+    Components are solved apart.  The answer does not depend on the
+    reduction order; ``q_state_sum`` is its independent oracle.
     """
     rows, comps = g.rows, component_masks(g.rows)
     parts = [compact_rows(rows, c) for c in comps if c & (c - 1)]
     bare = rows.count(0)  # isolated unlooped vertices; the other single ones are looped
-    return _packed_product(parts, lambda part, w, d: _kernel(part, w, w * d, prefer_loop),
+    return _packed_product(parts, lambda part, w, d: _kernel(part, w, w * d),
                            lambda parts: ((3 ** sum(map(len, parts))).bit_length() + 1,
                                           sum(len(reduce(_insert, p, ())) for p in parts) + 1),
                            (len(comps) - len(parts) - bare, bare))

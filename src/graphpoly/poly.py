@@ -129,12 +129,8 @@ class SparsePoly:
         if n < 0:
             raise ValueError("negative power")
         out = SparsePoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     # -- queries ----------------------------------------------------------

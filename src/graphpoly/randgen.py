@@ -10,7 +10,7 @@ import random
 from itertools import combinations
 
 from .chords import ChordDiagram
-from .dh import DHSequence
+from .dh import DHSequence, apply_dh_sequence
 from .euler import EulerDigraph
 from .graphs import Graph
 from .planar import SPSequence
@@ -74,6 +74,4 @@ def random_dh_sequence(n: int, rng: random.Random, allow_true_twins: bool = True
 
 
 def random_bdh_graph(n: int, rng: random.Random) -> Graph:
-    from .dh import apply_dh_sequence
-
     return apply_dh_sequence(random_dh_sequence(n, rng, allow_true_twins=False))

@@ -2,10 +2,11 @@
 
 ``reference_peel`` is the greedy peel that rebuilds every pendant and twin
 pair at each step and recompacts the rows after each removal; it is the
-oracle for the incremental ``recognize_dh``, including the candidate order
-that seeded peels draw from.  ``is_62_chordal`` enumerates cycles, so it is
-for small graphs only; with ``is_bipartite`` it gives the definition of a
-bipartite distance-hereditary graph.
+oracle for the incremental ``recognize_dh``.  Given an rng it draws each
+step among all legal removals, which lets the tests check that the number
+of true twins does not depend on the peel order.  ``is_62_chordal``
+enumerates cycles, so it is for small graphs only; with ``is_bipartite``
+it gives the definition of a bipartite distance-hereditary graph.
 """
 
 from __future__ import annotations

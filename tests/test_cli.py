@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -367,6 +368,33 @@ def test_randomized_state_sum_check_draws_up_to_max_size(capsys, monkeypatch, wh
     assert code == 2 and out == "" and drawn == []
     assert len(err.splitlines()) == 1 and f"{what} --max-size" in err
     assert "2^5 states" in err and "use q --method recursion" in err
+
+
+@pytest.mark.parametrize("what, name, wrong, failing", [
+    ("identities", "qn_recursive", lambda real: lambda g: real(g).scale(2),
+     "0: q_N route mismatch"),
+    ("theorem-a", "verify_circuit_partition_identity",
+     lambda real: lambda g: replace(real(g), identity_ok=False), "instance 0: "),
+    ("theorem-b", "verify_medial_tutte_identity",
+     lambda real: lambda seq: replace(real(seq), gamma=0), "instance 0: "),
+    ("cpoly", "verify_c_identity",
+     lambda real: lambda d, points: replace(real(d, points), values_q=(0,) * len(points)),
+     "diagram 1 1: "),
+    # the first diagram at seed 1 has no interlaced pair, so no reduction to check
+    ("cpoly", "verify_c_reduction",
+     lambda real: lambda d, a, b: replace(real(d, a, b), variant_minus_b_ok=False),
+     "diagram 2 1 2 1: "),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_randomized_verify_that_finds_a_failure_exits_1(capsys, monkeypatch, what, name, wrong,
+                                                        failing, fmt):
+    monkeypatch.setattr(cli, name, wrong(getattr(cli, name)))
+    max_size = cli._SUITES[what][1] + 1
+    code, out, err = run(capsys, "--format", fmt, "verify", what, "--seed", "1", "--count", "2",
+                         "--max-size", str(max_size))
+    assert code == 1 and err == "" and len(out.splitlines()) == 1
+    result = json.loads(out)["result"] if fmt == "json" else out
+    assert result.startswith(failing), result
 
 
 def test_verify_identities_runs_one_state_sum_per_graph_and_pivot(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,7 +7,7 @@ from conftest import all_labeled_graphs, medial_circle_graphs
 from dh_reference import is_62_chordal, is_bipartite, reference_peel
 from tutte_reference import matrix_tree_count
 from graphpoly.chords import circle_graph
-from graphpoly.dh import (DHSequence, apply_dh_sequence, bdh_to_sp,
+from graphpoly.dh import (DHSequence, _peel, apply_dh_sequence, bdh_to_sp,
                           gamma_from_sequence, is_bdh,
                           qn_bdh_fast, recognize_dh)
 from graphpoly.euler import all_euler_circuits, chord_diagram_from_circuit, euler_circuit
@@ -98,11 +99,9 @@ def _same_recognition(a, b):
 
 def test_recognize_dh_matches_reference_peel():
     rejected = 0
-    for k, g in enumerate(_peel_corpus(82)):
+    for g in _peel_corpus(82):
         rec = recognize_dh(g)
         assert _same_recognition(rec, reference_peel(g)), g
-        assert _same_recognition(recognize_dh(g, random.Random(k)),
-                                 reference_peel(g, random.Random(k))), g
         rejected += not rec.accepted
     assert 30 < rejected < 150  # both outcomes are well represented
 
@@ -297,8 +296,12 @@ def test_true_twin_count_peel_order_independent():
     for _ in range(40):
         seq = random_dh_sequence(rng.randrange(2, 11), rng)
         g = apply_dh_sequence(seq)
-        counts = {recognize_dh(g, rng).true_twin_count for _ in range(10)}
-        assert counts == {seq.true_twin_count}
+        assert recognize_dh(g).true_twin_count == seq.true_twin_count
+        for _ in range(10):
+            # seeded orders of the reference peel draw among all legal removals
+            ref = reference_peel(g, rng)
+            assert ref.true_twin_count == seq.true_twin_count, g
+            assert apply_dh_sequence(ref.sequence) == g
 
 
 def test_one_point_join_of_bdh_is_bdh():
@@ -361,31 +364,33 @@ def _shared_peel_corpus(seed):
 
 def test_shared_peel_matches_reference_and_both_sp_routes():
     # recognize_dh, is_bdh and qn_bdh_fast share one peel, which builds the
-    # closed-neighbourhood buckets only once a true twin could be chosen: every
-    # mix of bipartite or not and accepted or not must come out as the slow peel says
+    # closed-neighbourhood buckets only once no pendant or false twin is left:
+    # every mix of bipartite or not and accepted or not must come out as the
+    # slow peel says, and a seeded order of the slow peel must agree
     seen = set()
     for k, g in enumerate(_shared_peel_corpus(85)):
         bipartite = is_bipartite(g)
-        for rng_seed in (None, k):
-            rec = recognize_dh(g, None if rng_seed is None else random.Random(rng_seed))
-            ref = reference_peel(g, None if rng_seed is None else random.Random(rng_seed))
-            assert rec.accepted == ref.accepted, g
-            seen.add((bipartite, rec.accepted))
-            if not rec.accepted:
-                assert rec.residual.n == ref.residual.n, g
-                continue
-            assert rec.true_twin_count == ref.true_twin_count, g
-            assert apply_dh_sequence(rec.sequence) == g
-            if rec.true_twin_count:
-                continue
-            # the peel with an rng builds another SP graph than qn_bdh_fast's own
-            qn = qn_bdh_fast(g)
-            assert qn == sp_diagonal_tutte(bdh_to_sp(rec.sequence)[0]), g
-            if g.n <= 20 and rng_seed is None:
-                assert qn == qn_recursive(g), g
+        rec = recognize_dh(g)
+        ref = reference_peel(g)
+        seeded = reference_peel(g, random.Random(k))
+        assert rec.accepted == ref.accepted == seeded.accepted, g
+        seen.add((bipartite, rec.accepted))
         if not is_bdh(g).value:
             with pytest.raises(ValueError):
                 qn_bdh_fast(g)
+        if not rec.accepted:
+            assert rec.residual.n == ref.residual.n, g
+            continue
+        assert rec.true_twin_count == ref.true_twin_count == seeded.true_twin_count, g
+        assert apply_dh_sequence(rec.sequence) == g == apply_dh_sequence(seeded.sequence)
+        if rec.true_twin_count:
+            continue
+        # the seeded order builds another SP graph than qn_bdh_fast's own
+        qn = qn_bdh_fast(g)
+        for seq in (rec.sequence, seeded.sequence):
+            assert qn == sp_diagonal_tutte(bdh_to_sp(seq)[0]), g
+        if g.n <= 20:
+            assert qn == qn_recursive(g), g
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -415,11 +420,37 @@ def test_peel_builds_true_twin_buckets_mid_peel_as_the_reference_does():
         assert _same_recognition(rec, reference_peel(g)), g
         kinds = [op[0] for op in reversed(rec.sequence.ops)]
         assert kinds[0] != "truetwin" and "truetwin" in kinds, g
-        for s in range(10):
-            assert _same_recognition(recognize_dh(g, random.Random(s)),
-                                     reference_peel(g, random.Random(s))), (g, s)
         assert rec.true_twin_count == 1, g
         assert apply_dh_sequence(rec.sequence) == g
+
+
+def test_deterministic_peels_run_every_statement_of_the_peel():
+    # the peel has one order; these corpora must still reach every bucket
+    # update, closed buckets left and joined, a true-twin mask grown and
+    # shrunk, a pendant gained mid-peel, and a stuck peel's exit
+    code = _peel.__code__
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return line
+        return line
+
+    graphs = [*_peel_corpus(82), *_shared_peel_corpus(85), *_late_true_twin_graphs()]
+    sys.settrace(trace)
+    try:
+        for g in graphs:
+            recognize_dh(g)
+    finally:
+        sys.settrace(None)
+    statements = {line for _, _, line in code.co_lines() if line is not None}
+    missing = statements - ran - {code.co_firstlineno}
+    assert not missing, sorted(missing)
 
 
 def test_qn_bdh_fast_error_messages_on_larger_inputs():

@@ -222,7 +222,6 @@ def test_q_routes_agree_with_loops_both_orders():
         g = _random_graph(rng, rng.randrange(1, 7), loop_p=0.4)
         expected = q_state_sum(g)
         assert q_recursive(g) == expected
-        assert q_recursive(g, prefer_loop=True) == expected
 
 
 def test_qn_edgeless():
@@ -261,7 +260,6 @@ def test_recursions_match_state_sum_on_split_graphs():
         g = _scattered_graph(rng, n, loop_p=0.3)
         expected = q_state_sum(g)
         assert q_recursive(g) == expected
-        assert q_recursive(g, prefer_loop=True) == expected
 
 
 def test_qn_recursive_matches_specialization_on_all_small_graphs():
@@ -690,10 +688,6 @@ def _solve_calls(g, run=qn_recursive) -> list:
     return calls
 
 
-def _q_loop_first(g):
-    return q_recursive(g, prefer_loop=True)
-
-
 def test_qn_kernel_passes_connected_only_for_connected_subproblems():
     for g in _kernel_corpus():
         for rows, connected, _ in _solve_calls(g):
@@ -710,19 +704,10 @@ def test_looped_kernel_corpus_reaches_every_loop_and_pivot_case():
 
 
 def test_q_recursive_matches_state_sum_on_the_looped_kernel_corpus():
-    differ = 0
     for g in _looped_kernel_corpus():
-        expected = q_state_sum(g)
-        solved = []
-        for run in (q_recursive, _q_loop_first):
-            assert run(g) == expected, (run.__name__, g)
-            calls = _solve_calls(g, run)
-            assert all(not connected or len(component_masks(rows)) <= 1
-                       for rows, connected, _ in calls), (run.__name__, g)
-            solved.append({rows for rows, _, _ in calls})
-        differ += solved[0] != solved[1]
-    # the two orders must take different reductions somewhere, or prefer_loop tests nothing
-    assert differ
+        assert q_recursive(g) == q_state_sum(g), g
+        assert all(not connected or len(component_masks(rows)) <= 1
+                   for rows, connected, _ in _solve_calls(g, q_recursive)), g
 
 
 def test_qn_kernel_searches_a_path_at_most_once(monkeypatch):
@@ -818,14 +803,12 @@ def test_q_recursive_takes_isolated_vertices_and_components_apart():
                     edges.append((u, v))
         g = Graph.from_edges(edges, ids)
         assert q_recursive(g) == q_state_sum(g), edges
-        assert q_recursive(g, prefer_loop=True) == q_state_sum(g), edges
     # 1,000 isolated vertices are one monomial: nothing is laid out per vertex
     assert q_recursive(Graph.edgeless(1000)) == XY({(0, 1000): 1})
     looped = Graph.from_edges([(f"v{i}", f"v{i}") for i in range(300)] + [("a", "b")],
                               [f"v{i}" for i in range(300)] + ["c"])
     assert q_recursive(looped) == XY({(300, 1): 1}) * q_recursive(Graph.from_edges([("a", "b")]))
     # a star has rank 2, so its q is laid out three digits to a power of y
-    assert q_recursive(star_graph(40)) == q_recursive(star_graph(40), prefer_loop=True)
     assert qn_of_q(q_recursive(star_graph(40))) == qn_recursive(star_graph(40))
 
 
@@ -927,7 +910,6 @@ def test_hanging_path_rule_matches_the_state_sums():
     for g in _hanging_path_corpus():
         expected = q_state_sum(g)
         assert q_recursive(g) == expected, g
-        assert q_recursive(g, prefer_loop=True) == expected, g
         if g.is_simple():
             assert qn_recursive(g) == qn_from_q(g), g
 
