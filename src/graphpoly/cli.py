@@ -138,7 +138,7 @@ def _check_cpoly(k, d) -> list[str]:
         return [f"diagram {d}: {rep}"]
     for a, b in circle_graph(d).edges()[:1]:
         red = verify_c_reduction(d, a, b)
-        if not red.variant_minus_b_ok:
+        if not red.ok:
             return [f"diagram {d}: {red}"]
     return []
 

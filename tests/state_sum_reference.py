@@ -3,7 +3,9 @@
 Each vertex subset gets its own elimination by ``rank_nullity_mask``, with
 nothing shared between subsets.  ``reference_histogram`` is the
 oracle for the DP ``interlace.rank_nullity_histogram``, and
-``reference_c_polynomial`` for ``chords.c_polynomial``.  ``boundary_key``
+``reference_c_polynomial`` for ``chords.c_polynomial``;
+``bollobas_riordan_c_polynomial`` is a second oracle for C that counts
+boundary components of ribbon subgraphs and uses no GF(2) rank.  ``boundary_key``
 forms the key (B, C) of a head subset against the tail from every row
 combination of the subset, with no elimination.  It is the witness of the
 bordered-rank identity that the DP rests on: head subsets with equal keys
@@ -95,5 +97,40 @@ def reference_c_polynomial(d: ChordDiagram) -> SparsePoly:
     for mask in range(1 << len(rows)):
         r, _ = rank_nullity_mask(rows, mask)
         key = (bin(mask).count("1"), r // 2)
+        acc[key] = acc.get(key, 0) + 1
+    return SparsePoly(("Y", "Z"), acc)
+
+
+def bollobas_riordan_c_polynomial(d: ChordDiagram) -> SparsePoly:
+    """C(D; Y, Z) from the Bollobas-Riordan expansion of the one-vertex ribbon graph D.
+
+    D is one disc with a band for each chord.  The chord set A spans a ribbon
+    subgraph with one vertex, |A| edges and bc(A) boundary components, of
+    genus g = (1 - bc(A) + |A|) / 2, and C sums Y^|A| Z^g over all A, so
+    C(D; Y, Z) = R(D; x, Y, sqrt(Z)).  bc(A) is the number of cycles of
+    j -> partner(next(j)) on the 2|A| ends of A in word order, next cyclic;
+    bc of the empty set is 1, the boundary of the bare disc.
+    """
+    labels = d.labels()
+    acc: dict[tuple[int, int], int] = {}
+    for mask in range(1 << len(labels)):
+        keep = {c for k, c in enumerate(labels) if mask >> k & 1}
+        ends = [c for c in d.word if c in keep]
+        m = len(ends)
+        partner, first = [0] * m, {}
+        for j, c in enumerate(ends):
+            i = first.setdefault(c, j)
+            partner[i], partner[j] = j, i
+        seen = [False] * m
+        bc = 0 if m else 1
+        for j in range(m):
+            if not seen[j]:
+                bc += 1
+                while not seen[j]:
+                    seen[j] = True
+                    j = partner[(j + 1) % m]
+        twice_genus = 1 - bc + len(keep)
+        assert twice_genus % 2 == 0, "a one-vertex ribbon graph is orientable"
+        key = (len(keep), twice_genus // 2)
         acc[key] = acc.get(key, 0) + 1
     return SparsePoly(("Y", "Z"), acc)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from state_sum_reference import reference_c_polynomial
+from state_sum_reference import bollobas_riordan_c_polynomial, reference_c_polynomial
+from graphpoly import chords, interlace
 from graphpoly.chords import (ChordDiagram, c_polynomial, chord_pivot,
                               chords_cross, circle_graph, verify_c_identity,
                               verify_c_reduction)
@@ -11,7 +12,7 @@ from graphpoly.graphs import Graph, complete_graph
 from graphpoly.interlace import q_state_sum
 from graphpoly.planar import build_sp, medial_digraph
 from graphpoly.poly import SparsePoly
-from graphpoly.randgen import random_sp_sequence
+from graphpoly.randgen import random_chord_diagram, random_sp_sequence
 
 
 def D(text):
@@ -141,6 +142,15 @@ def test_c_polynomial_matches_per_subset_reference(no_recursion_kernel):
         assert c_polynomial(d) == reference_c_polynomial(d), d
 
 
+def test_c_polynomial_is_the_one_vertex_bollobas_riordan_polynomial():
+    YZ = lambda t: SparsePoly(("Y", "Z"), t)
+    assert bollobas_riordan_c_polynomial(D("1 2 1 2")) == YZ({(0, 0): 1, (1, 0): 2, (2, 1): 1})
+    rng = random.Random(7)
+    for _ in range(300):
+        d = random_chord_diagram(rng.randrange(0, 9), rng)
+        assert c_polynomial(d) == bollobas_riordan_c_polynomial(d), d
+
+
 def test_c_identity_worked_case():
     rep = verify_c_identity(D("1 2 1 2"), [(3, 4)])
     assert rep.values_c == (43,) and rep.values_q == (43,) and rep.ok
@@ -161,6 +171,26 @@ def test_c_identity_random_points():
         assert verify_c_identity(d, [(1, 1), (2, 4), (3, 9)]).ok
 
 
+def test_c_identity_catches_a_wrong_histogram(monkeypatch):
+    # one subset of the path 1 - 2 - 3 moves from the top (rank, nullity)
+    # bucket to nullity + 2; C read off this histogram is wrong, and so is a
+    # q read off the same histogram, so only an independent q can tell
+    real = interlace.rank_nullity_histogram
+
+    def wrong(rows):
+        hist = real(rows)
+        r, nl = max(hist)
+        hist[r, nl] -= 1
+        hist[r, nl + 2] = hist.get((r, nl + 2), 0) + 1
+        return hist
+
+    d, points = D("1 2 1 3 2 3"), [(1, 1), (2, 4), (3, 9)]
+    assert verify_c_identity(d, points).ok
+    monkeypatch.setattr(interlace, "rank_nullity_histogram", wrong)
+    monkeypatch.setattr(chords, "rank_nullity_histogram", wrong)
+    assert not verify_c_identity(d, points).ok
+
+
 def test_c_identity_rejects_non_square():
     with pytest.raises(ValueError):
         verify_c_identity(D("1 2 1 2"), [(1, 2)])
@@ -168,13 +198,15 @@ def test_c_identity_rejects_non_square():
 
 def test_c_reduction_symmetric_case():
     rep = verify_c_reduction(D("1 2 1 2"), "1", "2")
-    assert rep.variant_minus_a_ok and rep.variant_minus_b_ok
+    assert rep.ok
 
 
 def test_c_reduction_random():
-    # the variant deleting the other pivot chord is the direct analogue of
-    # the two-variable pivot recursion and must always hold; the same-chord
-    # variant only holds on symmetric diagrams, so it is recorded, not asserted
+    # the form deleting the other pivot chord is the direct analogue of the
+    # two-variable pivot recursion and must always hold; the same-chord form
+    # C(D-a) + C(D^ab-a) + (Y^2 Z - 1) C(D^ab-a-b) only holds on symmetric
+    # diagrams, so its failures are counted, not asserted
+    Y, Z = SparsePoly.var("Y", ("Y", "Z")), SparsePoly.var("Z", ("Y", "Z"))
     rng = random.Random(46)
     done = 0
     minus_a_failures = 0
@@ -185,8 +217,11 @@ def test_c_reduction_random():
             continue
         a, b = rng.choice(g.edges())
         rep = verify_c_reduction(d, a, b)
-        assert rep.variant_minus_b_ok
-        if not rep.variant_minus_a_ok:
+        assert rep.ok
+        piv = chord_pivot(d, a, b)
+        pab = c_polynomial(piv.delete(a, b))
+        if c_polynomial(d) != (c_polynomial(d.delete(a)) + c_polynomial(piv.delete(a))
+                               + Y * Y * Z * pab - pab):
             minus_a_failures += 1
         done += 1
     # asymmetric cases exist in any decent sample

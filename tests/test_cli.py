@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from builders import path_qn, poly_from_json_obj
 from graphpoly import cli, dh, euler, fileio, interlace, planar, randgen
 from graphpoly.cli import main
+from graphpoly.poly import SparsePoly
 from tutte_reference import tutte_by_subsets
 
 C6 = "".join(f"{i} {i % 6 + 1}\n" for i in range(1, 7))
@@ -132,6 +133,22 @@ def test_circle_graph_word(capsys):
 def test_circle_graph_from_arcs(files, capsys):
     code, out, _ = run(capsys, "circle-graph", "--arcs", files["digon.arcs"])
     assert code == 0 and out == "u w"
+
+
+def test_circle_graph_json_lists_vertices_and_edges(capsys):
+    code, out, err = run(capsys, "--format", "json", "circle-graph", "--word", "1 2 1 3 2 3")
+    doc = json.loads(out)
+    assert code == 0 and err == "" and doc["method"] == "interleaving"
+    assert doc["result"] == {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]]}
+
+
+def test_medial_from_a_rotation_system(tmp_path, capsys):
+    # the digon of digon.sp, given by its rotation system, has the same medial
+    path = tmp_path / "digon.rot"
+    path.write_text("s: e1 e2\nt: e2 e1\n")
+    code, out, err = run(capsys, "medial", "--rotation", str(path))
+    assert code == 0 and err == ""
+    assert sorted(out.splitlines()) == ["e1 -> e2", "e1 -> e2", "e2 -> e1", "e2 -> e1"]
 
 
 def test_medial(files, capsys):
@@ -377,12 +394,19 @@ def test_randomized_state_sum_check_draws_up_to_max_size(capsys, monkeypatch, wh
      lambda real: lambda g: replace(real(g), identity_ok=False), "instance 0: "),
     ("theorem-b", "verify_medial_tutte_identity",
      lambda real: lambda seq: replace(real(seq), gamma=0), "instance 0: "),
+    # a wrong q_N from q also differs from the recursion, so the route mismatch comes first
+    ("identities", "qn_of_q", lambda real: lambda q: real(q).scale(-1),
+     "0: q_N route mismatch; 0: non-positive q_N coefficient"),
+    ("identities", "qn_of_q", lambda real: lambda q: real(q) * SparsePoly.var("x"),
+     "0: q_N route mismatch; 0: lowest degree is not the component count"),
+    ("identities", "coefficient_checks",
+     lambda real: lambda g, q: replace(real(g, q), ok=False), "0: a10=0 a01=1 FAIL"),
     ("cpoly", "verify_c_identity",
      lambda real: lambda d, points: replace(real(d, points), values_q=(0,) * len(points)),
      "diagram 1 1: "),
     # the first diagram at seed 1 has no interlaced pair, so no reduction to check
     ("cpoly", "verify_c_reduction",
-     lambda real: lambda d, a, b: replace(real(d, a, b), variant_minus_b_ok=False),
+     lambda real: lambda d, a, b: replace(real(d, a, b), ok=False),
      "diagram 2 1 2 1: "),
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -395,6 +419,14 @@ def test_randomized_verify_that_finds_a_failure_exits_1(capsys, monkeypatch, wha
     assert code == 1 and err == "" and len(out.splitlines()) == 1
     result = json.loads(out)["result"] if fmt == "json" else out
     assert result.startswith(failing), result
+
+
+def test_verify_identities_reports_a_pivot_that_changes_q_n(capsys, monkeypatch):
+    # the first graph at seed 5 is the path v2 - v1 - v3, so one pivot is checked
+    argv = ("verify", "identities", "--seed", "5", "--count", "1", "--max-size", "3")
+    assert run(capsys, *argv) == (0, "identity suite passed on 1 random graphs", "")
+    monkeypatch.setattr(cli, "qn_from_q", lambda g: interlace.qn_from_q(g).scale(2))
+    assert run(capsys, *argv) == (1, "0: q_N not pivot-invariant", "")
 
 
 def test_verify_identities_runs_one_state_sum_per_graph_and_pivot(capsys, monkeypatch):

@@ -201,6 +201,13 @@ def test_bdh_to_sp_rejects_true_twins():
         bdh_to_sp(SEQ(("root", "a"), ("pendant", "b", "a"), ("truetwin", "c", "b")))
 
 
+def test_bdh_to_sp_needs_two_vertices_and_a_pendant_second_op():
+    with pytest.raises(ValueError, match="need at least two vertices"):
+        bdh_to_sp(SEQ(("root", "a")))
+    with pytest.raises(ValueError, match="second op must be a pendant"):
+        bdh_to_sp(SEQ(("root", "a"), ("falsetwin", "b", "a")))
+
+
 def test_qn_bdh_fast_small():
     assert qn_bdh_fast(path_graph(3)) == SparsePoly(("x",), {(2,): 1, (1,): 2})
     assert qn_bdh_fast(Graph.edgeless(1)) == SparsePoly(("x",), {(1,): 1})

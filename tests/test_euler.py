@@ -160,6 +160,17 @@ def test_check_circuit_rejects_bad_input():
         check_circuit(g, [circ[0], circ[0], circ[2], circ[3]])
 
 
+def test_check_circuit_rejects_arcs_that_do_not_meet():
+    g = digon_medial()  # a1, a2: u -> w; a3, a4: w -> u
+    with pytest.raises(ValueError, match="circuit breaks between arcs 'a1' and 'a2'"):
+        check_circuit(g, ["a1", "a2", "a3", "a4"])
+
+
+def test_duplicate_arc_id_is_rejected():
+    with pytest.raises(ValueError, match="duplicate arc id 'x'"):
+        EulerDigraph(["v"], [("x", "v", "v"), ("x", "v", "v")])
+
+
 def test_all_euler_circuits_vs_f1():
     # transition systems with one cycle are exactly the Euler circuits
     rng = random.Random(54)

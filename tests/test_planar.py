@@ -100,6 +100,13 @@ def test_medial_rejects_two_components():
         medial_digraph(g)
 
 
+def test_medial_rejects_an_edgeless_graph():
+    g = PlaneMultigraph(["a"], {}, {})
+    assert g.is_connected()
+    with pytest.raises(ValueError, match="needs at least one edge"):
+        medial_digraph(g)
+
+
 def test_medial_allows_single_loop():
     g = PlaneMultigraph(["a"], {"e": ("a", "a")}, {"a": [("e", 0), ("e", 1)]})
     med = medial_digraph(g)

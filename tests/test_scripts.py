@@ -1,0 +1,35 @@
+"""Smoke tests of the runnable experiments in ``scripts/``.
+
+Each script runs in its own interpreter on small inputs, so a script that
+imports a renamed or removed name fails here instead of at its next use.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# the command line of each script and a line it must print, as a regular expression
+SCRIPTS = [
+    (("reproduce_known_values.py",), r"C\(1 2 1 2; Y, Z\) = Y\^2\*Z \+ 2\*Y \+ 1"),
+    (("fastpath_scaling.py", "--sizes", "50,100", "--repeats", "1"),
+     r"log-log slope 50 -> 100: peel -?\d+\.\d\d, pair DP -?\d+\.\d\d"),
+    (("kernel_timing.py", "--only", "K_7,qN_P_160,peel_BDH_1600", "--repeats", "1"),
+     r"qN_P_160 +qn_recursive +\d+\.\d{3} +\d+\.\d"),
+]
+
+
+@pytest.mark.parametrize("script, line", SCRIPTS, ids=[script[0] for script, _ in SCRIPTS])
+def test_script_runs_and_prints_its_result(script, line):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert any(re.fullmatch(line, s.strip()) for s in done.stdout.splitlines()), done.stdout
