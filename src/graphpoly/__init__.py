@@ -13,8 +13,8 @@ from .chords import (ChordDiagram, c_polynomial, chord_pivot, circle_graph,
 from .dh import (DHSequence, apply_dh_sequence, bdh_to_sp, gamma_from_sequence,
                  is_bdh, qn_bdh_fast, recognize_dh)
 from .euler import (EulerDigraph, all_euler_circuits, chord_diagram_from_circuit,
-                    circuit_partition_polynomial, euler_circuit, graph_states,
-                    martin_polynomial, verify_circuit_partition_identity)
+                    circuit_partition_polynomial, euler_circuit,
+                    verify_circuit_partition_identity)
 from .graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .interlace import (coefficient_checks, gamma_invariant, q_recursive,
                         q_state_sum, qn_from_q, qn_recursive)
@@ -31,8 +31,8 @@ __all__ = [
     "DHSequence", "apply_dh_sequence", "bdh_to_sp", "gamma_from_sequence",
     "is_bdh", "qn_bdh_fast", "recognize_dh",
     "EulerDigraph", "all_euler_circuits", "chord_diagram_from_circuit",
-    "circuit_partition_polynomial", "euler_circuit", "graph_states",
-    "martin_polynomial", "verify_circuit_partition_identity",
+    "circuit_partition_polynomial", "euler_circuit",
+    "verify_circuit_partition_identity",
     "Graph", "complete_graph", "cycle_graph", "path_graph", "star_graph",
     "coefficient_checks", "gamma_invariant",
     "q_recursive", "q_state_sum", "qn_from_q", "qn_recursive",

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices, compact_rows
+from .graphs import Graph, bit_indices, compact_rows, toggle_rows
 from .planar import SPSequence, _two_terminal_diagonal
 from .poly import SparsePoly
 
@@ -83,35 +83,24 @@ class DHSequence:
 
 def apply_dh_sequence(seq: DHSequence) -> Graph:
     """Replay a construction sequence into the connected simple graph it describes."""
-    adj: dict[str, set] = {}
-
-    def check_known(v):
-        if v not in adj:
-            raise ValueError(f"op references unknown vertex {v!r}")
-
-    for op in seq.ops:
-        kind = op[0]
-        if kind == "root":
-            adj[op[1]] = set()
-            continue
-        new, at = op[1], op[2]
-        if new in adj:
+    index = {seq.ops[0][1]: 0}
+    rows = [0]
+    for kind, new, at in seq.ops[1:]:
+        if new in index:
             raise ValueError(f"vertex {new!r} added twice")
-        check_known(at)
+        if at not in index:
+            raise ValueError(f"op references unknown vertex {at!r}")
+        i = index[at]
         if kind == "pendant":
-            adj[new] = {at}
-            adj[at].add(new)
+            row = 1 << i
+        elif not rows[i]:
+            raise ValueError(f"cannot twin isolated vertex {at!r}")
         else:
-            if not adj[at]:
-                raise ValueError(f"cannot twin isolated vertex {at!r}")
-            adj[new] = set(adj[at])
-            if kind == "truetwin":
-                adj[new].add(at)
-            for z in adj[new]:
-                adj[z].add(new)
-    order = [op[1] for op in seq.ops]
-    edges = [(u, v) for u in order for v in sorted(adj[u]) if u < v]
-    return Graph.from_edges(edges, order)
+            row = rows[i] | 1 << i if kind == "truetwin" else rows[i]
+        index[new] = len(rows)
+        rows.append(row)
+        toggle_rows(rows, row, 1 << index[new])
+    return Graph(list(index), rows)
 
 
 # -- recognition ------------------------------------------------------------------

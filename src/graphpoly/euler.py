@@ -1,4 +1,4 @@
-"""2-in 2-out directed multigraphs, graph states and the circuit partition polynomial.
+"""2-in 2-out directed multigraphs, Euler circuits and the circuit partition polynomial.
 
 Every vertex of an ``EulerDigraph`` has exactly two incoming and two outgoing
 arcs (a loop contributes one of each at its vertex).  A transition system
@@ -14,15 +14,15 @@ cycle are precisely the Euler circuits (up to rotation), which is how the
 exhaustive circuit enumeration works; single circuits are extracted with
 Hierholzer splicing instead.
 
-All three 2^n enumerations (``graph_states``, ``circuit_partition_polynomial``,
+Both 2^n enumerations (``circuit_partition_polynomial`` and
 ``all_euler_circuits``) share one walk over the transition systems in Gray
-order.  Flipping one vertex composes the successor permutation of the arcs
-with a transposition, so the cycle count moves by exactly one: it rises if
-the vertex's two in-arcs lie on one cycle (a split) and falls otherwise (a
-merge), and a walk along the cycle through one of them decides which.  Only
-the first state's cycles are counted from scratch.  On CPython 3.11,
-f(G; x) of a random connected digraph takes 1.1, 4.8, 22 and 79 ms at
-n = 10, 12, 14 and 16.
+order, ``_transition_systems``.  Flipping one vertex composes the successor
+permutation of the arcs with a transposition, so the cycle count moves by
+exactly one: it rises if the vertex's two in-arcs lie on one cycle (a split)
+and falls otherwise (a merge), and a walk along the cycle through one of
+them decides which.  Only the first state's cycles are counted from scratch.
+On CPython 3.11, f(G; x) of a random connected digraph takes 1.1, 4.8, 22
+and 79 ms at n = 10, 12, 14 and 16.
 
 ``verify_circuit_partition_identity`` checks f(G; x) = x * q_N(H; x + 1)
 where H is the circle graph of the chord diagram read off any Euler
@@ -104,13 +104,6 @@ class EulerDigraph:
         return f"EulerDigraph({self.n} vertices, {len(self.arcs)} arcs)"
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
-    """One in/out pairing per vertex: vertex -> ((in, out), (in, out)) arc ids."""
-
-    pairing: tuple
-
-
 def _vertex_slots(g: EulerDigraph) -> list[tuple[str, tuple, tuple]]:
     """Per vertex, its two in-arc ids and two out-arc ids, in arc order."""
     ins: dict[str, list] = {v: [] for v in g.vertex_ids}
@@ -154,37 +147,10 @@ def _transition_systems(slots: list[tuple[str, tuple, tuple]]):
         yield succ, cycles
 
 
-def graph_states(g: EulerDigraph):
-    """Yield (TransitionSystem, cycle count) for all 2^n transition systems.
-
-    The order is the reflected Gray code over vertices in id order: the first
-    state pairs each vertex's in-arcs with its out-arcs in arc order, and
-    state k differs from state k - 1 only at the vertex indexed by the lowest
-    set bit of k.
-    """
-    slots = _vertex_slots(g)
-    for succ, cycles in _transition_systems(slots):
-        pairing = tuple((v, ((i1, succ[i1]), (i2, succ[i2]))) for v, (i1, i2), _ in slots)
-        yield TransitionSystem(pairing), cycles
-
-
 def circuit_partition_polynomial(g: EulerDigraph) -> SparsePoly:
     """Generating polynomial of graph states by cycle count."""
     counts = Counter(cycles for _, cycles in _transition_systems(_vertex_slots(g)))
     return SparsePoly(("x",), {(k,): c for k, c in counts.items()})
-
-
-def martin_polynomial(g: EulerDigraph) -> SparsePoly:
-    """Martin polynomial m with f(G; x) = x * m(G; x+1)."""
-    f = circuit_partition_polynomial(g)
-    if not g.arcs:
-        return f
-    quotient = {}  # f / x
-    for (k,), c in f.terms.items():
-        if k == 0:
-            raise ValueError("circuit partition polynomial has a constant term")
-        quotient[(k - 1,)] = c
-    return SparsePoly(("x",), quotient).shift(-1)
 
 
 def euler_circuit(g: EulerDigraph) -> tuple:

@@ -5,20 +5,12 @@ adjacency rows (bit j of row i set iff vertices i and j are adjacent, with
 the diagonal bit encoding a loop).  Graphs are immutable: every operation
 returns a new value, so concurrent reads are safe.
 
-The two structural operations the interlace theory rests on live here:
-
-* ``pivot(g, u, v)``: for an edge uv, the vertex set splits into the three
-  classes adjacent to u only, to v only, and to both (u and v themselves
-  excluded).  The pivot toggles every non-loop edge between distinct
-  classes and leaves everything else alone.  It is an involution.
-
-* ``local_complement(g, a)``: complements the adjacency relation inside the
-  neighbourhood N(a).  When a carries a loop, a belongs to N(a) and the
-  complement acts on the full GF(2) submatrix including the diagonal, so
-  loop states inside N(a) toggle too.  When a is loopless only the
-  off-diagonal pairs toggle.  The looped convention is the one that makes
-  the loop reduction of the two-variable interlace polynomial agree with
-  its subset expansion (checked exhaustively in the test suite).
+The structural operation the interlace recursion rests on lives here.  The
+pivot ``g.pivot(u, v)`` on an edge uv splits the vertices other than u and
+v into the three classes adjacent to u only, to v only, and to both,
+toggles every non-loop edge between distinct classes and leaves everything
+else alone.  It is an involution.  The local complement that the loop rule
+needs is built inside the interlace kernel; see ``interlace``.
 """
 
 from __future__ import annotations
@@ -140,7 +132,7 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n > 0 and len(self.components()) == 1
 
-    # -- pivot and complementation ----------------------------------------
+    # -- pivot --------------------------------------------------------------
 
     def pivot(self, u, v) -> "Graph":
         """Pivot on the edge uv (toggles edges between the three u/v classes)."""
@@ -148,47 +140,6 @@ class Graph:
         if not (self.rows[i] >> j & 1) or i == j:
             raise ValueError(f"{u!r}{v!r} is not an edge")
         return Graph(self.ids, pivot_rows(self.rows, i, j))
-
-    def local_complement(self, a) -> "Graph":
-        """Complement adjacency inside N(a); see the module docstring for loops."""
-        i = self.index_of(a)
-        rows = list(self.rows)
-        nbhd = rows[i]
-        if nbhd >> i & 1:
-            # looped: full submatrix complement on N(a), diagonal included
-            toggle_rows(rows, nbhd, nbhd)
-        else:
-            for k in bit_indices(nbhd):
-                rows[k] ^= nbhd & ~(1 << k)
-        return Graph(self.ids, rows)
-
-    # -- joins ----------------------------------------------------------------
-
-    def one_point_join(self, u, other: "Graph", v) -> "Graph":
-        """Identify u in self with v in other; the merged vertex keeps u's id."""
-        self.index_of(u)
-        other.index_of(v)
-        relabel = _fresh_names(self.ids, other.ids)
-        edges = self.edges()
-        for a, b in other.edges():
-            a2 = str(u) if a == str(v) else relabel[a]
-            b2 = str(u) if b == str(v) else relabel[b]
-            edges.append((a2, b2))
-        verts = list(self.ids) + [relabel[w] for w in other.ids if w != str(v)]
-        return Graph.from_edges(edges, verts)
-
-
-def _fresh_names(taken: Sequence[str], incoming: Sequence[str]) -> dict:
-    """Rename colliding incoming ids by appending primes."""
-    used = set(taken)
-    out = {}
-    for v in incoming:
-        name = v
-        while name in used:
-            name += "'"
-        out[v] = name
-        used.add(name)
-    return out
 
 
 # -- bitmask helpers shared with the other modules ---------------------------

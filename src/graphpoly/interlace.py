@@ -12,8 +12,13 @@ pivot recursion: for an edge ab with both endpoints loopless,
 
 for a looped vertex a, q(G) = q(G-a) + (x-1) * q(G^a-a), for a loopless a
 with N(a) = {b}, q(G) = q(G-a) + ((x-1)^2 + y - 1) * q(G-a-b), and
-q(E_n) = y^n on the edgeless graph.  ``q_state_sum`` and ``q_recursive``
-implement the two routes separately so each serves as an oracle for the other.
+q(E_n) = y^n on the edgeless graph.  In the loop rule G^a is the local
+complement at a: as a is looped, a lies in N(a), and G^a complements the
+full GF(2) submatrix of the adjacency matrix on N(a), diagonal included,
+so the loops inside N(a) toggle too.  That is the convention under which
+the rule agrees with the subset expansion; toggling only the off-diagonal
+pairs of N(a) does not.  ``q_state_sum`` and ``q_recursive`` implement
+the two routes separately so each serves as an oracle for the other.
 
 The state sums (``q_state_sum``, ``gamma_state_sum``, ``qn_from_q``,
 ``chords.c_polynomial``) read ``rank_nullity_histogram``, one DP over the
@@ -262,8 +267,10 @@ def _kernel(rows: tuple, xs: int, ys: int) -> int:
         b = rows[a].bit_length() - 1  # a itself if a is looped
         if looped and rows[b] >> b & 1 and rows[a] != 1 << b:
             # q(G) = q(G-b) + (x-1) q(G^b-b)
+            # G^b complements the full submatrix on N(b), diagonal included: the
+            # convention under which the loop rule matches the subset expansion
             local = list(rows)
-            toggle_rows(local, rows[b], rows[b])  # G^b, as Graph.local_complement builds it
+            toggle_rows(local, rows[b], rows[b])
             local = solve(delete_index(local, b), False)
             res = memo[rows] = solve(delete_index(rows, b), False) + (local << xs) - local
             return res

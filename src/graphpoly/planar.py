@@ -157,10 +157,6 @@ class SPSequence:
     def __len__(self):
         return len(self.ops)
 
-    def dual(self) -> "SPSequence":
-        swap = {"series": "parallel", "parallel": "series"}
-        return SPSequence((("digon",),) + tuple((swap[k], e) for k, e in self.ops[1:]))
-
     def to_text(self) -> str:
         return "\n".join(op[0] if len(op) == 1 else f"{op[0]} {op[1]}" for op in self.ops) + "\n"
 

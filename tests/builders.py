@@ -1,20 +1,35 @@
 """Builders that only the tests use.
 
-Joins of graphs, the writer of the rotation-system format, the reader of
-distance-hereditary scripts (which ``dh recognize`` prints), the reader
-of the JSON form of a polynomial and q_N of a path by its recurrence.  No
-pipeline in ``graphpoly`` needs them.
+Joins of graphs (disjoint union, one-point and two-point join), the dual of
+a series-parallel script, the writer of the rotation-system format, the
+reader of distance-hereditary scripts (which ``dh recognize`` prints), the
+reader of the JSON form of a polynomial and q_N of a path by its
+recurrence.  No pipeline in ``graphpoly`` needs them.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
+from typing import Sequence
 
 from graphpoly.dh import DHSequence
 from graphpoly.fileio import FormatError, _content_lines
-from graphpoly.graphs import Graph, _fresh_names
-from graphpoly.planar import PlaneMultigraph
+from graphpoly.graphs import Graph
+from graphpoly.planar import PlaneMultigraph, SPSequence
 from graphpoly.poly import SparsePoly
+
+
+def _fresh_names(taken: Sequence[str], incoming: Sequence[str]) -> dict:
+    """Rename colliding incoming ids by appending primes."""
+    used = set(taken)
+    out = {}
+    for v in incoming:
+        name = v
+        while name in used:
+            name += "'"
+        out[v] = name
+        used.add(name)
+    return out
 
 
 def disjoint_union(g: Graph, other: Graph) -> Graph:
@@ -22,6 +37,20 @@ def disjoint_union(g: Graph, other: Graph) -> Graph:
     ids = g.ids + tuple(relabel[v] for v in other.ids)
     rows = list(g.rows) + [r << g.n for r in other.rows]
     return Graph(ids, rows)
+
+
+def one_point_join(g: Graph, u, other: Graph, v) -> Graph:
+    """Identify u in g with v in other; the merged vertex keeps u's id."""
+    g.index_of(u)
+    other.index_of(v)
+    relabel = _fresh_names(g.ids, other.ids)
+    edges = g.edges()
+    for a, b in other.edges():
+        a2 = str(u) if a == str(v) else relabel[a]
+        b2 = str(u) if b == str(v) else relabel[b]
+        edges.append((a2, b2))
+    verts = list(g.ids) + [relabel[w] for w in other.ids if w != str(v)]
+    return Graph.from_edges(edges, verts)
 
 
 def two_point_join(g: Graph, u, other: Graph, v) -> Graph:
@@ -38,6 +67,12 @@ def two_point_join(g: Graph, u, other: Graph, v) -> Graph:
     verts = list(g.ids) + [relabel[w] for w in other.ids]
     # from_edges ignores duplicates since adjacency is a relation
     return Graph.from_edges(edges, verts)
+
+
+def sp_dual(seq: SPSequence) -> SPSequence:
+    """The script with series and parallel swapped: it builds the planar dual."""
+    swap = {"series": "parallel", "parallel": "series"}
+    return SPSequence((("digon",),) + tuple((swap[k], e) for k, e in seq.ops[1:]))
 
 
 def format_rotation_system(g: PlaneMultigraph) -> str:

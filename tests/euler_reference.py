@@ -2,7 +2,7 @@
 
 Every state rebuilds its successor map and counts its cycles from scratch,
 with nothing shared between states.  It is the oracle for the Gray-code walk
-behind ``euler.graph_states``, ``circuit_partition_polynomial`` and
+``euler._transition_systems`` behind ``circuit_partition_polynomial`` and
 ``all_euler_circuits``.
 """
 
@@ -28,8 +28,8 @@ def count_cycles(successor: dict) -> int:
 def reference_states(g: EulerDigraph):
     """Yield (pairing, successor map, cycle count) for all 2^n transition systems.
 
-    The pairing has the layout of ``TransitionSystem.pairing``: per vertex in
-    id order, ((in1, out), (in2, out)) with the in-arcs in arc order.  Bit k
+    The pairing lists, per vertex in id order, (v, ((in1, out), (in2, out)))
+    with the in-arcs in arc order.  Bit k
     of the counter swaps the out-arcs at vertex k.
     """
     ins: dict[str, list] = {v: [] for v in g.vertex_ids}

@@ -11,7 +11,7 @@ import math
 import random
 import time
 
-from builders import disjoint_union, two_point_join
+from builders import disjoint_union, one_point_join, two_point_join
 from conftest import all_labeled_graphs
 from dh_reference import reference_peel
 from graphpoly.chords import ChordDiagram, verify_c_identity
@@ -242,7 +242,7 @@ def test_8_identity_suite():
                 if hv:
                     w = rng.choice(hv)
                     gg, gh = gamma_invariant(g), gamma_invariant(h)
-                    ok = ok and 2 * gamma_invariant(g.one_point_join(v, h, w)) == gg * gh
+                    ok = ok and 2 * gamma_invariant(one_point_join(g, v, h, w)) == gg * gh
                     ok = ok and 2 * gamma_invariant(two_point_join(g, v, h, w)) == gg * gh
                     counts["join"] += 1
     elapsed = time.perf_counter() - t0

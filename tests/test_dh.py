@@ -1,8 +1,10 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
+from builders import one_point_join
 from conftest import all_labeled_graphs, medial_circle_graphs
 from dh_reference import is_62_chordal, is_bipartite, reference_peel
 from tutte_reference import matrix_tree_count
@@ -43,6 +45,23 @@ def test_apply_validation():
         apply_dh_sequence(SEQ(("root", "a"), ("pendant", "a", "a")))
     with pytest.raises(ValueError):
         DHSequence((("pendant", "b", "a"),))
+
+
+def test_apply_gives_each_new_vertex_the_neighbourhood_its_op_defines():
+    # among the vertices added before it: {at} for a pendant, N(at) for a false
+    # twin, N(at) + at for a true twin; every edge is checked at its later end
+    rng = random.Random(73)
+    kinds = Counter()
+    for _ in range(200):
+        seq = random_dh_sequence(rng.randrange(2, 41), rng)
+        g = apply_dh_sequence(seq)
+        assert g.ids == tuple(op[1] for op in seq.ops)
+        for k, (kind, new, at) in enumerate(seq.ops[1:], 1):
+            n_at = set(g.induced(g.ids[:k]).neighbors(at))
+            want = {"pendant": {at}, "falsetwin": n_at, "truetwin": n_at | {at}}[kind]
+            assert set(g.induced(g.ids[:k + 1]).neighbors(new)) == want
+            kinds[kind] += 1
+    assert min(kinds.values()) > 500
 
 
 def test_recognize_c6_rejected():
@@ -318,8 +337,8 @@ def test_one_point_join_of_bdh_is_bdh():
         h = random_bdh_graph(rng.randrange(2, 8), rng)
         u = rng.choice([v for v in g.ids if g.degree(v) > 0])
         v = rng.choice([w for w in h.ids if h.degree(w) > 0])
-        assert is_bdh(g.one_point_join(u, h, v)).value
-    assert is_bdh(path_graph(3).one_point_join("1", path_graph(3), "1")).value
+        assert is_bdh(one_point_join(g, u, h, v)).value
+    assert is_bdh(one_point_join(path_graph(3), "1", path_graph(3), "1")).value
 
 
 def test_every_medial_circuit_of_an_sp_graph_gives_a_bdh_circle_graph():

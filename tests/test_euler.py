@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
-from graphpoly.euler import (EulerDigraph, all_euler_circuits, check_circuit,
+from graphpoly.euler import (EulerDigraph, _transition_systems, _vertex_slots,
+                             all_euler_circuits, check_circuit,
                              chord_diagram_from_circuit,
                              circuit_partition_polynomial, euler_circuit,
-                             graph_states, martin_polynomial,
                              verify_circuit_partition_identity)
 from graphpoly.poly import SparsePoly
 from graphpoly.randgen import random_2in2out
@@ -31,7 +31,7 @@ def test_degree_validation():
 
 def test_two_loops_states():
     g = EulerDigraph.from_pairs([("v", "v"), ("v", "v")])
-    counts = sorted(c for _, c in graph_states(g))
+    counts = sorted(c for _, c in _transition_systems(_vertex_slots(g)))
     assert counts == [1, 2]
     assert circuit_partition_polynomial(g) == X({(2,): 1, (1,): 1})
 
@@ -44,8 +44,7 @@ def test_digon_medial_polynomial():
 def test_edgeless_polynomial_is_one():
     g = EulerDigraph([], [])
     assert circuit_partition_polynomial(g) == X({(0,): 1})
-    states = list(graph_states(g))
-    assert states == [(states[0][0], 0)]
+    assert [c for _, c in _transition_systems(_vertex_slots(g))] == [0]
 
 
 def walk_corpus():
@@ -65,7 +64,10 @@ def test_gray_walk_matches_binary_counter_reference():
     loops = digons = disconnected = 0
     for g in walk_corpus():
         ref = list(reference_states(g))
-        got = [(ts.pairing, c) for ts, c in graph_states(g)]
+        slots = _vertex_slots(g)
+        # the walk updates succ in place, so each pairing is read before it resumes
+        got = [(tuple((v, ((i1, succ[i1]), (i2, succ[i2]))) for v, (i1, i2), _ in slots), c)
+               for succ, c in _transition_systems(slots)]
         assert len(got) == 2 ** g.n
         assert Counter(got) == Counter((p, c) for p, _, c in ref)
 
@@ -97,17 +99,6 @@ def test_state_count_is_power_of_two():
         f = circuit_partition_polynomial(g)
         assert sum(f.terms.values()) == 2 ** g.n
         assert f.coefficient({"x": 0}) == 0  # no constant term when edges exist
-
-
-def test_martin_translation():
-    # f(G; x) = x * m(G; x+1)
-    rng = random.Random(52)
-    x = X({(1,): 1})
-    for _ in range(20):
-        g = random_2in2out(rng.randrange(1, 7), rng)
-        f = circuit_partition_polynomial(g)
-        m = martin_polynomial(g)
-        assert x * m.shift(1) == f
 
 
 def test_euler_circuit_digon_medial():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from builders import disjoint_union, two_point_join
+from builders import disjoint_union, one_point_join, two_point_join
 from conftest import all_labeled_graphs
 from state_sum_reference import rank_nullity
 from graphpoly.graphs import (Graph, bfs_rows, compact_rows, complete_graph, component_masks,
@@ -75,34 +75,6 @@ def test_true_twins_pivot_fixed():
     assert g.pivot("u", "v") == g
 
 
-def test_local_complement_p3():
-    assert path_graph(3).local_complement("2") == complete_graph(3)
-
-
-def test_local_complement_isolated_identity():
-    g = Graph.from_edges([("a", "b")], ["a", "b", "c"])
-    assert g.local_complement("c") == g
-
-
-def test_local_complement_involution_loopless():
-    rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randrange(1, 8)
-        vs = [str(i) for i in range(1, n + 1)]
-        edges = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:] if rng.random() < 0.5]
-        g = Graph.from_edges(edges, vs)
-        a = rng.choice(vs)
-        assert g.local_complement(a).local_complement(a) == g
-
-
-def test_local_complement_looped_toggles_diagonal():
-    g = Graph.from_edges([("a", "a"), ("a", "b")])
-    lc = g.local_complement("a")
-    assert not lc.has_loop("a")
-    assert lc.has_loop("b")
-    assert not lc.has_edge("a", "b")
-
-
 def test_induced_and_union_examples():
     assert complete_graph(3).induced(["1", "2"]) == complete_graph(2)
     assert complete_graph(3).induced([]).n == 0
@@ -119,7 +91,7 @@ def test_disjoint_union_relabels_collisions():
 
 def test_one_point_join_path():
     k2 = complete_graph(2)
-    j = k2.one_point_join("2", complete_graph(2), "1")
+    j = one_point_join(k2, "2", complete_graph(2), "1")
     assert j.n == 3 and len(j.edges()) == 2
     degs = sorted(j.degree(v) for v in j.ids)
     assert degs == [1, 1, 2]
@@ -128,7 +100,7 @@ def test_one_point_join_path():
 def test_one_point_join_isolated_is_disjoint_union():
     g = complete_graph(2)
     h = Graph.from_edges([("x", "y")], ["x", "y", "z"])
-    j = g.one_point_join("1", h, "z")
+    j = one_point_join(g, "1", h, "z")
     assert sorted(len(c) for c in j.components()) == [2, 2]
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from builders import disjoint_union, path_qn, two_point_join
+from builders import disjoint_union, one_point_join, path_qn, two_point_join
 from conftest import (all_labeled_graphs, all_looped_labeled_graphs, graph_with_extra,
                       medial_circle_graphs)
 from state_sum_reference import boundary_key, rank_nullity_mask, reference_histogram
@@ -554,7 +554,7 @@ def test_join_gamma_identities():
         if not gu or not hv:
             continue
         u, v = rng.choice(gu), rng.choice(hv)
-        j1 = g.one_point_join(u, h, v)
+        j1 = one_point_join(g, u, h, v)
         assert 2 * gamma_invariant(j1) == gamma_invariant(g) * gamma_invariant(h)
         j2 = two_point_join(g, u, h, v)
         assert 2 * gamma_invariant(j2) == gamma_invariant(g) * gamma_invariant(h)
