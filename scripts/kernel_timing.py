@@ -34,7 +34,10 @@ Times ``circle_graph`` on the chord diagram of an Euler circuit of the
 oriented medial of a seeded 800- or 1,600-op series-parallel graph
 (circle_SP800, circle_SP1600: 802 and 1,602 chords, the script drawn by
 ``random_sp_sequence(ops, random.Random(ops))``), and ``Graph.edges`` on the
-circle graph of the 1,600-op one (edges_SP1600).
+circle graph of the 1,600-op one (edges_SP1600).  Times ``build_sp`` on that
+1,600-op script (build_SP1600: 1,602 edges) and ``medial_digraph`` on the
+plane graph it builds (medial_SP1600), the plane layer under the medial
+pipeline.
 Times ``recognize_dh`` on ``random_bdh_graph(1600, random.Random(83))``
 (peel_BDH_1600), whose peel takes no true twin, and on the graph of
 ``random_dh_sequence(800, random.Random(91))`` (peel_DH_800), whose peel
@@ -197,6 +200,9 @@ INPUTS = {
     **{f"circle_SP{ops}": (circle_graph, lambda ops=ops: [medial_chord_diagram(ops, ops)])
        for ops in (800, 1600)},
     "edges_SP1600": (Graph.edges, lambda: [medial_circle_graph(1600, 1600)]),
+    "build_SP1600": (build_sp, lambda: [random_sp_sequence(1600, random.Random(1600))]),
+    "medial_SP1600": (medial_digraph, lambda: [build_sp(random_sp_sequence(1600,
+                                                                       random.Random(1600)))]),
     "peel_BDH_1600": (recognize_dh, lambda: [random_bdh_graph(1600, random.Random(83))]),
     "peel_DH_800": (recognize_dh, lambda: [apply_dh_sequence(
         random_dh_sequence(800, random.Random(91)))]),

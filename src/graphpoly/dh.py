@@ -49,7 +49,9 @@ from .poly import SparsePoly
 
 @dataclass(frozen=True)
 class DHSequence:
-    """Construction script: ("root", v) then pendant/truetwin/falsetwin ops."""
+    """Construction script: ("root", v) then pendant/truetwin/falsetwin ops.
+
+    Each op adds a new vertex at an earlier one, the first op a pendant."""
 
     ops: tuple
 
@@ -58,9 +60,18 @@ class DHSequence:
         object.__setattr__(self, "ops", ops)
         if not ops or ops[0][0] != "root" or len(ops[0]) != 2:
             raise ValueError('a DHSequence must start with ("root", v)')
+        known = {ops[0][1]}
         for op in ops[1:]:
             if len(op) != 3 or op[0] not in ("pendant", "truetwin", "falsetwin"):
                 raise ValueError(f"bad op {op!r}")
+            kind, new, at = op
+            if new in known:
+                raise ValueError(f"vertex {new!r} added twice")
+            if at not in known:
+                raise ValueError(f"op references unknown vertex {at!r}")
+            if kind != "pendant" and len(known) == 1:
+                raise ValueError("second op must be a pendant (twins need a non-isolated vertex)")
+            known.add(new)
 
     def __len__(self):
         return len(self.ops)
@@ -86,15 +97,9 @@ def apply_dh_sequence(seq: DHSequence) -> Graph:
     index = {seq.ops[0][1]: 0}
     rows = [0]
     for kind, new, at in seq.ops[1:]:
-        if new in index:
-            raise ValueError(f"vertex {new!r} added twice")
-        if at not in index:
-            raise ValueError(f"op references unknown vertex {at!r}")
         i = index[at]
         if kind == "pendant":
             row = 1 << i
-        elif not rows[i]:
-            raise ValueError(f"cannot twin isolated vertex {at!r}")
         else:
             row = rows[i] | 1 << i if kind == "truetwin" else rows[i]
         index[new] = len(rows)
@@ -288,8 +293,6 @@ def bdh_to_sp(seq: DHSequence) -> tuple[SPSequence, dict]:
     if len(seq) < 2:
         raise ValueError("need at least two vertices")
     ops = seq.ops
-    if ops[1][0] != "pendant":
-        raise ValueError("second op must be a pendant (twins need a non-isolated vertex)")
     index = {op[1]: k for k, op in enumerate(ops)}
     script = _sp_script([(_KINDS.index(kind), index[new], index[at])
                          for kind, new, at in reversed(ops[1:])])

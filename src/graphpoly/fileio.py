@@ -7,8 +7,9 @@ lines and lines starting with ``#`` are ignored everywhere.
   a single token ``v`` declares an isolated vertex
 * multigraph edge list: same syntax, repeated lines mean parallel edges
 * arc list (2-in 2-out digraph): ``u -> v`` per line, repeats allowed
-* rotation system: ``v: e1 e2 e3`` per vertex, edge ids appearing twice
-  overall (twice in one line means a loop at that vertex)
+* rotation system: ``v: e1 e2 e3`` per vertex, the edges at v in cyclic
+  order; each edge id appears twice overall, and its two listings are its
+  ends in listing order (twice in one line means a loop at that vertex)
 * series-parallel script: ``digon`` then ``series <edge>`` / ``parallel <edge>``
 * chord word: whitespace-separated labels on one line
 """
@@ -105,7 +106,6 @@ def format_arc_list(g: EulerDigraph) -> str:
 
 def parse_rotation_system(text: str) -> PlaneMultigraph:
     rotations: dict[str, list[str]] = {}
-    order: list[str] = []
     for i, line in _content_lines(text):
         if ":" not in line:
             raise FormatError(f"expected 'v: e1 e2 ...', got {line!r}", i)
@@ -116,29 +116,8 @@ def parse_rotation_system(text: str) -> PlaneMultigraph:
         if v in rotations:
             raise FormatError(f"vertex {v!r} listed twice", i)
         rotations[v] = rest.split()
-        order.append(v)
-    occurrences: dict[str, list[str]] = {}
-    for v in order:
-        for e in rotations[v]:
-            occurrences.setdefault(e, []).append(v)
-    edges = {}
-    for e, vs in occurrences.items():
-        if len(vs) != 2:
-            raise FormatError(f"edge {e!r} has {len(vs)} end(s), expected 2")
-        edges[e] = (vs[0], vs[1])
-    rotation_darts = {}
-    used: dict[str, int] = {}
-    for v in order:
-        darts = []
-        for e in rotations[v]:
-            side = used.get(e, 0)
-            used[e] = side + 1
-            u0, u1 = edges[e]
-            # a loop uses sides in listed order; a plain edge uses its own side
-            darts.append((e, side if u0 == u1 else (0 if v == u0 else 1)))
-        rotation_darts[v] = tuple(darts)
     try:
-        return PlaneMultigraph(order, edges, rotation_darts)
+        return PlaneMultigraph(rotations, rotations)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

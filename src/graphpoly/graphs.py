@@ -53,8 +53,8 @@ class Graph:
         return cls(list(index), rows)
 
     @classmethod
-    def edgeless(cls, n: int, prefix: str = "v") -> "Graph":
-        return cls.from_edges([], [f"{prefix}{i}" for i in range(1, n + 1)])
+    def edgeless(cls, n: int) -> "Graph":
+        return cls.from_edges([], [f"v{i}" for i in range(1, n + 1)])
 
     # -- basic queries ----------------------------------------------------
 

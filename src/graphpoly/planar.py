@@ -1,9 +1,11 @@
 """Plane multigraphs, series-parallel construction, medial digraphs and Tutte polynomials.
 
-A plane multigraph is stored as a rotation system: per vertex, the cyclic
-order of incident edge-ends (darts).  Faces are the orbits of the map
-"twin dart, then rotation successor", and for a connected graph the embedding
-is certified planar by Euler's formula |V| - |E| + |F| = 2.
+A plane multigraph is its rotation system: per vertex, the cyclic order of
+the ids of its incident edges.  Each edge id is listed exactly twice, and the
+two listings are the edge's ends (darts), (e, 0) at the first and (e, 1) at
+the second, so a loop is listed twice at one vertex.  Faces are the orbits of
+the map "twin dart, then rotation successor", and for a connected graph the
+embedding is certified planar by Euler's formula |V| - |E| + |F| = 2.
 
 The oriented medial digraph has one vertex per edge of the plane graph; for
 every vertex v and every consecutive pair (e, e') in the rotation at v there
@@ -38,39 +40,34 @@ Dart = tuple[str, int]  # (edge id, side 0 or 1)
 
 
 class PlaneMultigraph:
-    """Multigraph with an explicit rotation system (combinatorial embedding)."""
+    """Multigraph given by its rotation system (combinatorial embedding).
+
+    ``rotation[v]`` lists the ids of the edges at v in cyclic order; a vertex
+    with no key has no edges.  Every edge id is listed exactly twice, and
+    ``edge_map[e]`` is the pair of vertices where it is listed, in listing
+    order.  Vertex and edge ids go through ``str``.
+    """
 
     __slots__ = ("vertex_ids", "edge_map", "rotation")
 
-    def __init__(self, vertices: Iterable[str], edges: dict, rotation: dict):
+    def __init__(self, vertices: Iterable[str], rotation: dict):
         vertex_ids = tuple(str(v) for v in vertices)
-        known = set(vertex_ids)
-        if len(known) != len(vertex_ids):
+        if len(set(vertex_ids)) != len(vertex_ids):
             raise ValueError("duplicate vertex ids")
-        edge_map = {str(e): (str(u), str(v)) for e, (u, v) in edges.items()}
-        rot = {str(v): tuple((str(e), int(s)) for e, s in rotation.get(v, ())) for v in vertex_ids}
-        # each dart must sit in exactly one rotation, at its own endpoint
-        expected: dict[Dart, str] = {}
-        for e, (u, v) in edge_map.items():
-            if u not in known or v not in known:
-                raise ValueError(f"edge {e!r} references unknown vertex")
-            expected[(e, 0)] = u
-            expected[(e, 1)] = v
-        seen: set[Dart] = set()
-        for v, darts in rot.items():
-            for d in darts:
-                if d in seen:
-                    raise ValueError(f"dart {d!r} appears twice in the rotation system")
-                if d not in expected:
-                    raise ValueError(f"dart {d!r} does not belong to any edge")
-                if expected[d] != v:
-                    raise ValueError(f"dart {d!r} listed at {v!r}, belongs at {expected[d]!r}")
-                seen.add(d)
-        missing = set(expected) - seen
-        if missing:
-            raise ValueError(f"darts missing from the rotation system: {sorted(missing)}")
+        rot = {str(v): tuple(map(str, es)) for v, es in rotation.items()}
+        unknown = rot.keys() - set(vertex_ids)
+        if unknown:
+            raise ValueError(f"rotation at unknown vertex {min(unknown)!r}")
+        rot = {v: rot.get(v, ()) for v in vertex_ids}
+        ends: dict[str, list[str]] = {}
+        for v, es in rot.items():
+            for e in es:
+                ends.setdefault(e, []).append(v)
+        for e, vs in ends.items():
+            if len(vs) != 2:
+                raise ValueError(f"edge {e!r} has {len(vs)} end(s), expected 2")
         object.__setattr__(self, "vertex_ids", vertex_ids)
-        object.__setattr__(self, "edge_map", edge_map)
+        object.__setattr__(self, "edge_map", {e: tuple(vs) for e, vs in ends.items()})
         object.__setattr__(self, "rotation", rot)
 
     def __setattr__(self, name, value):
@@ -95,14 +92,14 @@ class PlaneMultigraph:
     def faces(self) -> list[tuple[Dart, ...]]:
         """Face boundaries as dart orbits of (twin, then rotation successor)."""
         succ: dict[Dart, Dart] = {}
-        for v, darts in self.rotation.items():
-            k = len(darts)
+        listed: set[str] = set()
+        for es in self.rotation.values():
+            darts = []
+            for e in es:
+                darts.append((e, int(e in listed)))
+                listed.add(e)
             for i, d in enumerate(darts):
-                succ[d] = darts[(i + 1) % k]
-        twin = {}
-        for e in self.edge_map:
-            twin[(e, 0)] = (e, 1)
-            twin[(e, 1)] = (e, 0)
+                succ[d] = darts[(i + 1) % len(darts)]
         out = []
         seen: set[Dart] = set()
         for d0 in sorted(succ):
@@ -113,7 +110,7 @@ class PlaneMultigraph:
             while d not in seen:
                 seen.add(d)
                 face.append(d)
-                d = succ[twin[d]]
+                d = succ[d[0], 1 - d[1]]
             out.append(tuple(face))
         return out
 
@@ -164,30 +161,26 @@ class SPSequence:
 def build_sp(seq: SPSequence) -> PlaneMultigraph:
     """Replay a series-parallel construction into a plane multigraph."""
     vertices = ["v1", "v2"]
-    edges = {"e1": ("v1", "v2"), "e2": ("v1", "v2")}
-    rotation = {"v1": [("e1", 0), ("e2", 0)], "v2": [("e2", 1), ("e1", 1)]}
-    counter = 2
-    nv = 2
+    ends = {"e1": ("v1", "v2"), "e2": ("v1", "v2")}
+    rotation = {"v1": ["e1", "e2"], "v2": ["e2", "e1"]}
     for kind, e in seq.ops[1:]:
-        counter += 1
-        f = f"e{counter}"
-        u, v = edges[e]
+        f = f"e{len(ends) + 1}"
+        u, v = ends[e]
         if kind == "series":
-            nv += 1
-            mid = f"v{nv}"
+            mid = f"v{len(vertices) + 1}"
             vertices.append(mid)
-            edges[e] = (u, mid)
-            edges[f] = (mid, v)
-            rotation[mid] = [(e, 1), (f, 0)]
+            ends[e] = (u, mid)
+            ends[f] = (mid, v)
+            rotation[mid] = [e, f]
             rv = rotation[v]
-            rv[rv.index((e, 1))] = (f, 1)
+            rv[rv.index(e)] = f
         else:
-            edges[f] = (u, v)
+            ends[f] = (u, v)
             ru = rotation[u]
-            ru.insert(ru.index((e, 0)) + 1, (f, 0))
+            ru.insert(ru.index(e) + 1, f)
             rv = rotation[v]
-            rv.insert(rv.index((e, 1)), (f, 1))
-    return PlaneMultigraph(vertices, edges, {v: tuple(r) for v, r in rotation.items()})
+            rv.insert(rv.index(e), f)
+    return PlaneMultigraph(vertices, rotation)
 
 
 # -- medial digraph ----------------------------------------------------------------
@@ -205,15 +198,10 @@ def medial_digraph(g: PlaneMultigraph) -> EulerDigraph:
     if g.m < 2 and not has_loop:
         raise ValueError("medial of a bridge-only graph with fewer than 2 edges degenerates")
     arcs = []
-    k = 0
     for v in g.vertex_ids:
-        darts = g.rotation[v]
-        d = len(darts)
-        for i in range(d):
-            e1 = darts[i][0]
-            e2 = darts[(i + 1) % d][0]
-            k += 1
-            arcs.append((f"m{k}", e1, e2))
+        es = g.rotation[v]
+        for i, e in enumerate(es):
+            arcs.append((f"m{len(arcs) + 1}", e, es[(i + 1) % len(es)]))
     return EulerDigraph(sorted(g.edge_map), arcs)
 
 

@@ -78,7 +78,7 @@ def sp_dual(seq: SPSequence) -> SPSequence:
 def format_rotation_system(g: PlaneMultigraph) -> str:
     lines = []
     for v in g.vertex_ids:
-        lines.append(f"{v}: " + " ".join(e for e, _ in g.rotation[v]))
+        lines.append(f"{v}: " + " ".join(g.rotation[v]))
     return "\n".join(lines) + "\n"
 
 

@@ -260,3 +260,8 @@ def test_diagram_helpers():
     assert chords_cross(d, "2", "3")
     assert not chords_cross(d, "1", "3")
     assert str(d) == "1 2 1 3 2 3"
+
+
+def test_delete_of_an_unknown_chord_is_rejected():
+    with pytest.raises(ValueError, match="^unknown chord 'z'$"):
+        D("1 2 1 2").delete("z")

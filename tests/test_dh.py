@@ -47,6 +47,25 @@ def test_apply_validation():
         DHSequence((("pendant", "b", "a"),))
 
 
+def test_dh_sequence_rejects_a_bad_op():
+    with pytest.raises(ValueError, match=r"^bad op \('pendant', 'b'\)$"):
+        DHSequence((("root", "a"), ("pendant", "b")))
+
+
+@pytest.mark.parametrize("ops, message", [
+    ((("pendant", "b", "a"), ("pendant", "b", "a")), "vertex 'b' added twice"),
+    ((("pendant", "b", "z"),), "op references unknown vertex 'z'"),
+    ((("falsetwin", "b", "a"),), "second op must be a pendant"),
+])
+def test_bad_scripts_are_rejected_where_they_are_built(ops, message):
+    ops = (("root", "a"),) + ops
+    with pytest.raises(ValueError, match=message):
+        DHSequence(ops)
+    for consumer in (bdh_to_sp, apply_dh_sequence, gamma_from_sequence):
+        with pytest.raises(ValueError, match=message):
+            consumer(DHSequence(ops))
+
+
 def test_apply_gives_each_new_vertex_the_neighbourhood_its_op_defines():
     # among the vertices added before it: {at} for a pendant, N(at) for a false
     # twin, N(at) + at for a true twin; every edge is checked at its later end
@@ -70,6 +89,11 @@ def test_recognize_c6_rejected():
     assert rec.residual.n == 6  # nothing peels at all
 
 
+def test_true_twin_count_of_a_rejected_graph_is_an_error():
+    with pytest.raises(ValueError, match="^graph was rejected$"):
+        recognize_dh(cycle_graph(6)).true_twin_count
+
+
 def test_recognize_k3():
     rec = recognize_dh(complete_graph(3))
     assert rec.accepted and rec.true_twin_count == 1
@@ -85,6 +109,11 @@ def test_recognize_path_all_pendants():
 def test_recognize_single_vertex_and_disconnected():
     assert recognize_dh(Graph.edgeless(1)).accepted
     assert not recognize_dh(Graph.edgeless(2)).accepted
+
+
+def test_random_dh_sequence_needs_a_vertex():
+    with pytest.raises(ValueError, match="^need at least one vertex$"):
+        random_dh_sequence(0, random.Random(0))
 
 
 def test_recognition_round_trip_random():

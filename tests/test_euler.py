@@ -162,6 +162,11 @@ def test_duplicate_arc_id_is_rejected():
         EulerDigraph(["v"], [("x", "v", "v"), ("x", "v", "v")])
 
 
+def test_unknown_arc_id_is_rejected():
+    with pytest.raises(ValueError, match="^unknown arc 'zz'$"):
+        digon_medial().arc("zz")
+
+
 def test_all_euler_circuits_vs_f1():
     # transition systems with one cycle are exactly the Euler circuits
     rng = random.Random(54)

@@ -68,10 +68,8 @@ def test_unknown_and_duplicate_vertices_keep_their_messages():
         EulerDigraph(["a"], [("x", "a", "b")])
     with pytest.raises(ValueError, match="^duplicate vertex ids$"):
         EulerDigraph(["a", "a"], [])
-    with pytest.raises(ValueError, match="^edge 'e' references unknown vertex$"):
-        PlaneMultigraph(["a"], {"e": ("a", "b")}, {})
     with pytest.raises(ValueError, match="^duplicate vertex ids$"):
-        PlaneMultigraph(["a", "a"], {}, {})
+        PlaneMultigraph(["a", "a"], {})
 
 
 def test_rotation_system_round_trip():
@@ -82,7 +80,7 @@ def test_rotation_system_round_trip():
     assert {e: frozenset(uv) for e, uv in back.edge_map.items()} == \
         {e: frozenset(uv) for e, uv in g.edge_map.items()}
     for v in g.vertex_ids:
-        assert [e for e, _ in back.rotation[v]] == [e for e, _ in g.rotation[v]]
+        assert back.rotation[v] == g.rotation[v]
     assert len(back.faces()) == len(g.faces())
     assert back.euler_formula_ok()
 
@@ -99,6 +97,18 @@ def test_rotation_system_errors():
     assert exc.value.line == 1
     with pytest.raises(fileio.FormatError):
         fileio.parse_rotation_system("a: e1\n")  # e1 has one end
+
+
+def test_rotation_system_line_errors_carry_the_line():
+    with pytest.raises(fileio.FormatError, match="^line 2: empty vertex name$") as exc:
+        fileio.parse_rotation_system("a: e e\n : f\n")
+    assert exc.value.line == 2
+    with pytest.raises(fileio.FormatError, match="^line 3: vertex 'a' listed twice$") as exc:
+        fileio.parse_rotation_system("a: e\nb: e\na: f f\n")
+    assert exc.value.line == 3
+    with pytest.raises(fileio.FormatError, match="^edge 'e' has 3 end\\(s\\), expected 2$") as exc:
+        fileio.parse_rotation_system("a: e e\nb: e\n")
+    assert exc.value.line is None
 
 
 def test_sp_sequence_round_trip():

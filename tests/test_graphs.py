@@ -82,6 +82,11 @@ def test_induced_and_union_examples():
     assert e2.n == 2 and not e2.edges()
 
 
+def test_induced_rejects_a_repeated_vertex():
+    with pytest.raises(ValueError, match="^duplicate vertices in subset$"):
+        complete_graph(3).induced(["1", "2", "1"])
+
+
 def test_disjoint_union_relabels_collisions():
     g = Graph.from_edges([("a", "b")])
     u = disjoint_union(g, g)

@@ -67,9 +67,30 @@ def test_build_larger_sequences_stay_planar():
 
 def test_rotation_validation():
     with pytest.raises(ValueError):
-        PlaneMultigraph(["a", "b"], {"e": ("a", "b")}, {"a": [("e", 0)], "b": []})
+        PlaneMultigraph(["a", "b"], {"a": ["e"], "b": []})
     with pytest.raises(ValueError):
-        PlaneMultigraph(["a"], {"e": ("a", "z")}, {"a": [("e", 0), ("e", 1)]})
+        PlaneMultigraph(["a"], {"a": ["e"], "z": ["e"]})
+
+
+def test_plane_multigraph_reads_its_edges_off_the_rotation():
+    g = PlaneMultigraph([1, 2, 3], {3: ["f", "e"], 1: [7, "f"], 2: ["e", 7]})
+    assert g.vertex_ids == ("1", "2", "3")
+    assert g.rotation == {"1": ("7", "f"), "2": ("e", "7"), "3": ("f", "e")}
+    # ends in listing order, vertices taken in vertex order
+    assert g.edge_map == {"7": ("1", "2"), "f": ("1", "3"), "e": ("2", "3")}
+    assert g.euler_formula_ok() and len(g.faces()) == 2
+    with pytest.raises(ValueError, match="^rotation at unknown vertex 'z'$"):
+        PlaneMultigraph(["a"], {"a": ["e"], "z": ["e"]})
+    with pytest.raises(ValueError, match=r"^edge 'e' has 1 end\(s\), expected 2$"):
+        PlaneMultigraph(["a", "b"], {"a": ["e"]})
+    with pytest.raises(ValueError, match=r"^edge 'e' has 3 end\(s\), expected 2$"):
+        PlaneMultigraph(["a", "b"], {"a": ["e", "e"], "b": ["e"]})
+
+
+def test_euler_formula_needs_a_connected_graph():
+    g = PlaneMultigraph("abcd", {"a": ["e"], "b": ["e"], "c": ["f"], "d": ["f"]})
+    with pytest.raises(ValueError, match="^Euler formula check needs a connected graph$"):
+        g.euler_formula_ok()
 
 
 def test_medial_digon():
@@ -85,39 +106,35 @@ def test_medial_triangle():
 
 
 def test_medial_excludes_single_bridge():
-    g = PlaneMultigraph(["a", "b"], {"e": ("a", "b")},
-                        {"a": [("e", 0)], "b": [("e", 1)]})
+    g = PlaneMultigraph(["a", "b"], {"a": ["e"], "b": ["e"]})
     with pytest.raises(ValueError):
         medial_digraph(g)
 
 
 def test_medial_rejects_two_components():
-    g = PlaneMultigraph("abcd", {"e": ("a", "b"), "f": ("a", "b"), "g": ("c", "d"), "h": ("c", "d")},
-                        {"a": [("e", 0), ("f", 0)], "b": [("f", 1), ("e", 1)],
-                         "c": [("g", 0), ("h", 0)], "d": [("h", 1), ("g", 1)]})
+    g = PlaneMultigraph("abcd", {"a": ["e", "f"], "b": ["f", "e"],
+                                 "c": ["g", "h"], "d": ["h", "g"]})
     assert not g.is_connected()
-    assert PlaneMultigraph([], {}, {}).is_connected()
+    assert PlaneMultigraph([], {}).is_connected()
     with pytest.raises(ValueError, match="connected"):
         medial_digraph(g)
 
 
 def test_medial_rejects_an_edgeless_graph():
-    g = PlaneMultigraph(["a"], {}, {})
+    g = PlaneMultigraph(["a"], {})
     assert g.is_connected()
     with pytest.raises(ValueError, match="needs at least one edge"):
         medial_digraph(g)
 
 
 def test_medial_allows_single_loop():
-    g = PlaneMultigraph(["a"], {"e": ("a", "a")}, {"a": [("e", 0), ("e", 1)]})
+    g = PlaneMultigraph(["a"], {"a": ["e", "e"]})
     med = medial_digraph(g)
     assert med.n == 1 and len(med.arcs) == 2
 
 
 def _k4_rotation(order):
-    edges = {u + v: (u, v) for u, v in K4}
-    rotation = {v: [(e, 0 if edges[e][0] == v else 1) for e in es] for v, es in order.items()}
-    return PlaneMultigraph("abcd", edges, rotation)
+    return PlaneMultigraph("abcd", order)
 
 
 def test_medial_rejects_non_plane_rotation():
@@ -428,9 +445,14 @@ def test_medial_identity_random_sequences():
 
 
 def test_medial_identity_needs_two_edges():
-    g = PlaneMultigraph(["a"], {"e": ("a", "a")}, {"a": [("e", 0), ("e", 1)]})
+    g = PlaneMultigraph(["a"], {"a": ["e", "e"]})
     with pytest.raises(ValueError):
         verify_medial_tutte_identity(g)
+
+
+def test_medial_identity_rejects_what_is_not_a_plane_graph():
+    with pytest.raises(TypeError, match="^need a PlaneMultigraph or SPSequence$"):
+        verify_medial_tutte_identity(42)
 
 
 def test_planar_keeps_no_module_level_memo():
