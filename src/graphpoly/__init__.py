@@ -5,7 +5,10 @@ polynomials of 2-in 2-out digraphs, Tutte polynomials of multigraphs with a
 polynomial-time diagonal evaluator for series-parallel constructions, chord
 diagrams and their C-polynomial, and distance-hereditary recognition with a
 fast vertex-nullity route for the bipartite class.  Every pipeline has an
-independent brute-force oracle in the test suite.
+independent brute-force oracle in the test suite.  Values are immutable
+``__slots__`` classes and check reports are ``typing.NamedTuple`` classes,
+which keeps ``import graphpoly`` to a few milliseconds; ``tests/test_exports.py``
+names the standard modules the import must not load.
 """
 
 from .chords import (ChordDiagram, c_polynomial, chord_pivot, circle_graph,

@@ -30,13 +30,13 @@ subgraph D', and C is the one-vertex case of the Bollobas-Riordan
 topological Tutte polynomial, C(D; Y, Z) = R(D; x, Y, z) with z^2 = Z.
 ``verify_c_identity`` checks C against ``q_recursive`` on the circle graph,
 q(H; Y*sqrt(Z) + 1, Y + 1) = C(D; Y, Z); the sides share only the circle graph.
+It and ``verify_c_reduction`` return ``typing.NamedTuple`` reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
 from .interlace import q_recursive, rank_nullity_histogram
@@ -144,8 +144,7 @@ def c_polynomial(d: ChordDiagram) -> SparsePoly:
 # -- numeric identity checks ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CPolyIdentityReport:
+class CPolyIdentityReport(NamedTuple):
     """Point checks of q(H; Y*sqrt(Z)+1, Y+1) = C(D; Y, Z)."""
 
     points: tuple
@@ -185,8 +184,7 @@ def verify_c_identity(d: ChordDiagram, points: Sequence[tuple[int, int]]) -> CPo
 REDUCTION_POINTS = ((1, 1), (2, 4), (3, 9))  # the (Y, Z) points of verify_c_reduction
 
 
-@dataclass(frozen=True)
-class CReductionReport:
+class CReductionReport(NamedTuple):
     """Numeric test of the pivot reduction for C at ``REDUCTION_POINTS``."""
 
     points: tuple

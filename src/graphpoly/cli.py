@@ -56,7 +56,7 @@ def _emit(args, payload, method: str, started: float) -> None:
     if args.format == "json":
         if isinstance(payload, SparsePoly):
             result = payload.to_json_obj()
-        elif hasattr(payload, "__dataclass_fields__"):
+        elif hasattr(payload, "_fields"):  # a NamedTuple report prints as its str
             result = str(payload)
         else:
             result = payload

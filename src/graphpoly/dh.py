@@ -19,7 +19,9 @@ updates on n-bit keys, O(|E|) over the whole peel.  The buckets by closed
 neighbourhood and the true-twin mask are built from the live rows once
 no pendant or false twin is left, and kept from then on, so a peel that
 never gets there, such as that of any BDH graph, never builds them.
-``recognize_dh`` and ``is_bdh`` map the triples to vertex ids.
+``recognize_dh`` and ``is_bdh`` map the triples to vertex ids and return
+the named tuples ``DHRecognition`` and ``BdhCheck``.  A ``DHSequence`` is an
+immutable ``__slots__`` value, like ``Graph``, that checks its ops when built.
 
 ``bdh_to_sp`` converts a true-twin-free sequence into a series-parallel
 construction whose diagonal Tutte polynomial equals q_N of the graph.  Each
@@ -40,24 +42,22 @@ two-terminal evaluator of ``planar``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, bit_indices, compact_rows, toggle_rows
 from .planar import SPSequence, _two_terminal_diagonal
 from .poly import SparsePoly
 
 
-@dataclass(frozen=True)
 class DHSequence:
-    """Construction script: ("root", v) then pendant/truetwin/falsetwin ops.
+    """Immutable construction script: ("root", v) then pendant/truetwin/falsetwin ops.
 
     Each op adds a new vertex at an earlier one, the first op a pendant."""
 
-    ops: tuple
+    __slots__ = ("ops",)
 
-    def __post_init__(self):
-        ops = tuple(tuple(str(x) for x in op) for op in self.ops)
-        object.__setattr__(self, "ops", ops)
+    def __init__(self, ops: Iterable[tuple]):
+        ops = tuple(tuple(str(x) for x in op) for op in ops)
         if not ops or ops[0][0] != "root" or len(ops[0]) != 2:
             raise ValueError('a DHSequence must start with ("root", v)')
         known = {ops[0][1]}
@@ -72,6 +72,19 @@ class DHSequence:
             if kind != "pendant" and len(known) == 1:
                 raise ValueError("second op must be a pendant (twins need a non-isolated vertex)")
             known.add(new)
+        object.__setattr__(self, "ops", ops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DHSequence is immutable")
+
+    def __repr__(self) -> str:
+        return f"DHSequence({self.ops!r})"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DHSequence) and self.ops == other.ops
+
+    def __hash__(self):
+        return hash(self.ops)
 
     def __len__(self):
         return len(self.ops)
@@ -111,8 +124,7 @@ def apply_dh_sequence(seq: DHSequence) -> Graph:
 # -- recognition ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DHRecognition:
+class DHRecognition(NamedTuple):
     """Outcome of the greedy peel: a replayable sequence, or the stuck residual."""
 
     sequence: DHSequence | None
@@ -244,8 +256,7 @@ def recognize_dh(g: Graph) -> DHRecognition:
     return DHRecognition(DHSequence(tuple(ops)), None)
 
 
-@dataclass(frozen=True)
-class BdhCheck:
+class BdhCheck(NamedTuple):
     """is-BDH verdict with the criterion that settled it."""
 
     value: bool

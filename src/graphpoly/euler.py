@@ -26,14 +26,14 @@ and 79 ms at n = 10, 12, 14 and 16.
 
 ``verify_circuit_partition_identity`` checks f(G; x) = x * q_N(H; x + 1)
 where H is the circle graph of the chord diagram read off any Euler
-circuit (the vertex-visit word, each vertex appearing twice).
+circuit (the vertex-visit word, each vertex appearing twice), and returns
+a ``typing.NamedTuple`` report whose ``str`` is the CLI's line.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .chords import ChordDiagram, circle_graph
 from .graphs import component_masks, label_rows
@@ -215,8 +215,7 @@ def chord_diagram_from_circuit(g: EulerDigraph, circuit: Sequence[str]) -> Chord
     return ChordDiagram(g.arc(aid)[1] for aid in circuit)
 
 
-@dataclass(frozen=True)
-class CircuitPartitionIdentityReport:
+class CircuitPartitionIdentityReport(NamedTuple):
     """f(G; x) = x * q_N(H; x+1) over the checked circuits, plus circuit independence."""
 
     f: SparsePoly

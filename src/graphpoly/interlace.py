@@ -87,9 +87,9 @@ multiplies the components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
+from typing import NamedTuple
 
 from .graphs import (Graph, bfs_rows, compact_rows, component_masks, delete_index, pivot_rows,
                      toggle_rows)
@@ -341,8 +341,7 @@ def gamma_invariant(g: Graph) -> int:
 # -- coefficient identities -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """Antisymmetry a10 = -a01 of the linear coefficients of q."""
 
     a10: int

@@ -22,13 +22,14 @@ series-parallel construction sequences by a polynomial-time diagonal
 evaluator, which composes a two-terminal (terminals joined, terminals apart)
 pair per edge over the construction script.  Both hold one int per
 subproblem, its polynomial at a power of two, whose digits
-``SparsePoly.from_base_digits`` reads back.
+``SparsePoly.from_base_digits`` reads back.  An ``SPSequence`` is an immutable
+``__slots__`` value that checks its ops when built, and
+``verify_medial_tutte_identity`` returns a ``typing.NamedTuple`` report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .euler import EulerDigraph, chord_diagram_from_circuit, euler_circuit
 from .chords import circle_graph
@@ -124,9 +125,8 @@ class PlaneMultigraph:
 # -- series-parallel construction ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SPSequence:
-    """Construction script: "digon" first, then series/parallel ops on edge ids.
+    """Immutable construction script: "digon" first, then series/parallel ops on edge ids.
 
     The digon creates edges e1 and e2; the k-th later op creates edge
     e{k+2} (series: the named edge keeps its id for the half at its first
@@ -134,11 +134,10 @@ class SPSequence:
     parallel edge).
     """
 
-    ops: tuple
+    __slots__ = ("ops",)
 
-    def __post_init__(self):
-        ops = tuple(self.ops)
-        object.__setattr__(self, "ops", ops)
+    def __init__(self, ops: Iterable[tuple]):
+        ops = tuple(ops)
         if not ops or ops[0] != ("digon",):
             raise ValueError('an SPSequence must start with ("digon",)')
         known = {"e1", "e2"}
@@ -150,6 +149,19 @@ class SPSequence:
                 raise ValueError(f"op {op!r} references unknown edge")
             counter += 1
             known.add(f"e{counter}")
+        object.__setattr__(self, "ops", ops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SPSequence is immutable")
+
+    def __repr__(self) -> str:
+        return f"SPSequence({self.ops!r})"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SPSequence) and self.ops == other.ops
+
+    def __hash__(self):
+        return hash(self.ops)
 
     def __len__(self):
         return len(self.ops)
@@ -192,7 +204,7 @@ def medial_digraph(g: PlaneMultigraph) -> EulerDigraph:
         raise ValueError("medial digraph needs a connected plane graph")
     if g.m == 0:
         raise ValueError("medial digraph needs at least one edge")
-    if not g.euler_formula_ok():
+    if g.n - g.m + len(g.faces()) != 2:  # euler_formula_ok() without a second connectivity test
         raise ValueError("rotation system is not a plane embedding (V - E + F != 2)")
     has_loop = any(u == v for u, v in g.edge_map.values())
     if g.m < 2 and not has_loop:
@@ -410,8 +422,7 @@ def _two_terminal_diagonal(steps: Sequence[tuple[bool, int, int]]) -> SparsePoly
 # -- medial / diagonal identity -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MedialTutteReport:
+class MedialTutteReport(NamedTuple):
     """q_N(H; x) = t(G; x, x) for the circle graph H of a medial Euler circuit,
     plus gamma(H) = 2 * beta(G)."""
 

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -391,22 +390,22 @@ def test_randomized_state_sum_check_draws_up_to_max_size(capsys, monkeypatch, wh
     ("identities", "qn_recursive", lambda real: lambda g: real(g).scale(2),
      "0: q_N route mismatch"),
     ("theorem-a", "verify_circuit_partition_identity",
-     lambda real: lambda g: replace(real(g), identity_ok=False), "instance 0: "),
+     lambda real: lambda g: real(g)._replace(identity_ok=False), "instance 0: "),
     ("theorem-b", "verify_medial_tutte_identity",
-     lambda real: lambda seq: replace(real(seq), gamma=0), "instance 0: "),
+     lambda real: lambda seq: real(seq)._replace(gamma=0), "instance 0: "),
     # a wrong q_N from q also differs from the recursion, so the route mismatch comes first
     ("identities", "qn_of_q", lambda real: lambda q: real(q).scale(-1),
      "0: q_N route mismatch; 0: non-positive q_N coefficient"),
     ("identities", "qn_of_q", lambda real: lambda q: real(q) * SparsePoly.var("x"),
      "0: q_N route mismatch; 0: lowest degree is not the component count"),
     ("identities", "coefficient_checks",
-     lambda real: lambda g, q: replace(real(g, q), ok=False), "0: a10=0 a01=1 FAIL"),
+     lambda real: lambda g, q: real(g, q)._replace(ok=False), "0: a10=0 a01=1 FAIL"),
     ("cpoly", "verify_c_identity",
-     lambda real: lambda d, points: replace(real(d, points), values_q=(0,) * len(points)),
+     lambda real: lambda d, points: real(d, points)._replace(values_q=(0,) * len(points)),
      "diagram 1 1: "),
     # the first diagram at seed 1 has no interlaced pair, so no reduction to check
     ("cpoly", "verify_c_reduction",
-     lambda real: lambda d, a, b: replace(real(d, a, b), ok=False),
+     lambda real: lambda d, a, b: real(d, a, b)._replace(ok=False),
      "diagram 2 1 2 1: "),
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -520,11 +519,40 @@ def test_library_call_command_prints_its_function_of_the_parsed_file(tmp_path, c
     path = tmp_path / "input"
     path.write_text(text)
     argv = (*argv[:2], str(path), *argv[2:])
-    assert run(capsys, *argv) == (0, str(function(parse(text))), "")
+    result = function(parse(text))
+    assert run(capsys, *argv) == (0, str(result), "")
     code, out, err = run(capsys, "--format", "json", *argv)
     doc = json.loads(out)
     assert code == 0 and err == ""
     assert doc["method"] == method and doc["input"] == str(path)
+    assert doc["result"] == (result.to_json_obj() if isinstance(result, SparsePoly) else result)
+
+
+# an input of each verify suite that checks a single file
+SINGLE_INSTANCES = {"theorem-a": THREE_ARCS, "theorem-b": C4_SP}
+
+
+@pytest.mark.parametrize("what", sorted(SINGLE_INSTANCES))
+@pytest.mark.parametrize("holds", [True, False])
+def test_single_instance_verify_prints_its_report_as_its_str(tmp_path, capsys, monkeypatch,
+                                                             what, holds):
+    assert set(SINGLE_INSTANCES) == {w for w, suite in cli._SUITES.items() if suite[-1]}
+    option, parse, _, name = cli._SUITES[what][-1]
+    real = getattr(cli, name)
+    if not holds:  # the report of a failed identity, as a wrong route would give
+        wrong = {"theorem-a": {"identity_ok": False}, "theorem-b": {"gamma": 0}}[what]
+        monkeypatch.setattr(cli, name, lambda instance: real(instance)._replace(**wrong))
+    path = tmp_path / "input"
+    path.write_text(SINGLE_INSTANCES[what])
+    report = getattr(cli, name)(parse(SINGLE_INSTANCES[what]))
+    assert report.ok is holds
+    argv = ("verify", what, f"--{option}", str(path))
+    assert run(capsys, *argv) == (0 if holds else 1, str(report), "")
+    code, out, err = run(capsys, "--format", "json", *argv)
+    doc = json.loads(out)
+    assert code == (0 if holds else 1) and err == ""
+    assert doc["result"] == str(report)
+    assert doc["method"] == what and doc["input"] == str(path)
 
 
 @pytest.mark.parametrize("argv", [

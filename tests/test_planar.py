@@ -150,6 +150,18 @@ def test_medial_rejects_non_plane_rotation():
             fn(torus)
 
 
+def test_medial_searches_for_components_once(monkeypatch):
+    searches = []
+    real = planar.label_rows
+    monkeypatch.setattr(planar, "label_rows", lambda *a: searches.append(a) or real(*a))
+    medial_digraph(_k4_rotation({"a": ["ab", "ac", "ad"], "b": ["bc", "ab", "bd"],
+                                 "c": ["cd", "ac", "bc"], "d": ["bd", "ad", "cd"]}))
+    assert len(searches) == 1
+    two_bridges = PlaneMultigraph("abcd", {"a": ["e"], "b": ["e"], "c": ["f"], "d": ["f"]})
+    with pytest.raises(ValueError, match="^medial digraph needs a connected plane graph$"):
+        medial_digraph(two_bridges)
+
+
 def test_every_medial_circuit_of_plane_k4_gives_a_non_dh_circle_graph():
     # The correspondence theorem, "only if": K_4 is plane but not
     # series-parallel (beta = 2), and no circle graph of its medial is BDH,

@@ -4,6 +4,7 @@ Each script runs in its own interpreter on small inputs, so a script that
 imports a renamed or removed name fails here instead of at its next use.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -33,3 +34,19 @@ def test_script_runs_and_prints_its_result(script, line):
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert any(re.fullmatch(line, s.strip()) for s in done.stdout.splitlines()), done.stdout
+
+
+def test_bench_trajectory_writes_every_end_to_end_metric(tmp_path):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_trajectory.py"),
+                           "--workloads", "bdh_fast", "--seconds", "0.1", "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    (path,) = tmp_path.glob("BENCH_*.json")
+    doc = json.loads(path.read_text())
+    assert doc["seed"] == 1 and doc["seconds"] == 0.1 and doc["previous"] is None
+    assert list(doc["workloads"]) == ["bdh_fast"]
+    entry = doc["workloads"]["bdh_fast"]
+    names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert len(names) == 5 and set(entry["metrics"]) == names
+    assert entry["failed"] == 0 and entry["attempted"] > 0
+    assert all(m["median"] > 0 and len(m["runs"]) == 1 for m in entry["metrics"].values())
