@@ -3,7 +3,7 @@
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` for
 each workload of ``BENCHMARK.json`` (or those given by ``--workloads``),
-``--runs`` times each, and writes ``BENCH_<short-sha>.json`` to ``--out``
+``RUNS`` times each, and writes ``BENCH_<short-sha>.json`` to ``--out``
 (the root of the checkout by default).  The file holds the commit, whether
 ``src`` or ``perfbench`` differ from it (``dirty``), the seed, the seconds,
 the Python version, and per workload the failed and attempted
@@ -16,7 +16,7 @@ parent commit should still alternate which side runs first, since the
 second of two back-to-back runs tends to read slower.
 
 Usage: python scripts/bench_trajectory.py [--workloads bdh_fast,qn_dense]
-       [--seed 1] [--seconds 10] [--runs 1] [--out DIR]
+       [--seed 1] [--seconds 10] [--out DIR]
 """
 
 import argparse
@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+RUNS = 3  # perfbench runs per workload; each metric is their median
 
 
 def _git(*args: str) -> str:
@@ -56,11 +57,8 @@ def main() -> int:
     ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--runs", type=int, default=1)
     ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args()
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
     names = [m["name"] for m in spec["end_to_end"]]
 
     commits = _git("rev-list", "HEAD").split()
@@ -71,7 +69,7 @@ def main() -> int:
 
     workloads = {}
     for w in args.workloads.split(","):
-        runs = [run_workload(w, args.seed, args.seconds) for _ in range(args.runs)]
+        runs = [run_workload(w, args.seed, args.seconds) for _ in range(RUNS)]
         metrics = {}
         for name in names:
             values = [r["metrics"][name]["value"] for r in runs]
@@ -86,7 +84,7 @@ def main() -> int:
     doc = {"commit": sha,
            "dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
            "previous": previous.name if previous else None,
-           "seed": args.seed, "seconds": args.seconds, "runs": args.runs,
+           "seed": args.seed, "seconds": args.seconds, "runs": RUNS,
            "python": platform.python_version(), "workloads": workloads}
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{sha}.json"

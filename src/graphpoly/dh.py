@@ -45,16 +45,16 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .graphs import Graph, bit_indices, compact_rows, toggle_rows
-from .planar import SPSequence, _two_terminal_diagonal
+from .planar import SPSequence, _OpsScript, _two_terminal_diagonal
 from .poly import SparsePoly
 
 
-class DHSequence:
+class DHSequence(_OpsScript):
     """Immutable construction script: ("root", v) then pendant/truetwin/falsetwin ops.
 
     Each op adds a new vertex at an earlier one, the first op a pendant."""
 
-    __slots__ = ("ops",)
+    __slots__ = ()
 
     def __init__(self, ops: Iterable[tuple]):
         ops = tuple(tuple(str(x) for x in op) for op in ops)
@@ -73,21 +73,6 @@ class DHSequence:
                 raise ValueError("second op must be a pendant (twins need a non-isolated vertex)")
             known.add(new)
         object.__setattr__(self, "ops", ops)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DHSequence is immutable")
-
-    def __repr__(self) -> str:
-        return f"DHSequence({self.ops!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DHSequence) and self.ops == other.ops
-
-    def __hash__(self):
-        return hash(self.ops)
-
-    def __len__(self):
-        return len(self.ops)
 
     @property
     def true_twin_count(self) -> int:

@@ -125,7 +125,33 @@ class PlaneMultigraph:
 # -- series-parallel construction ------------------------------------------------
 
 
-class SPSequence:
+class _OpsScript:
+    """Immutable value holding a checked tuple of construction ops.
+
+    Two scripts are equal when they are of the same class with equal ops.
+    Subclasses check the ops in ``__init__`` and set them with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ("ops",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.ops!r})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.ops == other.ops
+
+    def __hash__(self):
+        return hash(self.ops)
+
+    def __len__(self):
+        return len(self.ops)
+
+
+class SPSequence(_OpsScript):
     """Immutable construction script: "digon" first, then series/parallel ops on edge ids.
 
     The digon creates edges e1 and e2; the k-th later op creates edge
@@ -134,7 +160,7 @@ class SPSequence:
     parallel edge).
     """
 
-    __slots__ = ("ops",)
+    __slots__ = ()
 
     def __init__(self, ops: Iterable[tuple]):
         ops = tuple(ops)
@@ -150,21 +176,6 @@ class SPSequence:
             counter += 1
             known.add(f"e{counter}")
         object.__setattr__(self, "ops", ops)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SPSequence is immutable")
-
-    def __repr__(self) -> str:
-        return f"SPSequence({self.ops!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SPSequence) and self.ops == other.ops
-
-    def __hash__(self):
-        return hash(self.ops)
-
-    def __len__(self):
-        return len(self.ops)
 
     def to_text(self) -> str:
         return "\n".join(op[0] if len(op) == 1 else f"{op[0]} {op[1]}" for op in self.ops) + "\n"

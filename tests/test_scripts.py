@@ -49,4 +49,4 @@ def test_bench_trajectory_writes_every_end_to_end_metric(tmp_path):
     names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     assert len(names) == 5 and set(entry["metrics"]) == names
     assert entry["failed"] == 0 and entry["attempted"] > 0
-    assert all(m["median"] > 0 and len(m["runs"]) == 1 for m in entry["metrics"].values())
+    assert all(m["median"] > 0 and len(m["runs"]) == 3 for m in entry["metrics"].values())
