@@ -231,6 +231,9 @@ def main() -> None:
             print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))  # KiB
         return
     names = args.only.split(",") if args.only else list(INPUTS)
+    unknown = [name for name in names if name not in INPUTS]
+    if unknown:
+        ap.exit(2, f"error: unknown input(s): {', '.join(unknown)}\n")
     print(f"{'input':<16} {'function':<22} {'best ms':>10} {'peak RSS MiB':>13}")
     for name in names:
         best = min(run_once(name) for _ in range(args.repeats))

@@ -40,10 +40,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
 from .interlace import q_recursive, rank_nullity_histogram
-from .poly import SparsePoly
+from .poly import Immutable, SparsePoly
 
 
-class ChordDiagram:
+class ChordDiagram(Immutable):
     """Immutable double-occurrence word over string labels."""
 
     __slots__ = ("word",)
@@ -58,9 +58,6 @@ class ChordDiagram:
             raise ValueError(f"not a double-occurrence word; bad labels: {', '.join(bad)}")
         object.__setattr__(self, "word", word)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ChordDiagram is immutable")
-
     def __str__(self) -> str:
         return " ".join(self.word)
 
@@ -72,10 +69,6 @@ class ChordDiagram:
 
     def __hash__(self):
         return hash(self.word)
-
-    @property
-    def size(self) -> int:
-        return len(self.word) // 2
 
     def labels(self) -> tuple:
         """The chords in order of first occurrence."""

@@ -38,10 +38,10 @@ from typing import Iterable, NamedTuple, Sequence
 from .chords import ChordDiagram, circle_graph
 from .graphs import component_masks, label_rows
 from .interlace import qn_recursive
-from .poly import SparsePoly
+from .poly import Immutable, SparsePoly
 
 
-class EulerDigraph:
+class EulerDigraph(Immutable):
     """Immutable directed multigraph with in-degree = out-degree = 2 everywhere."""
 
     __slots__ = ("vertex_ids", "arcs", "_arc_index")
@@ -73,9 +73,6 @@ class EulerDigraph:
         object.__setattr__(self, "vertex_ids", vertex_ids)
         object.__setattr__(self, "arcs", tuple(norm))
         object.__setattr__(self, "_arc_index", {a[0]: a for a in norm})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EulerDigraph is immutable")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "EulerDigraph":

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .poly import Immutable
 
-class Graph:
+
+class Graph(Immutable):
     """Immutable undirected graph, loops allowed, no parallel edges."""
 
     __slots__ = ("ids", "_index", "rows")
@@ -40,9 +42,6 @@ class Graph:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(ids)})
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -67,22 +66,6 @@ class Graph:
         if v not in self._index:
             raise ValueError(f"unknown vertex {v!r}")
         return self._index[v]
-
-    def has_edge(self, u, v) -> bool:
-        i, j = self.index_of(u), self.index_of(v)
-        return bool(self.rows[i] >> j & 1)
-
-    def has_loop(self, v) -> bool:
-        i = self.index_of(v)
-        return bool(self.rows[i] >> i & 1)
-
-    def neighbors(self, v) -> tuple:
-        """Neighbours of v in id order; v itself appears iff v is looped."""
-        return tuple(self.ids[j] for j in bit_indices(self.rows[self.index_of(v)]))
-
-    def degree(self, v) -> int:
-        i = self.index_of(v)
-        return bin(self.rows[i]).count("1")
 
     def edges(self) -> list[tuple]:
         """Each edge once as (ids[i], ids[j]) with i <= j, sorted by i, then j."""
@@ -111,19 +94,6 @@ class Graph:
         return f"Graph({self.n} vertices, edges={self.edges()!r})"
 
     # -- structure ---------------------------------------------------------
-
-    def induced(self, subset: Iterable[str]) -> "Graph":
-        keep = [self.index_of(v) for v in subset]
-        if len(set(keep)) != len(keep):
-            raise ValueError("duplicate vertices in subset")
-        keep.sort()
-        return Graph([self.ids[i] for i in keep], compact_rows(self.rows, sum(1 << i for i in keep)))
-
-    def without(self, *drop) -> "Graph":
-        gone = {str(v) for v in drop}
-        for v in gone:
-            self.index_of(v)
-        return self.induced([v for v in self.ids if v not in gone])
 
     def components(self) -> list[tuple]:
         """Vertex ids of each connected component, in index order, ordered by lowest vertex."""

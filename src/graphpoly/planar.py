@@ -35,12 +35,12 @@ from .euler import EulerDigraph, chord_diagram_from_circuit, euler_circuit
 from .chords import circle_graph
 from .graphs import component_masks, label_rows
 from .interlace import gamma_state_sum, qn_recursive
-from .poly import SparsePoly, _packed_product
+from .poly import Immutable, SparsePoly, _packed_product
 
 Dart = tuple[str, int]  # (edge id, side 0 or 1)
 
 
-class PlaneMultigraph:
+class PlaneMultigraph(Immutable):
     """Multigraph given by its rotation system (combinatorial embedding).
 
     ``rotation[v]`` lists the ids of the edges at v in cyclic order; a vertex
@@ -70,9 +70,6 @@ class PlaneMultigraph:
         object.__setattr__(self, "vertex_ids", vertex_ids)
         object.__setattr__(self, "edge_map", {e: tuple(vs) for e, vs in ends.items()})
         object.__setattr__(self, "rotation", rot)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneMultigraph is immutable")
 
     @property
     def n(self) -> int:
@@ -115,17 +112,11 @@ class PlaneMultigraph:
             out.append(tuple(face))
         return out
 
-    def euler_formula_ok(self) -> bool:
-        """Planarity certificate for connected graphs: V - E + F = 2."""
-        if not self.is_connected():
-            raise ValueError("Euler formula check needs a connected graph")
-        return self.n - self.m + len(self.faces()) == 2
-
 
 # -- series-parallel construction ------------------------------------------------
 
 
-class _OpsScript:
+class _OpsScript(Immutable):
     """Immutable value holding a checked tuple of construction ops.
 
     Two scripts are equal when they are of the same class with equal ops.
@@ -134,9 +125,6 @@ class _OpsScript:
     """
 
     __slots__ = ("ops",)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.ops!r})"
@@ -215,7 +203,7 @@ def medial_digraph(g: PlaneMultigraph) -> EulerDigraph:
         raise ValueError("medial digraph needs a connected plane graph")
     if g.m == 0:
         raise ValueError("medial digraph needs at least one edge")
-    if g.n - g.m + len(g.faces()) != 2:  # euler_formula_ok() without a second connectivity test
+    if g.n - g.m + len(g.faces()) != 2:  # Euler's formula, connectivity checked above
         raise ValueError("rotation system is not a plane embedding (V - E + F != 2)")
     has_loop = any(u == v for u, v in g.edge_map.values())
     if g.m < 2 and not has_loop:

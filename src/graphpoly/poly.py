@@ -4,7 +4,8 @@ A polynomial carries a fixed, ordered tuple of variable names (at most a
 handful in practice) and a dict mapping exponent tuples to non-zero int
 coefficients.  All arithmetic is exact; coefficients are arbitrary
 precision.  Values are immutable once constructed, so they can be shared
-freely between threads.
+freely between threads.  Every value class of the package derives from
+``Immutable``, defined here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ class VariableMismatchError(ValueError):
     """Raised when combining polynomials over different variable tuples."""
 
 
-class SparsePoly:
+class Immutable:
+    """Base of the package's value classes: slots set once by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class SparsePoly(Immutable):
     """Immutable sparse polynomial with named variables."""
 
     __slots__ = ("vars", "terms")
@@ -26,20 +36,12 @@ class SparsePoly:
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, int] | None = None):
         object.__setattr__(self, "vars", tuple(variables))
         terms = terms or {}
-        # int tuples and int coefficients are kept as they are; others are converted and merged
         if not (set(map(type, terms)) <= {tuple} and set(map(type, chain.from_iterable(terms)))
                 | set(map(type, terms.values())) <= {int}):
-            merged: dict = {}
-            for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                merged[exps] = merged.get(exps, 0) + int(coeff)
-            terms = merged
+            raise TypeError("need tuples of int exponents and int coefficients")
         if set(map(len, terms)) - {len(self.vars)} or min(chain(*terms), default=0) < 0:
             raise ValueError(f"need non-negative exponents, one per variable of {self.vars}")
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePoly is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -152,9 +154,15 @@ class SparsePoly:
     def coefficient(self, exps) -> int:
         """Coefficient of a given exponent vector (mapping or tuple); 0 if absent."""
         if isinstance(exps, Mapping):
-            key = tuple(int(exps.get(v, 0)) for v in self.vars)
+            for v in exps:
+                if v not in self.vars:
+                    raise ValueError(f"unknown variable {v!r}, not one of {self.vars}")
+            key = tuple(exps.get(v, 0) for v in self.vars)
         else:
-            key = tuple(int(e) for e in exps)
+            key = tuple(exps)
+            if len(key) != len(self.vars):
+                raise ValueError(f"need {len(self.vars)} exponents, one per variable of "
+                                 f"{self.vars}, not {len(key)}")
         return self.terms.get(key, 0)
 
     def degree(self, name: str) -> int:

@@ -1,22 +1,70 @@
-"""Builders that only the tests use.
+"""Builders and queries that only the tests use.
 
-Joins of graphs (disjoint union, one-point and two-point join), the dual of
-a series-parallel script, the writer of the rotation-system format, the
-reader of distance-hereditary scripts (which ``dh recognize`` prints), the
-reader of the JSON form of a polynomial and q_N of a path by its
-recurrence.  No pipeline in ``graphpoly`` needs them.
+Queries of a ``Graph`` (``has_edge``, ``has_loop``, ``neighbors``,
+``degree``) and its induced subgraphs (``induced``, ``without``), the Euler
+formula check of a ``PlaneMultigraph``, the chord count of a
+``ChordDiagram``, joins of graphs (disjoint union, one-point and two-point
+join), the dual of a series-parallel script, the writer of the
+rotation-system format, the reader of distance-hereditary scripts (which
+``dh recognize`` prints), the reader of the JSON form of a polynomial and
+q_N of a path by its recurrence.  No pipeline in ``graphpoly`` needs them.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from graphpoly.chords import ChordDiagram
 from graphpoly.dh import DHSequence
 from graphpoly.fileio import FormatError, _content_lines
-from graphpoly.graphs import Graph
+from graphpoly.graphs import Graph, bit_indices, compact_rows
 from graphpoly.planar import PlaneMultigraph, SPSequence
 from graphpoly.poly import SparsePoly
+
+
+def has_edge(g: Graph, u, v) -> bool:
+    return bool(g.rows[g.index_of(u)] >> g.index_of(v) & 1)
+
+
+def has_loop(g: Graph, v) -> bool:
+    i = g.index_of(v)
+    return bool(g.rows[i] >> i & 1)
+
+
+def neighbors(g: Graph, v) -> tuple:
+    """Neighbours of v in id order; v itself appears iff v is looped."""
+    return tuple(g.ids[j] for j in bit_indices(g.rows[g.index_of(v)]))
+
+
+def degree(g: Graph, v) -> int:
+    return bin(g.rows[g.index_of(v)]).count("1")
+
+
+def induced(g: Graph, subset: Iterable[str]) -> Graph:
+    keep = [g.index_of(v) for v in subset]
+    if len(set(keep)) != len(keep):
+        raise ValueError("duplicate vertices in subset")
+    keep.sort()
+    return Graph([g.ids[i] for i in keep], compact_rows(g.rows, sum(1 << i for i in keep)))
+
+
+def without(g: Graph, *drop) -> Graph:
+    gone = {str(v) for v in drop}
+    for v in gone:
+        g.index_of(v)
+    return induced(g, [v for v in g.ids if v not in gone])
+
+
+def euler_formula_ok(g: PlaneMultigraph) -> bool:
+    """Planarity certificate for connected graphs: V - E + F = 2."""
+    if not g.is_connected():
+        raise ValueError("Euler formula check needs a connected graph")
+    return g.n - g.m + len(g.faces()) == 2
+
+
+def chord_count(d: ChordDiagram) -> int:
+    return len(d.word) // 2
 
 
 def _fresh_names(taken: Sequence[str], incoming: Sequence[str]) -> dict:
@@ -60,9 +108,9 @@ def two_point_join(g: Graph, u, other: Graph, v) -> Graph:
     relabel = _fresh_names(g.ids, other.ids)
     edges = g.edges()
     edges.extend((relabel[a], relabel[b]) for a, b in other.edges())
-    for w in other.neighbors(v):
+    for w in neighbors(other, v):
         edges.append((str(u), relabel[w]))
-    for w in g.neighbors(u):
+    for w in neighbors(g, u):
         edges.append((relabel[str(v)], w))
     verts = list(g.ids) + [relabel[w] for w in other.ids]
     # from_edges ignores duplicates since adjacency is a relation

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+from builders import neighbors
 from graphpoly.dh import DHRecognition, DHSequence
 from graphpoly.graphs import Graph
 
@@ -106,7 +107,7 @@ def is_62_chordal(g: Graph) -> bool:
     """Every cycle of length at least 6 has at least two chords (small graphs only)."""
     ids = g.ids
     n = g.n
-    adjset = {v: set(g.neighbors(v)) for v in ids}
+    adjset = {v: set(neighbors(g, v)) for v in ids}
 
     def chords_of(cycle):
         cyc = set(cycle)

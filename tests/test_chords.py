@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from builders import chord_count
 from state_sum_reference import bollobas_riordan_c_polynomial, reference_c_polynomial
 from graphpoly import chords, interlace
 from graphpoly.chords import (ChordDiagram, c_polynomial, chord_pivot,
@@ -252,7 +253,7 @@ def restrict(d, keep):
 
 def test_diagram_helpers():
     d = D("1 2 1 3 2 3")
-    assert d.size == 3
+    assert chord_count(d) == 3
     assert d.positions("2") == (1, 4)
     assert d.delete("3") == D("1 2 1 2")
     assert restrict(d, ["1"]) == D("1 1")

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import poly_from_json_obj
+from graphpoly import (ChordDiagram, DHSequence, EulerDigraph, SPSequence, build_sp,
+                       complete_graph)
 from graphpoly.poly import SparsePoly, VariableMismatchError
 
 
@@ -64,6 +66,12 @@ def test_coefficient():
     assert p.coefficient((5,)) == 0
     q = P(("x", "y"), {(2, 0): 1, (1, 0): -2, (0, 1): 2})
     assert q.coefficient({"x": 1}) == -2
+    r = P(("x", "y"), {(0, 0): 5, (1, 0): 2})
+    assert r.coefficient({"x": 1.9}) == 0  # no term x^1.9; not truncated to x^1
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        r.coefficient({"z": 1})
+    with pytest.raises(ValueError, match="need 2 exponents"):
+        r.coefficient((1,))
 
 
 def test_subs_int_and_rename():
@@ -170,13 +178,36 @@ def test_from_base_digits_edge_cases():
         SparsePoly.from_base_digits(("x",), -1, 1)
 
 
-def test_constructor_takes_exact_terms_as_they_are_and_converts_others():
-    assert P(("x", "y"), {(1, 2): 3, (0, 0): 0}).terms == {(1, 2): 3}
-    # exponents given as bools and floats become ints; keys that meet are merged, zeros dropped
-    p = P(("x",), {(True,): 2, (1.5,): 3, (2.0,): -1, (2.7,): 1})
-    assert p.terms == {(1,): 5} and [type(e) for e in p.terms] == [tuple]
-    assert type(next(iter(p.terms))[0]) is int
+def test_constructor_takes_int_terms_as_they_are_and_rejects_others():
+    terms = {(1, 2): 3, (0, 0): 0}
+    p = P(("x", "y"), terms)
+    assert p.terms == {(1, 2): 3} and terms == {(1, 2): 3, (0, 0): 0}
     for variables, terms in ((("x",), {(1, 2): 1}), (("x", "y"), {(1,): 1}),
-                             (("x", "y"), {(1, -1): 1}), (("x",), {(-2.0,): 1})):
+                             (("x", "y"), {(1, -1): 1})):
         with pytest.raises(ValueError, match="non-negative exponents"):
             P(variables, terms)
+    # bools and floats are not converted: (1.5,) would silently become (1,)
+    for terms in ({(True,): 2}, {(1.5,): 3}, {(2.0,): -1}, {(-2.0,): 1}, {(1,): 2.0},
+                  {(1,): True}, {1: 1}):
+        with pytest.raises(TypeError, match="int exponents and int coefficients"):
+            P(("x",), terms)
+
+
+@pytest.mark.parametrize("build, slot", [
+    (lambda: complete_graph(3), "rows"),
+    (lambda: SparsePoly.var("x"), "terms"),
+    (lambda: build_sp(SPSequence([("digon",)])), "rotation"),
+    (lambda: EulerDigraph.from_pairs([("a", "a"), ("a", "a")]), "arcs"),
+    (lambda: ChordDiagram("1 2 1 2".split()), "word"),
+    (lambda: SPSequence([("digon",), ("series", "e1")]), "ops"),
+    (lambda: DHSequence([("root", "a"), ("pendant", "b", "a")]), "ops"),
+], ids=["Graph", "SparsePoly", "PlaneMultigraph", "EulerDigraph", "ChordDiagram",
+        "SPSequence", "DHSequence"])
+def test_value_classes_share_one_immutability_guard(build, slot):
+    value = build()
+    before = getattr(value, slot)
+    for name in (slot, "extra"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)
+    assert getattr(value, slot) is before
+    assert not hasattr(value, "__dict__")

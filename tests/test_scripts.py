@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
 
 
 # the command line of each script and a line it must print, as a regular expression
@@ -28,12 +30,18 @@ SCRIPTS = [
 
 @pytest.mark.parametrize("script, line", SCRIPTS, ids=[script[0] for script, _ in SCRIPTS])
 def test_script_runs_and_prints_its_result(script, line):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=ENV, timeout=300)
     assert done.returncode == 0, done.stderr
     assert any(re.fullmatch(line, s.strip()) for s in done.stdout.splitlines()), done.stdout
+
+
+def test_kernel_timing_rejects_an_unknown_input_before_timing():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_timing.py"),
+                           "--only", "K_7,nosuch", "--repeats", "1"],
+                          capture_output=True, text=True, env=ENV, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr == "error: unknown input(s): nosuch\n" and done.stdout == ""
 
 
 def test_bench_trajectory_writes_every_end_to_end_metric(tmp_path):
