@@ -218,9 +218,16 @@ def run_once(name: str) -> float:
     return time.perf_counter() - t0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--repeats", type=positive_int, default=3)
     ap.add_argument("--only", default="", help="comma-separated input names")
     ap.add_argument("--rss-of", help=argparse.SUPPRESS)
     args = ap.parse_args()

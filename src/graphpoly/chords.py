@@ -98,7 +98,8 @@ def circle_graph(d: ChordDiagram) -> Graph:
     for c in d.word:
         parity ^= bit[c]
         row[c] ^= parity
-    return Graph(list(bit), [r ^ bit[c] for c, r in row.items()])
+    # interleaving is symmetric, and the labels are distinct strings
+    return Graph.__new__(Graph)._set(tuple(bit), tuple([r ^ bit[c] for c, r in row.items()]))
 
 
 def chords_cross(d: ChordDiagram, a: str, b: str) -> bool:

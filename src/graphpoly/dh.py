@@ -103,7 +103,8 @@ def apply_dh_sequence(seq: DHSequence) -> Graph:
         index[new] = len(rows)
         rows.append(row)
         toggle_rows(rows, row, 1 << index[new])
-    return Graph(list(index), rows)
+    # each new row is mirrored into its neighbours; DHSequence checked the ids
+    return Graph.__new__(Graph)._set(tuple(index), tuple(rows))
 
 
 # -- recognition ------------------------------------------------------------------
@@ -234,8 +235,9 @@ def recognize_dh(g: Graph) -> DHRecognition:
     ids = g.ids
     steps, alive = _peel(g.rows)
     if alive & (alive - 1):
-        return DHRecognition(None, Graph([ids[v] for v in bit_indices(alive)],
-                                         compact_rows(g.rows, alive)))
+        # an induced subgraph of g keeps its symmetry and distinct ids
+        return DHRecognition(None, Graph.__new__(Graph)._set(
+            tuple([ids[v] for v in bit_indices(alive)]), compact_rows(g.rows, alive)))
     ops = [("root", ids[alive.bit_length() - 1])]
     ops += [(_KINDS[kind], ids[rem], ids[partner]) for kind, rem, partner in reversed(steps)]
     return DHRecognition(DHSequence(tuple(ops)), None)

@@ -4,7 +4,9 @@ Every parser reports malformed input with the 1-based line number.  Blank
 lines and lines starting with ``#`` are ignored everywhere.
 
 * edge list (simple graph): ``u v`` per line, ``u u`` declares a loop,
-  a single token ``v`` declares an isolated vertex
+  a single token ``v`` declares an isolated vertex.  Vertex order: the
+  single-token lines first, wherever they stand, then the endpoints of the
+  edge lines in first-seen order
 * multigraph edge list: same syntax, repeated lines mean parallel edges
 * arc list (2-in 2-out digraph): ``u -> v`` per line, repeats allowed
 * rotation system: ``v: e1 e2 e3`` per vertex, the edges at v in cyclic
@@ -41,18 +43,32 @@ def _content_lines(text: str):
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Simple graph: no parallel edges (repeated pairs are collapsed)."""
-    edges = []
-    vertices = []
-    for i, line in _content_lines(text):
-        parts = line.split()
-        if len(parts) == 1:
-            vertices.append(parts[0])
-        elif len(parts) == 2:
-            edges.append((parts[0], parts[1]))
-        else:
+    """Simple graph: no parallel edges (repeated pairs are collapsed).
+
+    One pass indexes the tokens in first-seen order and sets both bits of each
+    pair; the graph is rebuilt only if that order breaks the module's rule.
+    """
+    lines = text.splitlines()
+    index: dict[str, int] = {}
+    rows = [0] * (2 * len(lines))  # a line brings at most two new vertices
+    singles = []
+    for i, line in enumerate(lines, start=1):
+        parts = (line.split("#", 1)[0] if "#" in line else line).split()
+        if len(parts) == 2:
+            a = index.setdefault(parts[0], len(index))
+            b = index.setdefault(parts[1], len(index))
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        elif len(parts) == 1:
+            singles.append(parts[0])
+            index.setdefault(parts[0], len(index))
+        elif parts:
+            line = line.split("#", 1)[0].strip()
             raise FormatError(f"expected 'u v' or a single vertex, got {line!r}", i)
-    return Graph.from_edges(edges, vertices)
+    # every pair set both bits, and the ids are distinct split() tokens
+    g = Graph.__new__(Graph)._set(tuple(index), tuple(rows[:len(index)]))
+    ids = tuple(dict.fromkeys((*singles, *index)))
+    return g if g.ids == ids else Graph.from_edges(g.edges(), ids)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -39,9 +39,15 @@ class Graph(Immutable):
             for j in bit_indices(r):
                 if not rows[j] >> i & 1:
                     raise ValueError("adjacency is not symmetric")
+        self._set(ids, rows)
+
+    def _set(self, ids: tuple[str, ...], rows: tuple[int, ...]) -> "Graph":
+        """Fill the slots unchecked and return self; the caller guarantees what
+        ``__init__`` checks, as in ``Graph.__new__(Graph)._set(ids, rows)``."""
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(ids)})
         object.__setattr__(self, "rows", rows)
+        return self
 
     # -- constructors ----------------------------------------------------
 
@@ -49,7 +55,8 @@ class Graph(Immutable):
     def from_edges(cls, edges: Iterable[tuple], vertices: Iterable[str] = ()) -> "Graph":
         """Build from (u, v) pairs; (v, v) is a loop.  Extra isolated vertices allowed."""
         index, rows = label_rows(map(str, vertices), ((str(u), str(v)) for u, v in edges))
-        return cls(list(index), rows)
+        # label_rows sets both bits of every pair, on distinct str labels
+        return cls.__new__(cls)._set(tuple(index), tuple(rows))
 
     @classmethod
     def edgeless(cls, n: int) -> "Graph":
@@ -109,7 +116,8 @@ class Graph(Immutable):
         i, j = self.index_of(u), self.index_of(v)
         if not (self.rows[i] >> j & 1) or i == j:
             raise ValueError(f"{u!r}{v!r} is not an edge")
-        return Graph(self.ids, pivot_rows(self.rows, i, j))
+        # pivot_rows toggles symmetric blocks of symmetric rows
+        return Graph.__new__(Graph)._set(self.ids, tuple(pivot_rows(self.rows, i, j)))
 
 
 # -- bitmask helpers shared with the other modules ---------------------------
@@ -129,19 +137,18 @@ def label_rows(labels: Iterable, pairs: Iterable[tuple]) -> tuple[dict, list[int
     Returns the index and the adjacency rows of the pairs taken as undirected
     edges, (v, v) being a loop.
     """
-    index: dict = {}
-    rows: list[int] = []
-
-    def add(v):
-        if v not in index:
-            index[v] = len(rows)
-            rows.append(0)
-        return index[v]
-
-    for v in labels:
-        add(v)
+    index = {v: i for i, v in enumerate(dict.fromkeys(labels))}
+    rows = [0] * len(index)
+    get = index.get
     for u, v in pairs:
-        i, j = add(u), add(v)
+        i = get(u)
+        if i is None:
+            i = index[u] = len(rows)
+            rows.append(0)
+        j = get(v)
+        if j is None:
+            j = index[v] = len(rows)
+            rows.append(0)
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return index, rows

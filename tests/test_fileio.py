@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from builders import (chord_count, euler_formula_ok, format_rotation_system, has_edge,
                       parse_dh_sequence)
+from edge_list_reference import reference_parse_edge_list
 from graphpoly import fileio
 from graphpoly.euler import EulerDigraph
 from graphpoly.graphs import Graph, cycle_graph
@@ -27,6 +30,51 @@ def test_edge_list_error_carries_line_number():
         fileio.parse_edge_list("a b\nx y z\n")
     assert exc.value.line == 2
     assert "line 2" in str(exc.value)
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "d", "v10", "\u00e9", "p#q"])  # "p#q" reads as "p"
+_GAPS = st.sampled_from([" ", "\t", "  ", " \t "])
+_COMMENTS = st.sampled_from(["", " # note", "#", "\t# a b c"])
+
+
+@st.composite
+def _edge_list_line(draw):
+    kind = draw(st.sampled_from(["edge", "loop", "single", "comment", "blank", "long"]))
+    gap = draw(_GAPS)
+    if kind == "edge":
+        body = gap.join(draw(st.lists(_TOKENS, min_size=2, max_size=2)))
+    elif kind == "loop":
+        body = gap.join([draw(_TOKENS)] * 2)
+    elif kind == "single":
+        body = draw(_TOKENS)
+    elif kind == "long":
+        body = gap.join(draw(st.lists(_TOKENS, min_size=3, max_size=4)))
+    else:
+        body = ""
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    return lead + body + (draw(_COMMENTS) if kind != "blank" else draw(st.sampled_from(["", " "])))
+
+
+_EDGE_LIST_TEXTS = st.builds(lambda lines, eol, last: eol.join(lines) + (eol if last else ""),
+                             st.lists(_edge_list_line(), max_size=12),
+                             st.sampled_from(["\n", "\r\n"]), st.booleans())
+
+
+@given(text=_EDGE_LIST_TEXTS)
+@example(text="a b\nc\nb\n")  # single-token lines after an edge line go first: c, b, a
+@example(text="x\ny\n\ta\tb # c d\r\nb b\nx\n")  # already in order: x, y, a, b
+@example(text="a b\n# c d e\nc d e # f\n")  # the third line is malformed
+@settings(max_examples=400, deadline=None)
+def test_edge_list_parser_matches_the_two_pass_reference(text):
+    try:
+        want = reference_parse_edge_list(text)
+    except fileio.FormatError as exc:
+        with pytest.raises(fileio.FormatError) as got:
+            fileio.parse_edge_list(text)
+        assert (got.value.line, str(got.value)) == (exc.line, str(exc))
+        return
+    g = fileio.parse_edge_list(text)
+    assert (g.ids, g.rows) == (want.ids, want.rows)
 
 
 def test_multigraph_edges():

@@ -8,7 +8,10 @@ from conftest import all_labeled_graphs
 from state_sum_reference import rank_nullity
 from graphpoly.graphs import (Graph, bfs_rows, compact_rows, complete_graph, component_masks,
                               cycle_graph, delete_index, path_graph, star_graph)
-from graphpoly.randgen import random_graph
+from graphpoly import fileio
+from graphpoly.chords import circle_graph
+from graphpoly.dh import apply_dh_sequence, recognize_dh
+from graphpoly.randgen import random_chord_diagram, random_dh_sequence, random_graph
 
 
 def test_rank_examples():
@@ -171,6 +174,36 @@ def test_constructor_rejects_malformed_adjacency():
                              (["a", "b"], [0], "row count")):
         with pytest.raises(ValueError, match=error):
             Graph(ids, rows)
+
+
+def test_unchecked_builders_pass_the_constructor_checks():
+    # each in-package caller of Graph._set skips the checks of Graph(ids, rows);
+    # its graphs must pass them unchanged, and a copy with one bit of one row
+    # flipped must still be refused at the public constructor
+    rng = random.Random(2024)
+    built = []
+    residuals = 0
+    for n in (1, 2, 7, 30, 64):
+        g = random_graph(n, rng, rng.random(), loops=True)
+        built += [g, fileio.parse_edge_list(fileio.format_edge_list(g)),
+                  apply_dh_sequence(random_dh_sequence(n, rng)),
+                  circle_graph(random_chord_diagram(n, rng))]
+        built += [g.pivot(u, v) for u, v in g.edges() if u != v][:3]
+        rec = recognize_dh(random_graph(n, rng))
+        if not rec.accepted:
+            built.append(rec.residual)
+            residuals += 1
+    assert residuals >= 2
+    for g in built:
+        again = Graph(g.ids, g.rows)
+        assert (again.ids, again.rows) == (g.ids, g.rows) and again == g
+        for _ in range(3):
+            i, j = rng.randrange(g.n), rng.randrange(g.n)
+            if i != j:
+                rows = list(g.rows)
+                rows[i] ^= 1 << j
+                with pytest.raises(ValueError, match="symmetric"):
+                    Graph(g.ids, rows)
 
 
 def test_compact_rows_keeps_the_masked_rows_in_order():

@@ -44,6 +44,15 @@ def test_kernel_timing_rejects_an_unknown_input_before_timing():
     assert done.stderr == "error: unknown input(s): nosuch\n" and done.stdout == ""
 
 
+@pytest.mark.parametrize("repeats", ["0", "-2", "two"])
+def test_kernel_timing_rejects_a_repeat_count_below_one_before_timing(repeats):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_timing.py"),
+                           "--only", "K_7", "--repeats", repeats],
+                          capture_output=True, text=True, env=ENV, timeout=300)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "argument --repeats" in done.stderr
+
+
 def test_bench_trajectory_writes_every_end_to_end_metric(tmp_path):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_trajectory.py"),
                            "--workloads", "bdh_fast", "--seconds", "0.1", "--out", str(tmp_path)],
