@@ -12,6 +12,7 @@ timed alongside on the sizes where it is feasible, to show the gap the
 fast path closes.
 
 Usage: python scripts/fastpath_scaling.py [--sizes 50,100,200,400,800,1600] [--seed 7]
+       [--repeats 3]  (each size takes the best of --repeats graphs; at least 1)
 """
 
 import argparse
@@ -25,11 +26,18 @@ from graphpoly.planar import _two_terminal_diagonal
 from graphpoly.randgen import random_bdh_graph, random_connected_graph
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sizes", default="50,100,200,400")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--repeats", type=positive_int, default=3)
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
     rng = random.Random(args.seed)

@@ -22,14 +22,22 @@ Times ``tutte_polynomial`` on K_7, the Petersen graph, the wheel W_12 (a hub
 joined to a 12-cycle), seeded 15-op series-parallel graphs, a seeded random
 tree of 1,000 edges, a seeded connected cubic graph on 14 vertices, a seeded
 G(12, 0.3), a 500-vertex path with a loop at every vertex, 100 disjoint
-triangles, a chain of 100 triangles and a chain of 30 copies of K_4 (in a
-chain, each block shares one vertex with the next).
+triangles, a chain of 100 triangles, a chain of 30 copies of K_4 (in a
+chain, each block shares one vertex with the next) and W_12 with every edge
+tripled (W_12_x3), whose parallel classes go one class a step.
 Times ``rank_nullity_histogram``, which every state sum reads (the inputs
 named hist_*), on three seeded G(n, 1/2) graphs for n = 8, 12, 16 and 18,
-on P_22, C_22, K_20, P_200 and C_200, and on the circle graph of an Euler
+on P_22, C_22, K_20, P_200 and C_200, on the circle graph of an Euler
 circuit of the oriented medial of a seeded 15- or 40-op series-parallel
-graph (17 and 42 vertices).  The inputs of 42 and 200 vertices are out of
-reach of any 2^n subset walk; the DP's cost follows its live keys.
+graph (17 and 42 vertices), on C_200 with its vertices listed in a seeded
+random order (hist_C_200_shuffled), on ``random_bdh_graph(100,
+random.Random(3))`` (hist_BDH100) and on the 80-vertex graph of
+``random_dh_sequence(80, random.Random(91))``, which has true twins
+(hist_DH80_twins).  The inputs of 42 or more vertices are out of reach of
+any 2^n subset walk; the DP's cost follows its live keys, which follow the
+cut ranks of its greedy vertex order.  A DP that keeps the given order does
+not finish the last three in reasonable time, so compare such a checkout
+with ``--only``.
 Times ``circle_graph`` on the chord diagram of an Euler circuit of the
 oriented medial of a seeded 800- or 1,600-op series-parallel graph
 (circle_SP800, circle_SP1600: 802 and 1,602 chords, the script drawn by
@@ -186,6 +194,7 @@ INPUTS = {
         (f"a{t}", f"b{t}"), (f"b{t}", f"c{t}"), (f"c{t}", f"a{t}"))]]),
     "cactus_100": (tutte_polynomial, lambda: [block_chain([(0, 1), (1, 2), (2, 0)], 2, 100)]),
     "K4chain_30": (tutte_polynomial, lambda: [block_chain(list(combinations(range(4), 2)), 3, 30)]),
+    "W_12_x3": (tutte_polynomial, lambda: [wheel_edges(12) * 3]),
     **{f"hist_Gnp_{n}_x3": (rank_nullity_histogram,
                             lambda n=n: [random_graph(n, random.Random(seed)).rows
                                          for seed in (1, 2, 3)])
@@ -197,6 +206,10 @@ INPUTS = {
     "hist_C_200": (rank_nullity_histogram, lambda: [cycle_graph(200).rows]),
     "hist_SP15_circle": (rank_nullity_histogram, lambda: [medial_circle_graph(15, 1).rows]),
     "hist_SP40_circle": (rank_nullity_histogram, lambda: [medial_circle_graph(40, 1).rows]),
+    "hist_C_200_shuffled": (rank_nullity_histogram, lambda: [shuffled(cycle_graph(200), 15).rows]),
+    "hist_BDH100": (rank_nullity_histogram, lambda: [random_bdh_graph(100, random.Random(3)).rows]),
+    "hist_DH80_twins": (rank_nullity_histogram, lambda: [apply_dh_sequence(
+        random_dh_sequence(80, random.Random(91))).rows]),
     **{f"circle_SP{ops}": (circle_graph, lambda ops=ops: [medial_chord_diagram(ops, ops)])
        for ops in (800, 1600)},
     "edges_SP1600": (Graph.edges, lambda: [medial_circle_graph(1600, 1600)]),
@@ -241,13 +254,13 @@ def main() -> None:
     unknown = [name for name in names if name not in INPUTS]
     if unknown:
         ap.exit(2, f"error: unknown input(s): {', '.join(unknown)}\n")
-    print(f"{'input':<16} {'function':<22} {'best ms':>10} {'peak RSS MiB':>13}")
+    print(f"{'input':<20} {'function':<22} {'best ms':>10} {'peak RSS MiB':>13}")
     for name in names:
         best = min(run_once(name) for _ in range(args.repeats))
         child = subprocess.run([sys.executable, __file__, "--rss-of", name],
                                capture_output=True, text=True, check=True)
         rss = int(child.stdout.split()[-1]) / 1024
-        print(f"{name:<16} {INPUTS[name][0].__name__:<22} {best * 1000:10.3f} {rss:13.1f}")
+        print(f"{name:<20} {INPUTS[name][0].__name__:<22} {best * 1000:10.3f} {rss:13.1f}")
 
 
 if __name__ == "__main__":

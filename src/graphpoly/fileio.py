@@ -72,15 +72,12 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = []
-    covered = set()
-    for u, v in g.edges():
-        lines.append(f"{u} {v}")
-        covered.add(u)
-        covered.add(v)
-    for v in g.ids:
-        if v not in covered:
-            lines.append(v)
+    """The isolated vertices as single-token lines, then one line per edge.
+
+    Single-token lines come first, as ``parse_edge_list`` orders the vertices,
+    so reading the text back needs no rebuild.
+    """
+    lines = [v for v, r in zip(g.ids, g.rows) if not r] + [f"{u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n" if lines else ""
 
 

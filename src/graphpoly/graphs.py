@@ -218,10 +218,15 @@ def bfs_rows(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
                 order.append(new.bit_length() - 1)
     if order == list(range(len(rows))):
         return tuple(rows), components
+    return reorder_rows(rows, order), components
+
+
+def reorder_rows(rows: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """The rows relabelled so that vertex order[i] becomes vertex i."""
     out = [0] * len(rows)
     for i, v in enumerate(order):
         toggle_rows(out, rows[v], 1 << i)
-    return tuple([out[v] for v in order]), components
+    return tuple([out[v] for v in order])
 
 
 def toggle_rows(rows: list[int], mask: int, bits: int) -> None:

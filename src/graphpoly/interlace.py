@@ -22,15 +22,17 @@ the two routes separately so each serves as an oracle for the other.
 
 The state sums (``q_state_sum``, ``gamma_state_sum``, ``qn_from_q``,
 ``chords.c_polynomial``) read ``rank_nullity_histogram``, one DP over the
-vertices in the given order.  Its state for a subset S of the vertices
-before u is S's boundary key (B, C) against the tail u..n-1: B spans the
-tail parts of S's dependents, C has one row per tail vertex.  By the
-bordered-rank identity
+vertices in greedy cut-rank order: each step takes the vertex that keeps
+the GF(2) rank of the cut A[prefix, tail] lowest (Oum, JCTB 95, 2005).
+Its state for a subset S of the prefix is S's boundary key (B, C)
+against the tail: B spans the tail parts of S's dependents, C has one
+row per tail vertex.  By the bordered-rank identity
 rank A[S + T] = rank A[S] + rank [[0, B_T], [B_T^t, C_T]] for every tail
 subset T, the key fixes every later (rank, nullity) step, so the subsets
-with one key share a state and a histogram.  The cost is n steps of O(n)
-bit operations per live key: 2 keys on a path, 5 on a cycle, up to 2^u
-at step u on a random graph.  It does not call the recursion.
+with one key share a state and a histogram.  The live keys follow the
+cut ranks, not the caller's labelling, and each costs O(n) bit operations
+a step: 2 keys on a path, 5 on a cycle, up to 2^u at step u on a random
+graph.  It does not call the recursion.
 
 The vertex-nullity interlace polynomial q_N(G; x) = q(G; 2, x) of a simple
 graph follows the same rules at x = 2, where the pivot's third term
@@ -43,8 +45,8 @@ One kernel runs the recursion for both, at x = 2^xs, y = 2^ys; q_N is q
 at xs = 1.  A disconnected graph is the product of its components, each
 compacted to its own rows, and a single vertex contributes x (looped) or
 y.  The kernel is told which subproblems are connected (the root, when
-the order pass below counts one component; the components of a split; and
-a child that lost a vertex of degree at most 1 from a connected graph);
+the breadth-first search below counts one component; the components of
+a split; and a child that lost a vertex of degree at most 1 from a connected graph);
 any other goes to ``graphs.component_masks``, whose search stops once it
 covers every vertex, and is split if that finds more than one component.
 It puts the rows in breadth-first order from a vertex of least degree,
@@ -88,11 +90,10 @@ multiplies the components.
 from __future__ import annotations
 
 from functools import reduce
-from math import comb
 from typing import NamedTuple
 
-from .graphs import (Graph, bfs_rows, compact_rows, component_masks, delete_index, pivot_rows,
-                     toggle_rows)
+from .graphs import (Graph, bfs_rows, bit_indices, compact_rows, component_masks, delete_index,
+                     pivot_rows, reorder_rows, toggle_rows)
 from .poly import SparsePoly, _packed_product
 
 _QXY_VARS = ("x", "y")
@@ -112,17 +113,50 @@ def _insert(basis: tuple, r: int) -> tuple:
     return tuple(sorted([b ^ r if b & low else b for b in basis] + [r], key=lambda b: b & -b))
 
 
+def _cut_rank_order(rows: tuple) -> list[int]:
+    """The vertices in greedy cut-rank order.
+
+    Each step moves from the tail to the prefix the v that minimises
+    (rank A[prefix + v, tail - v], |N(v) & (tail - v)|, v).  B, the prefix
+    rows on the tail columns in ``_insert``'s form, gives that rank in O(|B|):
+    clearing column v drops it by one iff the row 1 << v is in B, and v's row
+    r on tail - v raises it by one unless r reduces to 0 or to the reduction
+    beta ^ (1 << v) of 1 << v, beta being B's row led by v, if any.
+    """
+    order = []
+    basis: tuple = ()
+    tail = (1 << len(rows)) - 1
+    while tail:
+        leads = {b & -b: b for b in basis}
+        best = None
+        for v in bit_indices(tail):
+            bit = 1 << v
+            r = x = rows[v] & (tail ^ bit)
+            for low, b in leads.items():
+                if x & low:
+                    x ^= b
+            beta = leads.get(bit, 0)
+            key = (len(basis) - (beta == bit) + (x != 0 and x != beta ^ bit), r.bit_count())
+            if best is None or key < best:
+                best, pick, row = key, v, r
+        order.append(pick)
+        tail ^= 1 << pick
+        basis = reduce(_insert, [b & tail for b in basis] + [row], ())
+    return order
+
+
 def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
     """Count vertex subsets by the GF(2) (rank, nullity) of their induced submatrix.
 
-    A DP over the vertices 0, ..., n - 1 in the given order.  Before vertex
-    u, a subset S of 0..u-1 is summed up against the tail u..n-1 by its
-    boundary key (B, C).  B holds the tail parts of S's dependents (the row
-    combinations of S that vanish on S) in reduced echelon form: the lead of
-    a row is its lowest set bit, no other row has it, and the rows are
-    sorted by lead.  C holds one row per tail vertex; it starts as the
-    adjacency rows, loops on the diagonal, and stays symmetric.  By the
-    bordered-rank identity, for every subset T of the tail
+    The rows are relabelled in ``_cut_rank_order``, which the counts do not
+    depend on, and a DP runs over the vertices 0, ..., n - 1 of that
+    labelling.  Before vertex u, a subset S of 0..u-1 is summed up against
+    the tail u..n-1 by its boundary key (B, C).  B holds the tail parts of
+    S's dependents (the row combinations of S that vanish on S) in reduced
+    echelon form: the lead of a row is its lowest set bit, no other row has
+    it, and the rows are sorted by lead.  C holds one row per tail vertex;
+    it starts as the adjacency rows, loops on the diagonal, and stays
+    symmetric.  By the bordered-rank identity, for every subset T of the tail
 
         rank A[S + T] = rank A[S] + rank [[0, B_T], [B_T^t, C_T]],
 
@@ -142,12 +176,14 @@ def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
     C is not reduced modulo B.  Children with equal keys merge by adding
     their histograms, and at the end every subset has the empty key.  The
     cost is n steps of O(n) bit operations per live key.  Step u has at most
-    2^u keys, but few when the cuts between prefix and tail have small GF(2)
-    rank: 2 on a path, 5 on a cycle.  It does not call the recursion.
+    2^u keys, but few when the cut between prefix and tail has small GF(2)
+    rank, which the order keeps so where it can: 2 keys on a path and 5 on a
+    cycle, in any labelling.  It does not call the recursion.
     """
+    rows = reorder_rows(rows, _cut_rank_order(rows))
     n = len(rows)
     wide = n + 2
-    states: dict[tuple, dict[int, int]] = {((), tuple(rows)): {0: 1}}
+    states: dict[tuple, dict[int, int]] = {((), rows): {0: 1}}
     for u in range(n):
         bit = 1 << u
         nxt: dict[tuple, dict[int, int]] = {}
@@ -178,17 +214,19 @@ def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
 
 
 def q_state_sum(g: Graph) -> SparsePoly:
-    """Two-variable interlace polynomial by direct subset expansion."""
-    hist = rank_nullity_histogram(g.rows)
-    acc: dict[tuple[int, int], int] = {}
-    for (r, nl), cnt in hist.items():
-        for i in range(r + 1):
-            ci = comb(r, i) * (-1) ** (r - i)
-            for j in range(nl + 1):
-                c = cnt * ci * comb(nl, j) * (-1) ** (nl - j)
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + c
-    return SparsePoly(_QXY_VARS, acc)
+    """Two-variable interlace polynomial by direct subset expansion.
+
+    The histogram's sum of (x-1)^r (y-1)^nl is expanded in y for each r, then in x.
+    """
+    by_rank: dict[int, dict] = {}
+    for (r, nl), cnt in rank_nullity_histogram(g.rows).items():
+        by_rank.setdefault(r, {})[nl,] = cnt
+    by_y: dict[int, dict] = {}
+    for r, part in by_rank.items():
+        for (j,), c in SparsePoly(("y",), part).shift(-1).terms.items():
+            by_y.setdefault(j, {})[r,] = c
+    return SparsePoly(_QXY_VARS, {(i, j): c for j, part in by_y.items()
+                                  for (i,), c in SparsePoly(("x",), part).shift(-1).terms.items()})
 
 
 def gamma_state_sum(g: Graph) -> int:

@@ -16,11 +16,11 @@ out-degree 2.
 
 Tutte polynomials are computed two ways: for any multigraph as the product
 over its blocks (a bridge gives x, a loop y), a cycle by its closed form
-and each other block by deletion/contraction whose minors split into
-blocks again; and for
-series-parallel construction sequences by a polynomial-time diagonal
-evaluator, which composes a two-terminal (terminals joined, terminals apart)
-pair per edge over the construction script.  Both hold one int per
+and each other block by deletion/contraction of a whole parallel class in
+one step, whose minors split into blocks again; and for series-parallel
+construction sequences by a polynomial-time diagonal evaluator, which
+composes a two-terminal (terminals joined, terminals apart) pair per edge
+over the construction script.  Both hold one int per
 subproblem, its polynomial at a power of two, whose digits
 ``SparsePoly.from_base_digits`` reads back.  An ``SPSequence`` is an immutable
 ``__slots__`` value that checks its ops when built, and
@@ -285,8 +285,12 @@ def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
     Unless the edges form one block of two or more edges, the polynomial is
     the product over the blocks, a bridge giving x and a loop y.  A block
     with as many edges m as vertices is a cycle (a digon is one), whose
-    polynomial is x + x^2 + ... + x^(m-1) + y.  Otherwise the first edge is
-    deleted and contracted.
+    polynomial is x + x^2 + ... + x^(m-1) + y.  Otherwise the k copies C of
+    the first edge, which lead the sorted tuple, are deleted and contracted
+    in one step.  With nothing else left, the block is a k-bond, whose
+    polynomial is x + y + ... + y^(k-1).  Else the block is 2-connected on at
+    least 3 vertices, so no copy is ever a bridge, and k deletion/contraction
+    steps give T(G) = T(G - C) + (1 + y + ... + y^(k-1)) T(G / C).
     """
     res = memo.get(edges)
     if res is not None:
@@ -300,10 +304,15 @@ def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
         x = 1 << w  # x + ... + x^(m-1) is the geometric sum (x^m - x) / (x - 1)
         res = ((1 << w * len(edges)) - x) // (x - 1) + (1 << wd)
     else:
-        (u, v), rest = edges[0], edges[1:]
-        contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
-        res = (_tutte(_normalize_edges(rest), memo, w, wd)
-               + _tutte(_normalize_edges(contracted), memo, w, wd))
+        (u, v), k = edges[0], edges.count(edges[0])
+        rest = edges[k:]
+        ys = ((1 << wd * k) - 1) // ((1 << wd) - 1)  # 1 + y + ... + y^(k-1)
+        if not rest:
+            res = (1 << w) + ys - 1
+        else:
+            contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
+            res = (_tutte(_normalize_edges(rest), memo, w, wd)
+                   + ys * _tutte(_normalize_edges(contracted), memo, w, wd))
     memo[edges] = res
     return res
 

@@ -10,6 +10,8 @@ forms the key (B, C) of a head subset against the tail from every row
 combination of the subset, with no elimination.  It is the witness of the
 bordered-rank identity that the DP rests on: head subsets with equal keys
 have equal (rank, nullity) increments over every tail subset.
+``reference_cut_rank_order`` is the greedy vertex order that the DP runs in,
+with every candidate's cut rank found by a fresh elimination.
 """
 
 from __future__ import annotations
@@ -79,6 +81,35 @@ def rank_nullity(g: Graph, subset=None) -> tuple[int, int]:
         for v in subset:
             mask |= 1 << g.index_of(v)
     return rank_nullity_mask(g.rows, mask)
+
+
+def cut_rank(rows, head: int, tail: int) -> int:
+    """GF(2) rank of the submatrix with the rows in bitmask head and the columns in tail."""
+    pivots: dict[int, int] = {}
+    for i in range(len(rows)):
+        cur = rows[i] & tail if head >> i & 1 else 0
+        while cur:
+            p = cur & -cur
+            if p not in pivots:
+                pivots[p] = cur
+                break
+            cur ^= pivots[p]
+    return len(pivots)
+
+
+def reference_cut_rank_order(rows) -> list[int]:
+    """Greedy order: append the v minimising (rank A[prefix + v, tail - v], |N(v) & (tail - v)|, v)."""
+    order, head, tail = [], 0, (1 << len(rows)) - 1
+    while tail:
+        def key(v):
+            rest = tail & ~(1 << v)
+            return cut_rank(rows, head | 1 << v, rest), (rows[v] & rest).bit_count(), v
+
+        v = min((v for v in range(len(rows)) if tail >> v & 1), key=key)
+        order.append(v)
+        head |= 1 << v
+        tail ^= 1 << v
+    return order
 
 
 def reference_histogram(rows) -> dict[tuple[int, int], int]:

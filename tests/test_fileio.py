@@ -19,6 +19,28 @@ def test_edge_list_round_trip():
     assert back == g
 
 
+def test_edge_list_round_trip_with_isolated_vertices_takes_no_rebuild(monkeypatch):
+    # the isolated vertices are written first, where the parser puts single-token lines
+    rng = random.Random(1104)
+    graphs = [Graph.from_edges([("a", "b"), ("b", "c")], ["a", "b", "c", "iso"])]
+    for n in range(2, 12):
+        ids = [f"v{k}" for k in range(n)]
+        edges = [(u, v) for u in ids for v in ids if u <= v and rng.random() < 0.15]
+        graphs.append(Graph.from_edges(edges, ids))
+    assert sum(0 in g.rows for g in graphs) >= 8  # most have an isolated vertex
+
+    def rebuild(*args):
+        raise AssertionError("the round trip rebuilt the graph")
+
+    monkeypatch.setattr(Graph, "from_edges", rebuild)
+    for g in graphs:
+        back = fileio.parse_edge_list(fileio.format_edge_list(g))
+        assert back == g, g
+        isolated = [v for v, r in zip(g.ids, g.rows) if not r]
+        assert back.ids[:len(isolated)] == tuple(isolated), g
+    assert fileio.parse_edge_list(fileio.format_edge_list(graphs[0])).ids == ("iso", "a", "b", "c")
+
+
 def test_edge_list_comments_and_isolated():
     text = "# a comment\n\na b  # trailing\nc\n"
     g = fileio.parse_edge_list(text)

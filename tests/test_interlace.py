@@ -7,10 +7,11 @@ from builders import (degree, disjoint_union, has_edge, has_loop, neighbors, one
                       path_qn, two_point_join, without)
 from conftest import (all_labeled_graphs, all_looped_labeled_graphs, graph_with_extra,
                       medial_circle_graphs)
-from state_sum_reference import boundary_key, rank_nullity_mask, reference_histogram
+from state_sum_reference import (boundary_key, cut_rank, rank_nullity_mask,
+                                 reference_cut_rank_order, reference_histogram)
 from graphpoly import interlace
 from graphpoly.chords import circle_graph
-from graphpoly.dh import qn_bdh_fast
+from graphpoly.dh import apply_dh_sequence, qn_bdh_fast, recognize_dh
 from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import (Graph, complete_graph, component_masks, cycle_graph, path_graph,
                               star_graph)
@@ -20,7 +21,7 @@ from graphpoly.interlace import (CoefficientReport, coefficient_checks,
                                  rank_nullity_histogram)
 from graphpoly.planar import build_sp, medial_digraph
 from graphpoly.poly import SparsePoly
-from graphpoly.randgen import random_sp_sequence
+from graphpoly.randgen import random_bdh_graph, random_dh_sequence, random_sp_sequence
 
 
 def XY(terms):
@@ -194,6 +195,39 @@ def test_state_sums_reach_two_hundred_vertices():
     assert sum(rank_nullity_histogram(path.rows).values()) == 1 << 200
     assert gamma_state_sum(path) == 2
     assert gamma_state_sum(cycle_graph(200)) == 198
+
+
+def test_cut_rank_order_matches_the_greedy_order_by_fresh_eliminations():
+    # every candidate's incremental cut rank must equal a fresh elimination's,
+    # or some step would pick another vertex
+    rng = random.Random(1105)
+    for n in range(1, 25):
+        for p in (0.15, 0.4, 0.7):
+            for loop_p in (0.0, 0.3):
+                rows = _random_graph(rng, n, p, loop_p).rows
+                assert interlace._cut_rank_order(rows) == reference_cut_rank_order(rows), rows
+
+
+@pytest.mark.parametrize("build, most", [(cycle_graph, 2), (path_graph, 1)])
+def test_cut_rank_order_keeps_every_cut_of_a_shuffled_cycle_or_path_small(build, most):
+    rows = _shuffled(build(40), random.Random(1106)).rows
+    order = interlace._cut_rank_order(rows)
+    assert sorted(order) == list(range(40))
+    head = 0
+    for v in order:
+        head |= 1 << v
+        assert cut_rank(rows, head, ~head & (1 << 40) - 1) <= most, order
+
+
+def test_state_sums_check_the_fast_routes_far_past_sixty_vertices():
+    # the DP in cut-rank order holds few keys on these inputs, which the
+    # given order or a 2^n subset walk could not reach
+    g = random_bdh_graph(100, random.Random(3))
+    assert qn_from_q(g) == qn_bdh_fast(g)
+    g = apply_dh_sequence(random_dh_sequence(80, random.Random(91)))
+    assert g.n == 80
+    assert gamma_state_sum(g) == 2 ** (recognize_dh(g).true_twin_count + 1)
+    assert gamma_state_sum(_shuffled(cycle_graph(200), random.Random(1107))) == 198
 
 
 @pytest.mark.parametrize("ops, seed", [(40, 2), (40, 8), (60, 2), (60, 8)])

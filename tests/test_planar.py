@@ -305,6 +305,50 @@ def test_tutte_splits_every_subproblem_into_its_blocks(monkeypatch):
     assert split
 
 
+@pytest.mark.parametrize("k", range(3, 7))
+def test_tutte_of_a_bond_is_x_plus_the_powers_of_y_in_one_step(k, monkeypatch):
+    calls = []
+    solve = planar._tutte
+
+    def spy(edges, memo, w, wd):
+        calls.append(edges)
+        return solve(edges, memo, w, wd)
+
+    monkeypatch.setattr(planar, "_tutte", spy)
+    bond = [("a", "b")] * k
+    want = XY({(1, 0): 1, **{(0, j): 1 for j in range(1, k)}})
+    assert tutte_polynomial(bond) == want == tutte_by_subsets(bond)
+    assert len(calls) == 1
+
+
+def theta(*lengths: int) -> list:
+    """Paths of the given lengths between the poles s and t."""
+    edges = []
+    for p, m in enumerate(lengths):
+        path = ["s"] + [f"{p}.{i}" for i in range(1, m)] + ["t"]
+        edges += zip(path, path[1:])
+    return edges
+
+
+def test_tutte_takes_parallel_classes_of_three_or_more_copies():
+    # theta graphs with three or more direct edges between the poles, a 4-cycle
+    # with every edge tripled, and seeded series-parallel multigraphs with some
+    # edges repeated two to four times
+    graphs = [theta(1, 1, 1, 2), theta(1, 1, 1, 1, 3), theta(1, 1, 1, 2, 2, 3),
+              theta(1, 1, 1, 1, 1, 4), theta(2, 2) * 3]
+    rng = random.Random(1108)
+    for _ in range(24):
+        edges = build_sp(random_sp_sequence(rng.randrange(2, 7), rng)).edge_list()
+        for e in rng.sample(edges, min(len(edges), 2)):
+            edges += [e] * rng.randrange(2, 5)
+        graphs.append(edges[:12])
+    classes = 0
+    for edges in graphs:
+        classes += max(Counter(map(frozenset, edges)).values()) >= 3
+        assert tutte_polynomial(edges) == tutte_by_subsets(edges), edges
+    assert classes >= 20
+
+
 def test_tutte_of_a_cactus_is_the_product_over_its_triangles():
     expected = XY({(0, 0): 1})
     for _ in range(100):  # one factor at a time: squaring the dense powers is slow

@@ -53,6 +53,16 @@ def test_kernel_timing_rejects_a_repeat_count_below_one_before_timing(repeats):
     assert "argument --repeats" in done.stderr
 
 
+@pytest.mark.parametrize("repeats", ["0", "-2", "two"])
+def test_fastpath_scaling_rejects_a_repeat_count_below_one_before_timing(repeats):
+    # with no repeat, the loop that builds the polynomial never ran
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fastpath_scaling.py"),
+                           "--sizes", "5", "--repeats", repeats],
+                          capture_output=True, text=True, env=ENV, timeout=300)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "argument --repeats" in done.stderr
+
+
 def test_bench_trajectory_writes_every_end_to_end_metric(tmp_path):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_trajectory.py"),
                            "--workloads", "bdh_fast", "--seconds", "0.1", "--out", str(tmp_path)],
