@@ -72,7 +72,7 @@ def main() -> None:
     print()
     print("general recursion for contrast (exponential; dense random graphs):")
     for n in (18, 20, 22, 24):
-        g = random_connected_graph(n, rng, p=0.5)
+        g = random_connected_graph(n, rng)
         t0 = time.perf_counter()
         qn_recursive(g)
         print(f"n={n:5d}  recursion {(time.perf_counter() - t0) * 1000:9.1f} ms")

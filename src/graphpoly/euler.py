@@ -14,15 +14,18 @@ cycle are precisely the Euler circuits (up to rotation), which is how the
 exhaustive circuit enumeration works; single circuits are extracted with
 Hierholzer splicing instead.
 
-Both 2^n enumerations (``circuit_partition_polynomial`` and
-``all_euler_circuits``) share one walk over the transition systems in Gray
-order, ``_transition_systems``.  Flipping one vertex composes the successor
-permutation of the arcs with a transposition, so the cycle count moves by
-exactly one: it rises if the vertex's two in-arcs lie on one cycle (a split)
-and falls otherwise (a merge), and a walk along the cycle through one of
-them decides which.  Only the first state's cycles are counted from scratch.
-On CPython 3.11, f(G; x) of a random connected digraph takes 1.1, 4.8, 22
-and 79 ms at n = 10, 12, 14 and 16.
+The constructor buckets the arcs once into per-vertex slots (the vertex, its
+two in-arc ids and its two out-arc ids, in arc order), which the Gray walk
+and Hierholzer's splicing share.  Both 2^n enumerations
+(``circuit_partition_polynomial`` and ``all_euler_circuits``) share one walk
+over the transition systems in Gray order, ``_transition_systems``.
+Flipping one vertex composes the successor permutation of the arcs with a
+transposition, so the cycle count moves by exactly one: it rises if the
+vertex's two in-arcs lie on one cycle (a split) and falls otherwise (a
+merge), and a walk along the cycle through one of them decides which.  Only
+the first state's cycles are counted from scratch.  On CPython 3.11, f(G; x)
+of a random connected digraph takes 1.1, 4.8, 22 and 79 ms at n = 10, 12, 14
+and 16.
 
 ``verify_circuit_partition_identity`` checks f(G; x) = x * q_N(H; x + 1)
 where H is the circle graph of the chord diagram read off any Euler
@@ -44,7 +47,7 @@ from .poly import Immutable, SparsePoly
 class EulerDigraph(Immutable):
     """Immutable directed multigraph with in-degree = out-degree = 2 everywhere."""
 
-    __slots__ = ("vertex_ids", "arcs", "_arc_index")
+    __slots__ = ("vertex_ids", "arcs", "_arc_index", "_slots")
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[tuple]):
         vertex_ids = tuple(str(v) for v in vertices)
@@ -61,18 +64,19 @@ class EulerDigraph(Immutable):
             if tail not in known or head not in known:
                 raise ValueError(f"arc {aid!r} references unknown vertex")
             norm.append((aid, tail, head))
-        indeg = {v: 0 for v in vertex_ids}
-        outdeg = {v: 0 for v in vertex_ids}
-        for _, tail, head in norm:
-            outdeg[tail] += 1
-            indeg[head] += 1
-        for v in vertex_ids:
-            if indeg[v] != 2 or outdeg[v] != 2:
-                raise ValueError(f"vertex {v!r} has in/out degree "
-                                 f"{indeg[v]}/{outdeg[v]}, need 2/2")
+        ins: dict[str, list] = {v: [] for v in vertex_ids}
+        outs: dict[str, list] = {v: [] for v in vertex_ids}
+        for aid, tail, head in norm:
+            outs[tail].append(aid)
+            ins[head].append(aid)
+        slots = tuple((v, tuple(ins[v]), tuple(outs[v])) for v in vertex_ids)
+        for v, i, o in slots:
+            if len(i) != 2 or len(o) != 2:
+                raise ValueError(f"vertex {v!r} has in/out degree {len(i)}/{len(o)}, need 2/2")
         object.__setattr__(self, "vertex_ids", vertex_ids)
         object.__setattr__(self, "arcs", tuple(norm))
         object.__setattr__(self, "_arc_index", {a[0]: a for a in norm})
+        object.__setattr__(self, "_slots", slots)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "EulerDigraph":
@@ -101,17 +105,7 @@ class EulerDigraph(Immutable):
         return f"EulerDigraph({self.n} vertices, {len(self.arcs)} arcs)"
 
 
-def _vertex_slots(g: EulerDigraph) -> list[tuple[str, tuple, tuple]]:
-    """Per vertex, its two in-arc ids and two out-arc ids, in arc order."""
-    ins: dict[str, list] = {v: [] for v in g.vertex_ids}
-    outs: dict[str, list] = {v: [] for v in g.vertex_ids}
-    for aid, tail, head in g.arcs:
-        outs[tail].append(aid)
-        ins[head].append(aid)
-    return [(v, tuple(ins[v]), tuple(outs[v])) for v in g.vertex_ids]
-
-
-def _transition_systems(slots: list[tuple[str, tuple, tuple]]):
+def _transition_systems(slots: Sequence[tuple[str, tuple, tuple]]):
     """Yield (successor map, cycle count) for all 2^n transition systems, in Gray order.
 
     Step k flips the pairing at vertex nu(k), the lowest set bit of k, which
@@ -146,7 +140,7 @@ def _transition_systems(slots: list[tuple[str, tuple, tuple]]):
 
 def circuit_partition_polynomial(g: EulerDigraph) -> SparsePoly:
     """Generating polynomial of graph states by cycle count."""
-    counts = Counter(cycles for _, cycles in _transition_systems(_vertex_slots(g)))
+    counts = Counter(cycles for _, cycles in _transition_systems(g._slots))
     return SparsePoly(("x",), {(k,): c for k, c in counts.items()})
 
 
@@ -154,9 +148,7 @@ def euler_circuit(g: EulerDigraph) -> tuple:
     """One Euler circuit as a tuple of arc ids (Hierholzer splicing)."""
     if not g.arcs:
         raise ValueError("empty digraph has no Euler circuit")
-    unused: dict[str, list] = {v: [] for v in g.vertex_ids}
-    for arc in reversed(g.arcs):
-        unused[arc[1]].append(arc)
+    unused = {v: [g.arc(aid) for aid in reversed(outs)] for v, _, outs in g._slots}
     start = g.arcs[0][1]
     # iterative Hierholzer: walk until stuck, backtrack emitting arcs
     circuit = []
@@ -184,7 +176,7 @@ def all_euler_circuits(g: EulerDigraph):
     if not g.arcs:
         return
     first_arc = g.arcs[0][0]
-    for succ, cycles in _transition_systems(_vertex_slots(g)):
+    for succ, cycles in _transition_systems(g._slots):
         if cycles != 1:
             continue
         out = [first_arc]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .chords import ChordDiagram
 from .euler import EulerDigraph
-from .graphs import Graph
+from .graphs import Graph, label_rows
 from .planar import PlaneMultigraph, SPSequence
 
 
@@ -30,6 +30,14 @@ class FormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
+
+
+def _checked(build, *args):
+    """build(*args), its ValueError raised again as a FormatError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _content_lines(text: str):
@@ -43,39 +51,28 @@ def _content_lines(text: str):
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Simple graph: no parallel edges (repeated pairs are collapsed).
-
-    One pass indexes the tokens in first-seen order and sets both bits of each
-    pair; the graph is rebuilt only if that order breaks the module's rule.
-    """
-    lines = text.splitlines()
-    index: dict[str, int] = {}
-    rows = [0] * (2 * len(lines))  # a line brings at most two new vertices
+    """Simple graph: no parallel edges (repeated pairs are collapsed)."""
     singles = []
-    for i, line in enumerate(lines, start=1):
+    pairs = []
+    for i, line in enumerate(text.splitlines(), start=1):
         parts = (line.split("#", 1)[0] if "#" in line else line).split()
         if len(parts) == 2:
-            a = index.setdefault(parts[0], len(index))
-            b = index.setdefault(parts[1], len(index))
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
+            pairs.append(parts)
         elif len(parts) == 1:
             singles.append(parts[0])
-            index.setdefault(parts[0], len(index))
         elif parts:
             line = line.split("#", 1)[0].strip()
             raise FormatError(f"expected 'u v' or a single vertex, got {line!r}", i)
-    # every pair set both bits, and the ids are distinct split() tokens
-    g = Graph.__new__(Graph)._set(tuple(index), tuple(rows[:len(index)]))
-    ids = tuple(dict.fromkeys((*singles, *index)))
-    return g if g.ids == ids else Graph.from_edges(g.edges(), ids)
+    index, rows = label_rows(singles, pairs)
+    # label_rows sets both bits of every pair, and the ids are distinct split() tokens
+    return Graph.__new__(Graph)._set(tuple(index), tuple(rows))
 
 
 def format_edge_list(g: Graph) -> str:
     """The isolated vertices as single-token lines, then one line per edge.
 
     Single-token lines come first, as ``parse_edge_list`` orders the vertices,
-    so reading the text back needs no rebuild.
+    so reading the text back gives the same vertex order.
     """
     lines = [v for v, r in zip(g.ids, g.rows) if not r] + [f"{u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n" if lines else ""
@@ -104,10 +101,7 @@ def parse_arc_list(text: str) -> EulerDigraph:
         if len(parts) != 3 or parts[1] != "->":
             raise FormatError(f"expected 'u -> v', got {line!r}", i)
         pairs.append((parts[0], parts[2]))
-    try:
-        return EulerDigraph.from_pairs(pairs)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _checked(EulerDigraph.from_pairs, pairs)
 
 
 def format_arc_list(g: EulerDigraph) -> str:
@@ -129,10 +123,7 @@ def parse_rotation_system(text: str) -> PlaneMultigraph:
         if v in rotations:
             raise FormatError(f"vertex {v!r} listed twice", i)
         rotations[v] = rest.split()
-    try:
-        return PlaneMultigraph(rotations, rotations)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _checked(PlaneMultigraph, rotations, rotations)
 
 
 # -- construction scripts ---------------------------------------------------------
@@ -149,17 +140,11 @@ def parse_sp_sequence(text: str) -> SPSequence:
         else:
             raise FormatError(f"expected 'digon', 'series <edge>' or "
                               f"'parallel <edge>', got {line!r}", i)
-    try:
-        return SPSequence(tuple(ops))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _checked(SPSequence, tuple(ops))
 
 
 def parse_chord_word(text: str) -> ChordDiagram:
     tokens = text.split()
     if not tokens:
         raise FormatError("empty chord word")
-    try:
-        return ChordDiagram(tokens)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _checked(ChordDiagram, tokens)

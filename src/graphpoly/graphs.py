@@ -23,7 +23,7 @@ from .poly import Immutable
 class Graph(Immutable):
     """Immutable undirected graph, loops allowed, no parallel edges."""
 
-    __slots__ = ("ids", "_index", "rows")
+    __slots__ = ("ids", "rows")
 
     def __init__(self, ids: Sequence[str], rows: Sequence[int]):
         ids = tuple(str(v) for v in ids)
@@ -45,7 +45,6 @@ class Graph(Immutable):
         """Fill the slots unchecked and return self; the caller guarantees what
         ``__init__`` checks, as in ``Graph.__new__(Graph)._set(ids, rows)``."""
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(ids)})
         object.__setattr__(self, "rows", rows)
         return self
 
@@ -70,9 +69,9 @@ class Graph(Immutable):
 
     def index_of(self, v) -> int:
         v = str(v)
-        if v not in self._index:
+        if v not in self.ids:
             raise ValueError(f"unknown vertex {v!r}")
-        return self._index[v]
+        return self.ids.index(v)
 
     def edges(self) -> list[tuple]:
         """Each edge once as (ids[i], ids[j]) with i <= j, sorted by i, then j."""
@@ -260,7 +259,7 @@ def delete_index(rows: Sequence[int], i: int) -> tuple[int, ...]:
     return tuple([(r & low) | (r >> 1 & high) for r in rows[:i] + rows[i + 1:]])
 
 
-# -- small named graphs (test and CLI convenience) ---------------------------
+# -- small named graphs (for the scripts and tests) --------------------------
 
 
 def complete_graph(n: int) -> Graph:

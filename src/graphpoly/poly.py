@@ -97,11 +97,7 @@ class SparsePoly(Immutable):
         return SparsePoly(self.vars, out)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_vars(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return SparsePoly(self.vars, out)
+        return self + -other
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
@@ -123,8 +119,6 @@ class SparsePoly(Immutable):
         return NotImplemented
 
     def scale(self, k: int) -> "SparsePoly":
-        if k == 0:
-            return SparsePoly.zero(self.vars)
         return SparsePoly(self.vars, {e: c * k for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "SparsePoly":

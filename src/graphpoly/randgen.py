@@ -25,9 +25,9 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5,
     return Graph.from_edges(edges, vs)
 
 
-def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
+def random_connected_graph(n: int, rng: random.Random) -> Graph:
     while True:
-        g = random_graph(n, rng, p)
+        g = random_graph(n, rng)
         if n == 0 or g.is_connected():
             return g
 

@@ -100,6 +100,10 @@ def test_chord_pivot_examples():
 def test_chord_pivot_requires_crossing():
     with pytest.raises(ValueError):
         chord_pivot(D("1 2 2 1"), "1", "2")
+    # verify_c_reduction pivots too, so it raises chord_pivot's error
+    for check in (verify_c_reduction, chord_pivot):
+        with pytest.raises(ValueError, match=r"^chords '1' and '2' do not cross$"):
+            check(D("1 1 2 2"), "1", "2")
 
 
 def test_chord_pivot_involution_random():

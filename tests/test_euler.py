@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from graphpoly.euler import (EulerDigraph, _transition_systems, _vertex_slots,
+from graphpoly.euler import (EulerDigraph, _transition_systems,
                              all_euler_circuits, check_circuit,
                              chord_diagram_from_circuit,
                              circuit_partition_polynomial, euler_circuit,
@@ -23,15 +23,15 @@ def digon_medial():
 
 
 def test_degree_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vertex 'a' has in/out degree 0/1, need 2/2$"):
         EulerDigraph.from_pairs([("a", "b")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vertex 'a' has in/out degree 1/1, need 2/2$"):
         EulerDigraph(["a"], [("x", "a", "a")])  # only one loop: in/out degree 1
 
 
 def test_two_loops_states():
     g = EulerDigraph.from_pairs([("v", "v"), ("v", "v")])
-    counts = sorted(c for _, c in _transition_systems(_vertex_slots(g)))
+    counts = sorted(c for _, c in _transition_systems(g._slots))
     assert counts == [1, 2]
     assert circuit_partition_polynomial(g) == X({(2,): 1, (1,): 1})
 
@@ -44,7 +44,7 @@ def test_digon_medial_polynomial():
 def test_edgeless_polynomial_is_one():
     g = EulerDigraph([], [])
     assert circuit_partition_polynomial(g) == X({(0,): 1})
-    assert [c for _, c in _transition_systems(_vertex_slots(g))] == [0]
+    assert [c for _, c in _transition_systems(g._slots)] == [0]
 
 
 def walk_corpus():
@@ -64,7 +64,7 @@ def test_gray_walk_matches_binary_counter_reference():
     loops = digons = disconnected = 0
     for g in walk_corpus():
         ref = list(reference_states(g))
-        slots = _vertex_slots(g)
+        slots = g._slots
         # the walk updates succ in place, so each pairing is read before it resumes
         got = [(tuple((v, ((i1, succ[i1]), (i2, succ[i2]))) for v, (i1, i2), _ in slots), c)
                for succ, c in _transition_systems(slots)]

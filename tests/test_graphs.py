@@ -59,6 +59,15 @@ def test_pivot_requires_edge():
         path_graph(3).pivot("1", "3")
 
 
+def test_unknown_vertex_is_named():
+    k3 = complete_graph(3)
+    with pytest.raises(ValueError, match=r"^unknown vertex 'zz'$"):
+        k3.pivot("1", "zz")
+    with pytest.raises(ValueError, match=r"^unknown vertex 'zz'$"):
+        k3.index_of("zz")
+    assert k3.index_of(2) == 1  # ids are compared as strings
+
+
 def test_pivot_involution_random():
     rng = random.Random(2024)
     for _ in range(200):
