@@ -38,6 +38,9 @@ any 2^n subset walk; the DP's cost follows its live keys, which follow the
 cut ranks of its greedy vertex order.  A DP that keeps the given order does
 not finish the last three in reasonable time, so compare such a checkout
 with ``--only``.
+Times ``gamma_state_sum``, the state sum that packs the nullity alone, on
+``random_bdh_graph(n, random.Random(3))`` for n = 150 and 200 (gamma_BDH150,
+gamma_BDH200), whose greedy order peaks at 144 and 7,440 live keys.
 Times ``circle_graph`` on the chord diagram of an Euler circuit of the
 oriented medial of a seeded 800- or 1,600-op series-parallel graph
 (circle_SP800, circle_SP1600: 802 and 1,602 chords, the script drawn by
@@ -77,7 +80,8 @@ from graphpoly.chords import ChordDiagram, circle_graph
 from graphpoly.dh import apply_dh_sequence, recognize_dh
 from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from graphpoly.interlace import q_recursive, qn_recursive, rank_nullity_histogram
+from graphpoly.interlace import (gamma_state_sum, q_recursive, qn_recursive,
+                                 rank_nullity_histogram)
 from graphpoly.planar import build_sp, medial_digraph, tutte_polynomial
 from graphpoly.randgen import (random_bdh_graph, random_dh_sequence, random_graph,
                                random_sp_sequence)
@@ -210,6 +214,8 @@ INPUTS = {
     "hist_BDH100": (rank_nullity_histogram, lambda: [random_bdh_graph(100, random.Random(3)).rows]),
     "hist_DH80_twins": (rank_nullity_histogram, lambda: [apply_dh_sequence(
         random_dh_sequence(80, random.Random(91))).rows]),
+    **{f"gamma_BDH{n}": (gamma_state_sum, lambda n=n: [random_bdh_graph(n, random.Random(3))])
+       for n in (150, 200)},
     **{f"circle_SP{ops}": (circle_graph, lambda ops=ops: [medial_chord_diagram(ops, ops)])
        for ops in (800, 1600)},
     "edges_SP1600": (Graph.edges, lambda: [medial_circle_graph(1600, 1600)]),

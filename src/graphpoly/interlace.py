@@ -21,7 +21,7 @@ pairs of N(a) does not.  ``q_state_sum`` and ``q_recursive`` implement
 the two routes separately so each serves as an oracle for the other.
 
 The state sums (``q_state_sum``, ``gamma_state_sum``, ``qn_from_q``,
-``chords.c_polynomial``) read ``rank_nullity_histogram``, one DP over the
+``chords.c_polynomial``) run ``_state_sum``, one DP over the
 vertices in greedy cut-rank order: each step takes the vertex that keeps
 the GF(2) rank of the cut A[prefix, tail] lowest (Oum, JCTB 95, 2005).
 Its state for a subset S of the prefix is S's boundary key (B, C)
@@ -29,10 +29,11 @@ against the tail: B spans the tail parts of S's dependents, C has one
 row per tail vertex.  By the bordered-rank identity
 rank A[S + T] = rank A[S] + rank [[0, B_T], [B_T^t, C_T]] for every tail
 subset T, the key fixes every later (rank, nullity) step, so the subsets
-with one key share a state and a histogram.  The live keys follow the
-cut ranks, not the caller's labelling, and each costs O(n) bit operations
-a step: 2 keys on a path, 5 on a cycle, up to 2^u at step u on a random
-graph.  It does not call the recursion.
+with one key share a state: one int, their sum of X^rank Y^nullity at
+X = 2^xs, Y = 2^ys, packed as ``_kernel`` packs q.  The live keys follow
+the cut ranks, not the caller's labelling, and each costs O(n) bit
+operations a step: 2 keys on a path, 5 on a cycle, up to 2^u at step u
+on a random graph.  It does not call the recursion.
 
 The vertex-nullity interlace polynomial q_N(G; x) = q(G; 2, x) of a simple
 graph follows the same rules at x = 2, where the pivot's third term
@@ -145,10 +146,10 @@ def _cut_rank_order(rows: tuple) -> list[int]:
     return order
 
 
-def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
-    """Count vertex subsets by the GF(2) (rank, nullity) of their induced submatrix.
+def _state_sum(rows: tuple, xs: int, ys: int) -> int:
+    """Sum over vertex subsets S of X^rank A[S] Y^nullity A[S] at X = 2^xs, Y = 2^ys.
 
-    The rows are relabelled in ``_cut_rank_order``, which the counts do not
+    The rows are relabelled in ``_cut_rank_order``, which the sum does not
     depend on, and a DP runs over the vertices 0, ..., n - 1 of that
     labelling.  Before vertex u, a subset S of 0..u-1 is summed up against
     the tail u..n-1 by its boundary key (B, C).  B holds the tail parts of
@@ -161,33 +162,29 @@ def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
         rank A[S + T] = rank A[S] + rank [[0, B_T], [B_T^t, C_T]],
 
     so the key fixes every later increment, and the subsets with one key
-    share a state: the key and a histogram over rank * (n + 2) + nullity.
-    At u, with c = C[u], each state has two children.  Since leads are
-    lowest bits, at most one row beta of B has bit u, and it is B's first.
+    share a state: the key and one int, their sum so far.  At u, with
+    c = C[u], each state has two children.  Since leads are lowest bits, at
+    most one row beta of B has bit u, and it is B's first.
 
     - Skip u: bit u leaves every row of C and C[u] goes; beta, if any, goes
-      back into B without bit u.
+      back into B without bit u.  The int is unchanged.
     - Take u, with beta: rank + 2, nullity - 1, the Schur complement of the
       pivot [[0, 1], [1, c_uu]].  Row w of C gets c + c_uu beta if beta has
-      bit w, then beta if it has bit u.  Beta goes.
+      bit w, then beta if it has bit u.  Beta goes.  Shifting the int down by
+      ys is exact, as a key with a row in B has only subsets of nullity >= 1.
     - Take u, no beta, c_uu = 1: rank + 1.  Each row of C with bit u gets c.
     - Take u, otherwise: nullity + 1, and c joins B.
 
     C is not reduced modulo B.  Children with equal keys merge by adding
-    their histograms, and at the end every subset has the empty key.  The
-    cost is n steps of O(n) bit operations per live key.  Step u has at most
-    2^u keys, but few when the cut between prefix and tail has small GF(2)
-    rank, which the order keeps so where it can: 2 keys on a path and 5 on a
-    cycle, in any labelling.  It does not call the recursion.
+    their ints, and at the end every subset has the empty key.  Each live key
+    costs O(n) bit operations a step; the module docstring counts the keys.
     """
     rows = reorder_rows(rows, _cut_rank_order(rows))
-    n = len(rows)
-    wide = n + 2
-    states: dict[tuple, dict[int, int]] = {((), rows): {0: 1}}
-    for u in range(n):
+    states: dict[tuple, int] = {((), rows): 1}
+    for u in range(len(rows)):
         bit = 1 << u
-        nxt: dict[tuple, dict[int, int]] = {}
-        for (basis, tail), hist in states.items():
+        nxt: dict[tuple, int] = {}
+        for (basis, tail), h in states.items():
             c, rest = tail[0], tail[1:]
             skip = tuple(r & ~bit for r in rest)
             if basis and basis[0] & bit:
@@ -196,21 +193,27 @@ def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
                 later = (r ^ add if beta >> w & 1 else r for w, r in enumerate(rest, u + 1))
                 kids = ((_insert(basis, beta ^ bit), skip),
                         (basis, tuple(r ^ beta if r & bit else r for r in later)))
-                shift = 2 * wide - 1
+                taken = h << 2 * xs >> ys
             elif c & bit:
                 kids = (basis, skip), (basis, tuple(r ^ c if r & bit else r for r in rest))
-                shift = wide
+                taken = h << xs
             else:
                 kids = (basis, skip), (_insert(basis, c), skip)
-                shift = 1
-            # the skip child takes the parent's dict, which no later parent reads
-            for key, part in zip(kids, (hist, {i + shift: k for i, k in hist.items()})):
-                have = nxt.setdefault(key, part)
-                if have is not part:
-                    for i, k in part.items():
-                        have[i] = have.get(i, 0) + k
+                taken = h << ys
+            for key, part in zip(kids, (h, taken)):
+                nxt[key] = nxt.get(key, 0) + part
         states = nxt
-    return {divmod(i, wide): k for i, k in sorted(states[(), ()].items())}
+    return states[(), ()]
+
+
+def rank_nullity_histogram(rows: tuple) -> dict[tuple[int, int], int]:
+    """Count vertex subsets by the GF(2) (rank, nullity) of their induced submatrix.
+
+    The count is digit rank + d nullity of ``_state_sum`` at X = 2^w, Y = X^d,
+    w = n + 2 (a count is at most 2^n) and d = n + 1 > rank.
+    """
+    w = len(rows) + 2
+    return SparsePoly.from_base_digits(_QXY_VARS, _state_sum(rows, w, w * (w - 1)), w, w - 1).terms
 
 
 def q_state_sum(g: Graph) -> SparsePoly:
@@ -232,8 +235,9 @@ def q_state_sum(g: Graph) -> SparsePoly:
 def gamma_state_sum(g: Graph) -> int:
     """gamma by direct subset expansion: the x^1 coefficient of sum (x-1)^nullity."""
     g.require_simple("gamma")
-    return sum(cnt * nl * (1 if nl % 2 else -1)
-               for (_, nl), cnt in rank_nullity_histogram(g.rows).items())
+    w = g.n + 2  # only the nullity is packed: digit k counts the subsets of nullity k
+    counts = SparsePoly.from_base_digits(("y",), _state_sum(g.rows, 0, w), w).terms
+    return sum(cnt * nl * (1 if nl % 2 else -1) for (nl,), cnt in counts.items())
 
 
 def qn_of_q(q: SparsePoly) -> SparsePoly:

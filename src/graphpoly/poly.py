@@ -46,10 +46,6 @@ class SparsePoly(Immutable):
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Iterable[str]) -> "SparsePoly":
-        return cls(variables, {})
-
-    @classmethod
     def const(cls, variables: Iterable[str], value: int) -> "SparsePoly":
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): int(value)})

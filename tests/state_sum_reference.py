@@ -2,7 +2,8 @@
 
 Each vertex subset gets its own elimination by ``rank_nullity_mask``, with
 nothing shared between subsets.  ``reference_histogram`` is the
-oracle for the DP ``interlace.rank_nullity_histogram``, and
+oracle for ``interlace.rank_nullity_histogram``, the readout of the DP
+``interlace._state_sum``, and
 ``reference_c_polynomial`` for ``chords.c_polynomial``;
 ``bollobas_riordan_c_polynomial`` is a second oracle for C that counts
 boundary components of ribbon subgraphs and uses no GF(2) rank.  ``boundary_key``

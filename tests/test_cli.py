@@ -289,10 +289,10 @@ def test_randomized_theorem_b_of_24_ops_is_refused_before_any_state_sum(capsys,
     drawn = []
     monkeypatch.setattr(randgen, "random_sp_sequence", lambda *a: drawn.append(a))
 
-    def forbidden(rows):
+    def forbidden(rows, xs, ys):
         raise AssertionError("a state sum was started")
 
-    monkeypatch.setattr(interlace, "rank_nullity_histogram", forbidden)
+    monkeypatch.setattr(interlace, "_state_sum", forbidden)
     code, out, err = run(capsys, "verify", "theorem-b", "--seed", "20", "--count", "1",
                          "--max-size", "24")
     assert code == 2 and out == "" and drawn == []
@@ -430,9 +430,9 @@ def test_verify_identities_reports_a_pivot_that_changes_q_n(capsys, monkeypatch)
 
 def test_verify_identities_runs_one_state_sum_per_graph_and_pivot(capsys, monkeypatch):
     calls = []
-    histogram = interlace.rank_nullity_histogram
-    monkeypatch.setattr(interlace, "rank_nullity_histogram",
-                        lambda rows: calls.append(rows) or histogram(rows))
+    state_sum = interlace._state_sum
+    monkeypatch.setattr(interlace, "_state_sum",
+                        lambda rows, xs, ys: calls.append(rows) or state_sum(rows, xs, ys))
     assert run(capsys, "verify", "identities", "--seed", "3", "--count", "30")[0] == 0
     rng = random.Random(3)
     graphs = [randgen.random_graph(rng.randrange(1, 9), rng) for _ in range(30)]

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -228,6 +229,19 @@ def test_state_sums_check_the_fast_routes_far_past_sixty_vertices():
     assert g.n == 80
     assert gamma_state_sum(g) == 2 ** (recognize_dh(g).true_twin_count + 1)
     assert gamma_state_sum(_shuffled(cycle_graph(200), random.Random(1107))) == 198
+
+
+def test_gamma_state_sum_holds_one_small_int_per_boundary_key():
+    # gamma packs the nullity alone, one int per live key; a (rank, nullity)
+    # table per key would peak near 40 MiB on this input
+    g = random_bdh_graph(150, random.Random(3))
+    tracemalloc.start()
+    try:
+        assert gamma_state_sum(g) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("ops, seed", [(40, 2), (40, 8), (60, 2), (60, 8)])
