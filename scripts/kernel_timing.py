@@ -41,6 +41,10 @@ with ``--only``.
 Times ``gamma_state_sum``, the state sum that packs the nullity alone, on
 ``random_bdh_graph(n, random.Random(3))`` for n = 150 and 200 (gamma_BDH150,
 gamma_BDH200), whose greedy order peaks at 144 and 7,440 live keys.
+Times the refusal of ``q_state_sum`` at its default limit on the seeded
+G(40, 1/2) ``random_graph(40, random.Random(1))`` (refuse_Gnp_40): the time and
+memory that the state sum spends before its live keys hold more rows than
+``interlace.MAX_KEY_ROWS``.  The run fails if the state sum does not refuse.
 Times ``circle_graph`` on the chord diagram of an Euler circuit of the
 oriented medial of a seeded 800- or 1,600-op series-parallel graph
 (circle_SP800, circle_SP1600: 802 and 1,602 chords, the script drawn by
@@ -80,7 +84,7 @@ from graphpoly.chords import ChordDiagram, circle_graph
 from graphpoly.dh import apply_dh_sequence, recognize_dh
 from graphpoly.euler import chord_diagram_from_circuit, euler_circuit
 from graphpoly.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from graphpoly.interlace import (gamma_state_sum, q_recursive, qn_recursive,
+from graphpoly.interlace import (gamma_state_sum, q_recursive, q_state_sum, qn_recursive,
                                  rank_nullity_histogram)
 from graphpoly.planar import build_sp, medial_digraph, tutte_polynomial
 from graphpoly.randgen import (random_bdh_graph, random_dh_sequence, random_graph,
@@ -146,6 +150,15 @@ def medial_chord_diagram(ops: int, seed: int) -> ChordDiagram:
 def medial_circle_graph(ops: int, seed: int) -> Graph:
     """Circle graph of an Euler circuit of the oriented medial of a seeded SP graph."""
     return circle_graph(medial_chord_diagram(ops, seed))
+
+
+def refused_q_state_sum(g: Graph) -> None:
+    """Run q_state_sum on g, which its limit must refuse."""
+    try:
+        q_state_sum(g)
+    except ValueError:
+        return
+    raise AssertionError("q_state_sum did not refuse")
 
 
 def petersen_edges() -> list[tuple]:
@@ -216,6 +229,7 @@ INPUTS = {
         random_dh_sequence(80, random.Random(91))).rows]),
     **{f"gamma_BDH{n}": (gamma_state_sum, lambda n=n: [random_bdh_graph(n, random.Random(3))])
        for n in (150, 200)},
+    "refuse_Gnp_40": (refused_q_state_sum, lambda: [random_graph(40, random.Random(1))]),
     **{f"circle_SP{ops}": (circle_graph, lambda ops=ops: [medial_chord_diagram(ops, ops)])
        for ops in (800, 1600)},
     "edges_SP1600": (Graph.edges, lambda: [medial_circle_graph(1600, 1600)]),

@@ -2,14 +2,18 @@
 
 Exit codes: 0 on success or a verified identity, 1 when a verification or
 recognition comes back negative, 2 on usage or input-format errors and on
-an input too large for the chosen method (a ``RecursionError`` or
-``MemoryError``, reported in one line that names the method), and 3 when
-an internal invariant check fails (an ``AssertionError``, reported in one
-line; it means a bug, not bad input).  The 2^n enumerations (``q --method
-state-sum``, ``qn --method specialize``, ``cpp`` and the four ``verify``
-actions, whose largest instance is the file given or the largest
-``--max-size`` can draw) first compare their state count with
-``MAX_STATES`` and exit 2, naming a faster method, when it is over.
+an input too large for the chosen method, and 3 when an internal invariant
+check fails (an ``AssertionError``: a bug, not bad input); each error is
+one line.  Too large is a ``RecursionError`` or ``MemoryError`` (the line
+names the method) or the ``ValueError`` of an enumeration over its own
+limit; the CLI keeps no cost model.  The state sums (``q --method
+state-sum``, ``qn --method specialize``, the gamma of ``verify theorem-b``,
+``verify cpoly`` and ``verify identities``) stop once their live keys hold
+more than ``interlace.MAX_KEY_ROWS`` rows, and the transition-system walk
+(``cpp``, ``verify theorem-a``) refuses more than
+``euler.MAX_TRANSITION_SYSTEMS`` systems before it starts.  ``verify
+theorem-b`` caps no size: its Tutte and q_N sides cost what ``tutte`` and
+``qn --method recursion`` cost.
 ``--format json`` wraps results as {"input", "method", "result",
 "elapsed_ms"}; polynomial results serialize as a list of
 {"exps": {var: exponent}, "coeff": "<integer>"}.  On every command
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -38,7 +43,6 @@ from .poly import SparsePoly
 from . import randgen
 
 OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
-MAX_STATES = 1 << 24  # largest 2^n state enumeration a command starts
 
 
 def _read(args, option: str, parse):
@@ -53,6 +57,7 @@ def _read(args, option: str, parse):
 
 
 def _emit(args, payload, method: str, started: float) -> None:
+    """Print the result; a reader that closed stdout early gets the rest dropped, quietly."""
     if args.format == "json":
         if isinstance(payload, SparsePoly):
             result = payload.to_json_obj()
@@ -60,24 +65,18 @@ def _emit(args, payload, method: str, started: float) -> None:
             result = str(payload)
         else:
             result = payload
-        doc = {
+        payload = json.dumps({
             "input": getattr(args, "input_desc", None),
             "method": method,
             "result": result,
             "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(payload)
-
-
-def _over_budget(n: int, what: str, faster: str) -> bool:
-    """Report and return True when 2^n states exceed ``MAX_STATES``."""
-    if 1 << n <= MAX_STATES:
-        return False
-    print(f"error: {what} would enumerate 2^{n} states, over the limit of "
-          f"{MAX_STATES}; use {faster}", file=sys.stderr)
-    return True
+        }, sort_keys=True)
+    try:
+        print(payload, flush=True)
+    except BrokenPipeError:
+        # what is still buffered goes to devnull at exit, not to the closed pipe
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _too_small(value: int, least: int, what: str, unit: str = "") -> bool:
@@ -88,39 +87,27 @@ def _too_small(value: int, least: int, what: str, unit: str = "") -> bool:
     return True
 
 
-_CIRCLE_QN = ("qn --method recursion on the circle graph from circle-graph --arcs; "
-              "f(G; x) = x*q_N(H; x+1)")
-_SP_TUTTE = "tutte-diag-sp for t(G; x, x) = q_N(H; x)"
-_CIRCLE_Q = "q --method recursion on the circle graph from circle-graph --word"
-
 # Commands that are one library call on one parsed file: command -> (help, file
-# option, its help, parser, {method: (function name, faster method)}).  The first
-# method is the default; with one method there is no --method option.  A faster
-# method marks a 2^n enumeration.  Functions are looked up when the command runs.
+# option, its help, parser, {method: function name}).  The first method is the
+# default; with one method there is no --method option.  Functions are looked
+# up when the command runs.
 _CALLS = {
     "q": ("two-variable interlace polynomial", "edges", "edge list file",
-          fileio.parse_edge_list,
-          {"state-sum": ("q_state_sum", "--method recursion"),
-           "recursion": ("q_recursive", None)}),
+          fileio.parse_edge_list, {"state-sum": "q_state_sum", "recursion": "q_recursive"}),
     "qn": ("vertex-nullity interlace polynomial", "edges", "edge list file",
            fileio.parse_edge_list,
-           {"recursion": ("qn_recursive", None),
-            "specialize": ("qn_from_q", "--method recursion"),
-            "bdh-fast": ("qn_bdh_fast", None)}),
+           {"recursion": "qn_recursive", "specialize": "qn_from_q", "bdh-fast": "qn_bdh_fast"}),
     "gamma": ("coefficient of x^1 in q_N", "edges", "edge list file",
-              fileio.parse_edge_list, {"pivot-recursion": ("gamma_invariant", None)}),
+              fileio.parse_edge_list, {"pivot-recursion": "gamma_invariant"}),
     "tutte": ("Tutte polynomial of a multigraph", "edges", "multigraph edge list file",
-              fileio.parse_multigraph_edges,
-              {"deletion-contraction": ("tutte_polynomial", None)}),
+              fileio.parse_multigraph_edges, {"deletion-contraction": "tutte_polynomial"}),
     "tutte-diag-sp": ("diagonal Tutte of a series-parallel script", "sp",
                       "series-parallel script file", fileio.parse_sp_sequence,
-                      {"two-terminal-dp": ("sp_diagonal_tutte", None)}),
+                      {"two-terminal-dp": "sp_diagonal_tutte"}),
     "beta": ("beta invariant of a multigraph", "edges", "multigraph edge list file",
-             fileio.parse_multigraph_edges,
-             {"deletion-contraction": ("beta_invariant", None)}),
+             fileio.parse_multigraph_edges, {"deletion-contraction": "beta_invariant"}),
     "cpp": ("circuit partition polynomial", "arcs", "arc list file (u -> v)",
-            fileio.parse_arc_list,
-            {"state-enumeration": ("circuit_partition_polynomial", _CIRCLE_QN)}),
+            fileio.parse_arc_list, {"state-enumeration": "circuit_partition_polynomial"}),
 }
 
 
@@ -162,28 +149,22 @@ def _check_identities(k, g) -> list[str]:
     return failures
 
 
-# The verify suites: suite -> (randgen function, smallest size, its unit, extra,
-# faster method, check, message on success, single-instance mode).  A draw of
-# size M has 2^(M + extra) states; check(k, instance) returns the failures of
-# the k-th instance.  The single-instance mode is (file option, parser, size of
-# the parsed instance, report function name), or None.
+# The verify suites: suite -> (randgen function, smallest size, its unit, check,
+# message on success, single-instance mode).  check(k, instance) returns the
+# failures of the k-th instance.  The single-instance mode is (file option,
+# parser, report function name), or None.
 _SUITES = {
-    "theorem-a": ("random_2in2out", 2, " vertices", 0, _CIRCLE_QN,
+    "theorem-a": ("random_2in2out", 2, " vertices",
                   _theorem("verify_circuit_partition_identity"),
                   "circuit partition identity holds on {} random digraphs",
-                  ("arcs", fileio.parse_arc_list, lambda g: g.n,
-                   "verify_circuit_partition_identity")),
-    # a script of M ops after the digon has M + 2 edges, one vertex of H each
-    "theorem-b": ("random_sp_sequence", 1, " op", 2, _SP_TUTTE,
-                  _theorem("verify_medial_tutte_identity"),
+                  ("arcs", fileio.parse_arc_list, "verify_circuit_partition_identity")),
+    "theorem-b": ("random_sp_sequence", 1, " op", _theorem("verify_medial_tutte_identity"),
                   "medial diagonal identity holds on {} random constructions",
-                  ("sp", fileio.parse_sp_sequence, lambda seq: len(seq) - 1,
-                   "verify_medial_tutte_identity")),
-    # cpoly and identities run state sums over the 2^M subsets of M chords or vertices
-    "cpoly": ("random_chord_diagram", 1, " chord", 0, _CIRCLE_Q, _check_cpoly,
+                  ("sp", fileio.parse_sp_sequence, "verify_medial_tutte_identity")),
+    "cpoly": ("random_chord_diagram", 1, " chord", _check_cpoly,
               "C-polynomial identity holds on {} random diagrams", None),
-    "identities": ("random_graph", 1, " vertex", 0, "q --method recursion",
-                   _check_identities, "identity suite passed on {} random graphs", None),
+    "identities": ("random_graph", 1, " vertex", _check_identities,
+                   "identity suite passed on {} random graphs", None),
 }
 
 
@@ -194,12 +175,8 @@ def cmd_call(args) -> int:
     _, option, _, parse, methods = _CALLS[args.command]
     value = _read(args, option, parse)
     method = getattr(args, "method", next(iter(methods)))
-    function, faster = methods[method]
-    what = args.command if len(methods) == 1 else f"{args.command} --method {method}"
-    if faster and _over_budget(value.n, what, faster):
-        return USAGE
     t0 = time.perf_counter()
-    _emit(args, globals()[function](value), method, t0)
+    _emit(args, globals()[methods[method]](value), method, t0)
     return OK
 
 
@@ -271,12 +248,10 @@ def cmd_dh(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    draw, least, unit, extra, faster, check, passed, single = _SUITES[args.what]
+    draw, least, unit, check, passed, single = _SUITES[args.what]
     if single and getattr(args, single[0]):
-        option, parse, size, verify = single
+        option, parse, verify = single
         instance = _read(args, option, parse)
-        if _over_budget(size(instance) + extra, f"verify {args.what} --{option}", faster):
-            return USAGE
         t0 = time.perf_counter()
         rep = globals()[verify](instance)
         _emit(args, rep, args.what, t0)
@@ -284,10 +259,8 @@ def cmd_verify(args) -> int:
     if args.seed is None:
         print("error: randomized verification requires --seed", file=sys.stderr)
         return USAGE
-    what = f"verify {args.what} --max-size"
     if (_too_small(args.count, 1, "verify --count")
-            or _too_small(args.max_size, least, what, unit)
-            or _over_budget(args.max_size + extra, what, faster)):
+            or _too_small(args.max_size, least, f"verify {args.what} --max-size", unit)):
         return USAGE
     rng = random.Random(args.seed)
     t0 = time.perf_counter()

@@ -18,7 +18,9 @@ The constructor buckets the arcs once into per-vertex slots (the vertex, its
 two in-arc ids and its two out-arc ids, in arc order), which the Gray walk
 and Hierholzer's splicing share.  Both 2^n enumerations
 (``circuit_partition_polynomial`` and ``all_euler_circuits``) share one walk
-over the transition systems in Gray order, ``_transition_systems``.
+over the transition systems in Gray order, ``_transition_systems``, and its
+one limit: past ``MAX_TRANSITION_SYSTEMS`` = 2^24 systems it raises
+``ValueError`` before the walk.
 Flipping one vertex composes the successor permutation of the arcs with a
 transposition, so the cycle count moves by exactly one: it rises if the
 vertex's two in-arcs lie on one cycle (a split) and falls otherwise (a
@@ -42,6 +44,8 @@ from .chords import ChordDiagram, circle_graph
 from .graphs import component_masks, label_rows
 from .interlace import qn_recursive
 from .poly import Immutable, SparsePoly
+
+MAX_TRANSITION_SYSTEMS = 1 << 24  # most transition systems a walk visits
 
 
 class EulerDigraph(Immutable):
@@ -113,7 +117,12 @@ def _transition_systems(slots: Sequence[tuple[str, tuple, tuple]]):
     successor decides the new count: if it meets the other in-arc, both lie
     on one cycle and the swap splits it (+1), otherwise it merges two (-1).
     The map is updated in place, so a caller must read it before resuming.
+    Past ``MAX_TRANSITION_SYSTEMS`` systems, ValueError is raised before the
+    first is yielded.
     """
+    if 1 << len(slots) > MAX_TRANSITION_SYSTEMS:
+        raise ValueError(f"walk over 2^{len(slots)} transition systems, over the limit of "
+                         f"{MAX_TRANSITION_SYSTEMS}")
     succ = {}
     for _, (i1, i2), (o1, o2) in slots:
         succ[i1] = o1

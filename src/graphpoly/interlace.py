@@ -33,7 +33,11 @@ with one key share a state: one int, their sum of X^rank Y^nullity at
 X = 2^xs, Y = 2^ys, packed as ``_kernel`` packs q.  The live keys follow
 the cut ranks, not the caller's labelling, and each costs O(n) bit
 operations a step: 2 keys on a path, 5 on a cycle, up to 2^u at step u
-on a random graph.  It does not call the recursion.
+on a random graph.  It does not call the recursion.  Its one limit is
+``MAX_KEY_ROWS``: after a step whose keys hold more than 2^21 rows of C in
+all (keys times tail vertices), it raises ``ValueError``.  Paths, cycles,
+gamma of a BDH graph on 200 vertices and G(25, 1/2) stay under it; a dense
+G(40, 1/2) is refused within a few seconds.
 
 The vertex-nullity interlace polynomial q_N(G; x) = q(G; 2, x) of a simple
 graph follows the same rules at x = 2, where the pivot's third term
@@ -98,6 +102,7 @@ from .graphs import (Graph, bfs_rows, bit_indices, compact_rows, component_masks
 from .poly import SparsePoly, _packed_product
 
 _QXY_VARS = ("x", "y")
+MAX_KEY_ROWS = 1 << 21  # most tail rows, summed over its live keys, a state sum holds
 
 
 # -- state sums ---------------------------------------------------------------
@@ -178,10 +183,13 @@ def _state_sum(rows: tuple, xs: int, ys: int) -> int:
     C is not reduced modulo B.  Children with equal keys merge by adding
     their ints, and at the end every subset has the empty key.  Each live key
     costs O(n) bit operations a step; the module docstring counts the keys.
+    After a step, ValueError is raised once the keys hold more than
+    ``MAX_KEY_ROWS`` rows of C in all, which bounds the memory of a refusal.
     """
     rows = reorder_rows(rows, _cut_rank_order(rows))
+    n = len(rows)
     states: dict[tuple, int] = {((), rows): 1}
-    for u in range(len(rows)):
+    for u in range(n):
         bit = 1 << u
         nxt: dict[tuple, int] = {}
         for (basis, tail), h in states.items():
@@ -203,6 +211,10 @@ def _state_sum(rows: tuple, xs: int, ys: int) -> int:
             for key, part in zip(kids, (h, taken)):
                 nxt[key] = nxt.get(key, 0) + part
         states = nxt
+        held = len(states) * (n - u - 1)
+        if held > MAX_KEY_ROWS:
+            raise ValueError(f"state sum holds {held} key rows after {u + 1} of {n} vertices,"
+                             f" over the limit of {MAX_KEY_ROWS}")
     return states[(), ()]
 
 

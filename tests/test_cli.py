@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from builders import path_qn, poly_from_json_obj
+import graphpoly
 from graphpoly import cli, dh, euler, fileio, interlace, planar, randgen
 from graphpoly.cli import main
 from graphpoly.poly import SparsePoly
@@ -241,79 +246,92 @@ def test_recursion_too_deep_exits_2(tmp_path, capsys):
     assert err == "error: input too large for qn recursion (RecursionError)"
 
 
-@pytest.mark.parametrize("argv, faster", [
-    (("q", "--edges", "c6.edges", "--method", "state-sum"), "use --method recursion"),
-    (("qn", "--edges", "c6.edges", "--method", "specialize"), "use --method recursion"),
-    (("cpp", "--arcs", "digon.arcs"), "use qn --method recursion on the circle graph"),
+# the limit beside the enumeration that each command or suite runs, and the
+# start of its refusal
+WALK = (euler, "MAX_TRANSITION_SYSTEMS", "walk over 2^")
+STATE_SUM = (interlace, "MAX_KEY_ROWS", "state sum holds ")
+LIMITS = {"q": STATE_SUM, "qn": STATE_SUM, "cpp": WALK, "theorem-a": WALK, "theorem-b": STATE_SUM}
+
+
+def run_under(capsys, monkeypatch, key, limit, *argv):
+    """Run argv with the limit of the enumeration that ``key`` runs set to ``limit``."""
+    module, name, _ = LIMITS[key]
+    monkeypatch.setattr(module, name, limit)
+    return run(capsys, *argv)
+
+
+def assert_refused(result, key, limit):
+    code, out, err = result
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: " + LIMITS[key][2]) and err.endswith(f"over the limit of {limit}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("q", "--edges", "c6.edges", "--method", "state-sum"),
+    ("qn", "--edges", "c6.edges", "--method", "specialize"),
+    ("cpp", "--arcs", "digon.arcs"),
 ])
-def test_state_enumeration_over_budget_exits_2(files, capsys, monkeypatch, argv, faster):
+def test_state_enumeration_over_budget_exits_2(files, capsys, monkeypatch, argv):
     argv = [files.get(a, a) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 0 and out and err == ""
-    monkeypatch.setattr(cli, "MAX_STATES", 3)
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and faster in err
-    assert "over the limit of 3" in err
-    monkeypatch.setattr(cli, "MAX_STATES", 64)
-    code, out, err = run(capsys, *argv)
+    assert_refused(run_under(capsys, monkeypatch, argv[0], 3, *argv), argv[0], 3)
+    code, out, err = run_under(capsys, monkeypatch, argv[0], 64, *argv)
     assert code == 0 and out and err == ""
 
 
-@pytest.mark.parametrize("argv, states", [
+# each input runs at the limit given, which it meets, and is refused one below it:
+# the digon's 4 transition systems, and the 4 rows that the state sum of the
+# triangle's H, on 3 vertices, holds after its first step
+@pytest.mark.parametrize("argv, most", [
     (("verify", "theorem-a", "--arcs", "digon.arcs"), 4),
-    (("verify", "theorem-b", "--sp", "c3.sp"), 8),
+    (("verify", "theorem-b", "--sp", "c3.sp"), 4),
 ])
 def test_single_instance_theorem_check_over_budget_exits_2(files, capsys, monkeypatch,
-                                                            argv, states):
+                                                            argv, most):
     argv = [files.get(a, a) for a in argv]
-    monkeypatch.setattr(cli, "MAX_STATES", states - 1)
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert f"{argv[1]} --" in err and f"over the limit of {states - 1}" in err
-    monkeypatch.setattr(cli, "MAX_STATES", states)
-    code, out, err = run(capsys, *argv)
+    assert_refused(run_under(capsys, monkeypatch, argv[1], most - 1, *argv), argv[1], most - 1)
+    code, out, err = run_under(capsys, monkeypatch, argv[1], most, *argv)
     assert code == 0 and out and err == ""
 
 
 def test_theorem_b_script_of_25_edges_is_refused_at_the_default(tmp_path, capsys):
+    # at the default this runs: the H of a chain of 25 edges has 25 vertices,
+    # but its state sum holds a few keys a step, far under its limit
+    text = "digon\n" + "series e1\n" * 23
     path = tmp_path / "long.sp"
-    path.write_text("digon\n" + "series e1\n" * 23)
-    code, out, err = run(capsys, "verify", "theorem-b", "--sp", str(path))
-    assert code == 2 and out == "" and "2^25 states" in err
+    path.write_text(text)
+    report = planar.verify_medial_tutte_identity(fileio.parse_sp_sequence(text))
+    assert report.ok
+    assert run(capsys, "verify", "theorem-b", "--sp", str(path)) == (0, str(report), "")
 
 
-def test_randomized_theorem_b_of_24_ops_is_refused_before_any_state_sum(capsys,
-                                                                         monkeypatch):
-    drawn = []
-    monkeypatch.setattr(randgen, "random_sp_sequence", lambda *a: drawn.append(a))
-
-    def forbidden(rows, xs, ys):
-        raise AssertionError("a state sum was started")
-
-    monkeypatch.setattr(interlace, "_state_sum", forbidden)
-    code, out, err = run(capsys, "verify", "theorem-b", "--seed", "20", "--count", "1",
+def test_randomized_theorem_b_of_24_ops_runs_its_state_sums(capsys, monkeypatch):
+    # no size cap: the H of each drawn script, one vertex per edge, goes
+    # through the gamma state sum under that sum's own limit
+    sizes, calls = [], []
+    draw, state_sum = randgen.random_sp_sequence, interlace._state_sum
+    monkeypatch.setattr(randgen, "random_sp_sequence", lambda *a: sizes.append(a[0]) or draw(*a))
+    monkeypatch.setattr(interlace, "_state_sum",
+                        lambda rows, xs, ys: calls.append(len(rows)) or state_sum(rows, xs, ys))
+    code, out, err = run(capsys, "verify", "theorem-b", "--seed", "20", "--count", "3",
                          "--max-size", "24")
-    assert code == 2 and out == "" and drawn == []
-    assert len(err.splitlines()) == 1 and "theorem-b --max-size" in err
-    assert "2^26 states" in err and "use tutte-diag-sp" in err
+    assert (code, out, err) == (0, "medial diagonal identity holds on 3 random constructions", "")
+    assert calls == [m + 2 for m in sizes] and max(sizes) > 20
 
 
-@pytest.mark.parametrize("what, max_size, states", [
+# the largest draw at seed 4 meets the limit given and is refused one below it: the
+# 2^3 transition systems of a 3-vertex digraph, the 6 rows that the state sum of a
+# 2-op script's H holds after its first step
+@pytest.mark.parametrize("what, max_size, most", [
     ("theorem-a", 3, 8),
-    ("theorem-b", 2, 16),
+    ("theorem-b", 2, 6),
 ])
 def test_randomized_theorem_check_over_budget_exits_2(capsys, monkeypatch, what,
-                                                      max_size, states):
+                                                      max_size, most):
     argv = ("verify", what, "--seed", "4", "--count", "3", "--max-size", str(max_size))
-    monkeypatch.setattr(cli, "MAX_STATES", states - 1)
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert f"{what} --max-size" in err and f"over the limit of {states - 1}" in err
-    monkeypatch.setattr(cli, "MAX_STATES", states)
-    code, out, err = run(capsys, *argv)
+    assert_refused(run_under(capsys, monkeypatch, what, most - 1, *argv), what, most - 1)
+    code, out, err = run_under(capsys, monkeypatch, what, most, *argv)
     assert code == 0 and "holds on 3 random" in out and err == ""
 
 
@@ -374,16 +392,16 @@ def test_randomized_state_sum_check_draws_up_to_max_size(capsys, monkeypatch, wh
     code, out, err = run(capsys, *argv, "1")
     assert code == 0 and "on 3 random" in out and err == "" and drawn == [1] * 3
     drawn.clear()
-    monkeypatch.setattr(cli, "MAX_STATES", 16)
+    # the state sums of 4 chords or vertices hold at most 6 rows, those of 5 hold 8
+    monkeypatch.setattr(interlace, "MAX_KEY_ROWS", 6)
     code, out, err = run(capsys, "verify", what, "--seed", "2", "--count", "40",
                          "--max-size", "4")
     assert code == 0 and err == "" and set(drawn) == {1, 2, 3, 4}
     drawn.clear()
     code, out, err = run(capsys, "verify", what, "--seed", "2", "--count", "40",
                          "--max-size", "5")
-    assert code == 2 and out == "" and drawn == []
-    assert len(err.splitlines()) == 1 and f"{what} --max-size" in err
-    assert "2^5 states" in err and "use q --method recursion" in err
+    assert code == 2 and out == "" and drawn[-1] == 5 and max(drawn) == 5
+    assert err == "error: state sum holds 8 key rows after 1 of 5 vertices, over the limit of 6"
 
 
 @pytest.mark.parametrize("what, name, wrong, failing", [
@@ -450,10 +468,37 @@ DOUBLED_C25 = "".join(f"{i} -> {(i + 1) % 25}\n" * 2 for i in range(25))
 ])
 def test_state_enumeration_of_25_vertices_is_refused_at_the_default(tmp_path, capsys,
                                                                    command, text):
+    # at the default only the walk over 2^25 transition systems is refused; the
+    # state sum of P_25 holds 2 keys a step, so both P_25 rows run and match the
+    # recursion
     path = tmp_path / "input"
     path.write_text(text)
     code, out, err = run(capsys, *(a.format(path) for a in command))
-    assert code == 2 and out == "" and "2^25 states" in err
+    if command[0] == "cpp":
+        assert code == 2 and out == ""
+        assert err == "error: walk over 2^25 transition systems, over the limit of 16777216"
+    else:
+        recursion = {"q": interlace.q_recursive, "qn": interlace.qn_recursive}[command[0]]
+        assert (code, out, err) == (0, str(recursion(fileio.parse_edge_list(text))), "")
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=["text", "json"])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(tmp_path, fmt):
+    # q of P_150 prints about 320 KB, far more than a pipe holds, so the command
+    # is still writing when the reader leaves, as under `| head -c 10`
+    path = tmp_path / "p150.edges"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 150)))
+    src = str(Path(graphpoly.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH")))))
+    child = subprocess.Popen([sys.executable, "-m", "graphpoly.cli", *fmt, "q", "--edges",
+                              str(path), "--method", "recursion"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = child.stdout.read(10)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0 and err == b"" and len(head) == 10
 
 
 def test_missing_file_exits_2(capsys):
@@ -537,7 +582,7 @@ SINGLE_INSTANCES = {"theorem-a": THREE_ARCS, "theorem-b": C4_SP}
 def test_single_instance_verify_prints_its_report_as_its_str(tmp_path, capsys, monkeypatch,
                                                              what, holds):
     assert set(SINGLE_INSTANCES) == {w for w, suite in cli._SUITES.items() if suite[-1]}
-    option, parse, _, name = cli._SUITES[what][-1]
+    option, parse, name = cli._SUITES[what][-1]
     real = getattr(cli, name)
     if not holds:  # the report of a failed identity, as a wrong route would give
         wrong = {"theorem-a": {"identity_ok": False}, "theorem-b": {"gamma": 0}}[what]

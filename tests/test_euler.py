@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from graphpoly import euler
 from graphpoly.euler import (EulerDigraph, _transition_systems,
                              all_euler_circuits, check_circuit,
                              chord_diagram_from_circuit,
@@ -99,6 +100,21 @@ def test_state_count_is_power_of_two():
         f = circuit_partition_polynomial(g)
         assert sum(f.terms.values()) == 2 ** g.n
         assert f.coefficient({"x": 0}) == 0  # no constant term when edges exist
+
+
+def test_transition_system_walk_refuses_past_its_limit_before_yielding(monkeypatch):
+    g = random_2in2out(3, random.Random(52))
+    monkeypatch.setattr(euler, "MAX_TRANSITION_SYSTEMS", 7)
+    walk = _transition_systems(g._slots)
+    with pytest.raises(ValueError, match=r"^walk over 2\^3 transition systems, over the limit of 7$"):
+        next(walk)
+    with pytest.raises(ValueError, match="over the limit of 7"):
+        circuit_partition_polynomial(g)
+    with pytest.raises(ValueError, match="over the limit of 7"):
+        next(all_euler_circuits(g))
+    monkeypatch.setattr(euler, "MAX_TRANSITION_SYSTEMS", 8)
+    assert sum(1 for _ in _transition_systems(g._slots)) == 8
+    assert sum(circuit_partition_polynomial(g).terms.values()) == 8
 
 
 def test_euler_circuit_digon_medial():

@@ -22,7 +22,8 @@ from graphpoly.interlace import (CoefficientReport, coefficient_checks,
                                  rank_nullity_histogram)
 from graphpoly.planar import build_sp, medial_digraph
 from graphpoly.poly import SparsePoly
-from graphpoly.randgen import random_bdh_graph, random_dh_sequence, random_sp_sequence
+from graphpoly.randgen import (random_bdh_graph, random_dh_sequence, random_graph,
+                               random_sp_sequence)
 
 
 def XY(terms):
@@ -196,6 +197,45 @@ def test_state_sums_reach_two_hundred_vertices():
     assert sum(rank_nullity_histogram(path.rows).values()) == 1 << 200
     assert gamma_state_sum(path) == 2
     assert gamma_state_sum(cycle_graph(200)) == 198
+
+
+class _HeldRows:
+    """A limit that refuses nothing and records the rows held after each step."""
+
+    def __init__(self):
+        self.held = []
+
+    def __lt__(self, held):  # the DP asks ``held > limit``
+        self.held.append(held)
+        return False
+
+
+def test_state_sum_refuses_at_the_first_step_that_holds_more_rows_than_its_limit(monkeypatch):
+    g = random_graph(14, random.Random(1108))
+    record = _HeldRows()
+    monkeypatch.setattr(interlace, "MAX_KEY_ROWS", record)
+    want = interlace._state_sum(g.rows, 0, 16)
+    held = record.held
+    # one count a step: the keys times the tail vertices, none left after the last
+    assert len(held) == 14 and held[-1] == 0 and held[0] == 2 * 13
+    assert all(h % (13 - u) == 0 for u, h in enumerate(held[:-1]))
+    for limit in sorted(set(held) | {h - 1 for h in held if h}):
+        monkeypatch.setattr(interlace, "MAX_KEY_ROWS", limit)
+        over = [u for u, h in enumerate(held) if h > limit]
+        if not over:
+            assert interlace._state_sum(g.rows, 0, 16) == want
+            continue
+        u = over[0]
+        with pytest.raises(ValueError) as refusal:
+            interlace._state_sum(g.rows, 0, 16)
+        assert str(refusal.value) == (f"state sum holds {held[u]} key rows after {u + 1} of 14 "
+                                      f"vertices, over the limit of {limit}")
+
+
+def test_state_sum_of_a_thirty_vertex_path_runs_at_the_default_limit():
+    g = path_graph(30)
+    assert interlace.MAX_KEY_ROWS == 1 << 21
+    assert q_state_sum(g) == q_recursive(g)
 
 
 def test_cut_rank_order_matches_the_greedy_order_by_fresh_eliminations():
