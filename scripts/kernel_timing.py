@@ -43,8 +43,9 @@ Times ``gamma_state_sum``, the state sum that packs the nullity alone, on
 gamma_BDH200), whose greedy order peaks at 144 and 7,440 live keys.
 Times the refusal of ``q_state_sum`` at its default limit on the seeded
 G(40, 1/2) ``random_graph(40, random.Random(1))`` (refuse_Gnp_40): the time and
-memory that the state sum spends before its live keys hold more rows than
-``interlace.MAX_KEY_ROWS``.  The run fails if the state sum does not refuse.
+memory that the state sum spends before its states hold more rows, packed
+ints counted, than ``interlace.MAX_KEY_ROWS``.  The run fails if the state
+sum does not refuse.
 Times ``circle_graph`` on the chord diagram of an Euler circuit of the
 oriented medial of a seeded 800- or 1,600-op series-parallel graph
 (circle_SP800, circle_SP1600: 802 and 1,602 chords, the script drawn by

@@ -8,12 +8,12 @@ one line.  Too large is a ``RecursionError`` or ``MemoryError`` (the line
 names the method) or the ``ValueError`` of an enumeration over its own
 limit; the CLI keeps no cost model.  The state sums (``q --method
 state-sum``, ``qn --method specialize``, the gamma of ``verify theorem-b``,
-``verify cpoly`` and ``verify identities``) stop once their live keys hold
-more than ``interlace.MAX_KEY_ROWS`` rows, and the transition-system walk
-(``cpp``, ``verify theorem-a``) refuses more than
+``verify cpoly`` and ``verify identities``) stop once their states hold
+more than ``interlace.MAX_KEY_ROWS`` rows, packed ints counted, and the
+transition-system walk (``cpp``, ``verify theorem-a``) refuses more than
 ``euler.MAX_TRANSITION_SYSTEMS`` systems before it starts.  ``verify
-theorem-b`` caps no size: its Tutte and q_N sides cost what ``tutte`` and
-``qn --method recursion`` cost.
+theorem-b`` runs its state sum first and caps no other size: its Tutte
+and q_N sides cost what ``tutte`` and ``qn --method recursion`` cost.
 ``--format json`` wraps results as {"input", "method", "result",
 "elapsed_ms"}; polynomial results serialize as a list of
 {"exps": {var: exponent}, "coeff": "<integer>"}.  On every command

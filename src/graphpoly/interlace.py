@@ -34,10 +34,11 @@ X = 2^xs, Y = 2^ys, packed as ``_kernel`` packs q.  The live keys follow
 the cut ranks, not the caller's labelling, and each costs O(n) bit
 operations a step: 2 keys on a path, 5 on a cycle, up to 2^u at step u
 on a random graph.  It does not call the recursion.  Its one limit is
-``MAX_KEY_ROWS``: after a step whose keys hold more than 2^21 rows of C in
-all (keys times tail vertices), it raises ``ValueError``.  Paths, cycles,
-gamma of a BDH graph on 200 vertices and G(25, 1/2) stay under it; a dense
-G(40, 1/2) is refused within a few seconds.
+``MAX_KEY_ROWS``: after a step whose states hold more than 3 * 2^20 rows
+(keys times tail vertices, plus one per 512 bits of their ints), it raises
+``ValueError``.  Paths, cycles, gamma of a BDH graph on 200 vertices and q
+of G(25, 1/2) stay under it; q of that BDH graph, whose ints grow to
+megabits, and a dense G(40, 1/2) are refused within a few seconds.
 
 The vertex-nullity interlace polynomial q_N(G; x) = q(G; 2, x) of a simple
 graph follows the same rules at x = 2, where the pivot's third term
@@ -102,7 +103,7 @@ from .graphs import (Graph, bfs_rows, bit_indices, compact_rows, component_masks
 from .poly import SparsePoly, _packed_product
 
 _QXY_VARS = ("x", "y")
-MAX_KEY_ROWS = 1 << 21  # most tail rows, summed over its live keys, a state sum holds
+MAX_KEY_ROWS = 3 << 20  # most rows a state sum holds, its ints counted (see _state_sum)
 
 
 # -- state sums ---------------------------------------------------------------
@@ -183,8 +184,9 @@ def _state_sum(rows: tuple, xs: int, ys: int) -> int:
     C is not reduced modulo B.  Children with equal keys merge by adding
     their ints, and at the end every subset has the empty key.  Each live key
     costs O(n) bit operations a step; the module docstring counts the keys.
-    After a step, ValueError is raised once the keys hold more than
-    ``MAX_KEY_ROWS`` rows of C in all, which bounds the memory of a refusal.
+    After a step, ValueError is raised once the states hold more than
+    ``MAX_KEY_ROWS`` rows: every key's rows of C, plus one row per 512 bits
+    of the ints, about a row's memory (q's run to megabits on 200 vertices).
     """
     rows = reorder_rows(rows, _cut_rank_order(rows))
     n = len(rows)
@@ -211,7 +213,7 @@ def _state_sum(rows: tuple, xs: int, ys: int) -> int:
             for key, part in zip(kids, (h, taken)):
                 nxt[key] = nxt.get(key, 0) + part
         states = nxt
-        held = len(states) * (n - u - 1)
+        held = len(states) * (n - u - 1) + (sum(map(int.bit_length, states.values())) >> 9)
         if held > MAX_KEY_ROWS:
             raise ValueError(f"state sum holds {held} key rows after {u + 1} of {n} vertices,"
                              f" over the limit of {MAX_KEY_ROWS}")

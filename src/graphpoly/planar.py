@@ -462,9 +462,8 @@ def verify_medial_tutte_identity(g) -> MedialTutteReport:
         raise TypeError("need a PlaneMultigraph or SPSequence")
     if g.m < 2:
         raise ValueError("identity check needs at least 2 edges")
-    t = tutte_polynomial(g)
     med = medial_digraph(g)
-    circ = euler_circuit(med)
-    h = circle_graph(chord_diagram_from_circuit(med, circ))
-    qn = qn_recursive(h)
-    return MedialTutteReport(diagonal(t), qn, gamma_state_sum(h), _beta_of(t))
+    h = circle_graph(chord_diagram_from_circuit(med, euler_circuit(med)))
+    gamma = gamma_state_sum(h)  # first, so its limit refuses before Tutte and q_N run
+    t = tutte_polynomial(g)
+    return MedialTutteReport(diagonal(t), qn_recursive(h), gamma, _beta_of(t))

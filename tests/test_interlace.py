@@ -216,9 +216,9 @@ def test_state_sum_refuses_at_the_first_step_that_holds_more_rows_than_its_limit
     monkeypatch.setattr(interlace, "MAX_KEY_ROWS", record)
     want = interlace._state_sum(g.rows, 0, 16)
     held = record.held
-    # one count a step: the keys times the tail vertices, none left after the last
+    # one count a step: two keys of 13 rows after the first, one key of no rows after
+    # the last, and its ints, under 512 bits in all at the ends, count nothing there
     assert len(held) == 14 and held[-1] == 0 and held[0] == 2 * 13
-    assert all(h % (13 - u) == 0 for u, h in enumerate(held[:-1]))
     for limit in sorted(set(held) | {h - 1 for h in held if h}):
         monkeypatch.setattr(interlace, "MAX_KEY_ROWS", limit)
         over = [u for u, h in enumerate(held) if h > limit]
@@ -232,9 +232,32 @@ def test_state_sum_refuses_at_the_first_step_that_holds_more_rows_than_its_limit
                                       f"vertices, over the limit of {limit}")
 
 
+def test_state_sum_counts_its_ints_so_q_is_refused_where_gamma_runs(monkeypatch):
+    # both sums hold the same keys a step, but q packs rank and nullity at
+    # Y = 2^(w(w-1)) and gamma the nullity alone at Y = 2^w, so q's ints are wider
+    g = random_bdh_graph(60, random.Random(3))
+    counts = []
+    for state_sum in (gamma_state_sum, q_state_sum):
+        record = _HeldRows()
+        monkeypatch.setattr(interlace, "MAX_KEY_ROWS", record)
+        state_sum(g)
+        counts.append(record.held)
+    gamma_held, q_held = counts
+    assert len(q_held) == len(gamma_held) == 60
+    assert all(q >= h for q, h in zip(q_held, gamma_held)) and max(q_held) > max(gamma_held)
+    limit = max(gamma_held)
+    monkeypatch.setattr(interlace, "MAX_KEY_ROWS", limit)
+    assert gamma_state_sum(g) == gamma_invariant(g)
+    u = next(u for u, held in enumerate(q_held) if held > limit)
+    with pytest.raises(ValueError) as refusal:
+        q_state_sum(g)
+    assert str(refusal.value) == (f"state sum holds {q_held[u]} key rows after {u + 1} of 60 "
+                                  f"vertices, over the limit of {limit}")
+
+
 def test_state_sum_of_a_thirty_vertex_path_runs_at_the_default_limit():
     g = path_graph(30)
-    assert interlace.MAX_KEY_ROWS == 1 << 21
+    assert interlace.MAX_KEY_ROWS == 3 << 20
     assert q_state_sum(g) == q_recursive(g)
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from builders import euler_formula_ok, sp_dual
-from graphpoly import planar
+from graphpoly import interlace, planar
 from graphpoly.chords import circle_graph
 from graphpoly.dh import recognize_dh
 from graphpoly.euler import all_euler_circuits, chord_diagram_from_circuit
@@ -490,6 +490,14 @@ def test_medial_identity_digon_and_triangle():
     assert rep.ok and rep.qn_circle == X({(1,): 2})
     rep = verify_medial_tutte_identity(SP(("series", "e2")))
     assert rep.ok and rep.qn_circle == X({(2,): 1, (1,): 2})
+
+
+def test_medial_identity_refuses_an_over_limit_h_before_the_tutte_and_q_n_sides(monkeypatch):
+    monkeypatch.setattr(interlace, "MAX_KEY_ROWS", 0)
+    for side in ("tutte_polynomial", "qn_recursive"):
+        monkeypatch.setattr(planar, side, lambda g, side=side: pytest.fail(f"{side} ran"))
+    with pytest.raises(ValueError, match="over the limit of 0$"):
+        verify_medial_tutte_identity(SP(("series", "e2")))
 
 
 def test_medial_identity_random_sequences():
