@@ -23,8 +23,10 @@ joined to a 12-cycle), seeded 15-op series-parallel graphs, a seeded random
 tree of 1,000 edges, a seeded connected cubic graph on 14 vertices, a seeded
 G(12, 0.3), a 500-vertex path with a loop at every vertex, 100 disjoint
 triangles, a chain of 100 triangles, a chain of 30 copies of K_4 (in a
-chain, each block shares one vertex with the next) and W_12 with every edge
-tripled (W_12_x3), whose parallel classes go one class a step.
+chain, each block shares one vertex with the next), W_12 with every edge
+tripled (W_12_x3), whose parallel classes go one class a step, and K_4 with
+every edge a path of 5 edges (K4_paths5, 30 edges), whose series classes go
+one class a step.
 Times ``rank_nullity_histogram``, which every state sum reads (the inputs
 named hist_*), on three seeded G(n, 1/2) graphs for n = 8, 12, 16 and 18,
 on P_22, C_22, K_20, P_200 and C_200, on the circle graph of an Euler
@@ -142,6 +144,15 @@ def block_chain(block: list[tuple], joint: int, k: int) -> list[tuple]:
     return [(u + t * joint, v + t * joint) for t in range(k) for u, v in block]
 
 
+def subdivided(edges: list[tuple], length: int) -> list[tuple]:
+    """edges with every edge a path of ``length`` edges through new vertices."""
+    out = []
+    for k, (u, v) in enumerate(edges):
+        path = [u] + [f"s{k}.{i}" for i in range(1, length)] + [v]
+        out += zip(path, path[1:])
+    return out
+
+
 def medial_chord_diagram(ops: int, seed: int) -> ChordDiagram:
     """Chord diagram of an Euler circuit of the oriented medial of a seeded SP graph."""
     med = medial_digraph(build_sp(random_sp_sequence(ops, random.Random(seed))))
@@ -213,6 +224,7 @@ INPUTS = {
     "cactus_100": (tutte_polynomial, lambda: [block_chain([(0, 1), (1, 2), (2, 0)], 2, 100)]),
     "K4chain_30": (tutte_polynomial, lambda: [block_chain(list(combinations(range(4), 2)), 3, 30)]),
     "W_12_x3": (tutte_polynomial, lambda: [wheel_edges(12) * 3]),
+    "K4_paths5": (tutte_polynomial, lambda: [subdivided(complete_graph(4).edges(), 5)]),
     **{f"hist_Gnp_{n}_x3": (rank_nullity_histogram,
                             lambda n=n: [random_graph(n, random.Random(seed)).rows
                                          for seed in (1, 2, 3)])

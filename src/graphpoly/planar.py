@@ -16,11 +16,12 @@ out-degree 2.
 
 Tutte polynomials are computed two ways: for any multigraph as the product
 over its blocks (a bridge gives x, a loop y), a cycle by its closed form
-and each other block by deletion/contraction of a whole parallel class in
-one step, whose minors split into blocks again; and for series-parallel
-construction sequences by a polynomial-time diagonal evaluator, which
-composes a two-terminal (terminals joined, terminals apart) pair per edge
-over the construction script.  Both hold one int per
+and each other block by deletion/contraction of a whole class of edges in
+one step, a series class (a path through vertices of degree 2) if there is
+one and else a parallel class, whose minors split into blocks again; and
+for series-parallel construction sequences by a polynomial-time diagonal
+evaluator, which composes a two-terminal (terminals joined, terminals
+apart) pair per edge over the construction script.  Both hold one int per
 subproblem, its polynomial at a power of two, whose digits
 ``SparsePoly.from_base_digits`` reads back.  An ``SPSequence`` is an immutable
 ``__slots__`` value that checks its ops when built, and
@@ -279,18 +280,47 @@ def _blocks(edges: Sequence[tuple]) -> tuple[int, int, list[list[tuple]]]:
     return bridges, sum(u == v for u, v in edges), blocks
 
 
+def _series_class(edges: tuple) -> tuple[int, int, set[int]] | None:
+    """Ends u, v and edge indices of a path of 2+ edges whose inner vertices have degree 2.
+
+    The walk runs both ways from the first vertex of degree 2; None if there
+    is none.  The edges are normalized and loop-free, so their vertices are
+    0, 1, ..., n - 1, and the end of edge i other than z is sum(edges[i]) - z.
+    """
+    at: list[list[int]] = [[] for _ in range(1 + max(v for _, v in edges))]
+    for i, (a, b) in enumerate(edges):
+        at[a].append(i)
+        at[b].append(i)
+    mid = next((z for z, ids in enumerate(at) if len(ids) == 2), None)
+    if mid is None:
+        return None
+    path, ends = set(at[mid]), []
+    for i in at[mid]:
+        z = sum(edges[i]) - mid
+        while len(at[z]) == 2:
+            i = at[z][at[z][0] == i]
+            path.add(i)
+            z = sum(edges[i]) - z
+        ends.append(z)
+    return ends[0], ends[1], path
+
+
 def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
     """Tutte of a non-empty normalized edge tuple at x = 2^w, y = 2^wd.
 
     Unless the edges form one block of two or more edges, the polynomial is
     the product over the blocks, a bridge giving x and a loop y.  A block
     with as many edges m as vertices is a cycle (a digon is one), whose
-    polynomial is x + x^2 + ... + x^(m-1) + y.  Otherwise the k copies C of
-    the first edge, which lead the sorted tuple, are deleted and contracted
-    in one step.  With nothing else left, the block is a k-bond, whose
-    polynomial is x + y + ... + y^(k-1).  Else the block is 2-connected on at
-    least 3 vertices, so no copy is ever a bridge, and k deletion/contraction
-    steps give T(G) = T(G - C) + (1 + y + ... + y^(k-1)) T(G / C).
+    polynomial is x + x^2 + ... + x^(m-1) + y.  Otherwise k deletion/contraction
+    steps take one class of edges in closed form.  A series class S, a path
+    of k >= 2 edges whose inner vertices have degree 2, goes first: its ends
+    u and v differ, since else u would cut the block, and
+    T(G) = T(G / S) + (1 + x + ... + x^(k-1)) T(G - S), where G - S drops
+    S's edges and inner vertices and G / S also identifies v with u.  With
+    no vertex of degree 2, the k copies C of the first edge, which lead the
+    sorted tuple, go: a k-bond is x + y + ... + y^(k-1), and in any other
+    block, 2-connected on at least 3 vertices, no copy is ever a bridge, so
+    T(G) = T(G - C) + (1 + y + ... + y^(k-1)) T(G / C).
     """
     res = memo.get(edges)
     if res is not None:
@@ -304,15 +334,22 @@ def _tutte(edges: tuple, memo: dict, w: int, wd: int) -> int:
         x = 1 << w  # x + ... + x^(m-1) is the geometric sum (x^m - x) / (x - 1)
         res = ((1 << w * len(edges)) - x) // (x - 1) + (1 << wd)
     else:
-        (u, v), k = edges[0], edges.count(edges[0])
-        rest = edges[k:]
-        ys = ((1 << wd * k) - 1) // ((1 << wd) - 1)  # 1 + y + ... + y^(k-1)
-        if not rest:
-            res = (1 << w) + ys - 1
+        series = _series_class(edges)
+        if series:
+            u, v, path = series
+            k, shift = len(path), w
+            rest = [e for i, e in enumerate(edges) if i not in path]
         else:
-            contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
-            res = (_tutte(_normalize_edges(rest), memo, w, wd)
-                   + ys * _tutte(_normalize_edges(contracted), memo, w, wd))
+            (u, v), k, shift = edges[0], edges.count(edges[0]), wd
+            rest = edges[k:]
+        steps = ((1 << shift * k) - 1) // ((1 << shift) - 1)  # 1 + s + ... + s^(k-1), s = x or y
+        if not rest:
+            res = (1 << w) + steps - 1
+        else:
+            deleted = _tutte(_normalize_edges(rest), memo, w, wd)
+            contracted = _tutte(_normalize_edges([(u if a == v else a, u if b == v else b)
+                                                  for a, b in rest]), memo, w, wd)
+            res = contracted + steps * deleted if series else deleted + steps * contracted
     memo[edges] = res
     return res
 

@@ -321,13 +321,18 @@ def test_tutte_of_a_bond_is_x_plus_the_powers_of_y_in_one_step(k, monkeypatch):
     assert len(calls) == 1
 
 
+def subdivide(edges: list, lengths) -> list:
+    """edges with edge k a path of lengths[k] edges through new vertices "k.1", "k.2", ..."""
+    out = []
+    for k, ((u, v), m) in enumerate(zip(edges, lengths)):
+        path = [u] + [f"{k}.{i}" for i in range(1, m)] + [v]
+        out += zip(path, path[1:])
+    return out
+
+
 def theta(*lengths: int) -> list:
     """Paths of the given lengths between the poles s and t."""
-    edges = []
-    for p, m in enumerate(lengths):
-        path = ["s"] + [f"{p}.{i}" for i in range(1, m)] + ["t"]
-        edges += zip(path, path[1:])
-    return edges
+    return subdivide([("s", "t")] * len(lengths), lengths)
 
 
 def test_tutte_takes_parallel_classes_of_three_or_more_copies():
@@ -347,6 +352,51 @@ def test_tutte_takes_parallel_classes_of_three_or_more_copies():
         classes += max(Counter(map(frozenset, edges)).values()) >= 3
         assert tutte_polynomial(edges) == tutte_by_subsets(edges), edges
     assert classes >= 20
+
+
+def test_tutte_takes_series_classes():
+    # theta graphs with long paths, K_4 and W_5 with every edge a seeded path of
+    # 1-4 edges, and seeded series-parallel graphs with some edges doubled
+    rng = random.Random(1109)
+    w5 = [("hub", i) for i in range(5)] + [(i, (i + 1) % 5) for i in range(5)]
+    subdivided = [(base, [rng.randint(1, 4) for _ in base]) for base in [K4] * 4 + [w5] * 3]
+    subdivided += [([("s", "t")] * len(ls), ls) for ls in ((2, 3, 4), (1, 1, 5), (3, 3, 3, 3))]
+    assert subdivide(*subdivided[-1]) == theta(3, 3, 3, 3)
+    for base, lengths in subdivided:
+        edges = subdivide(base, lengths)
+        want = tutte_by_subsets(base, lengths)
+        assert tutte_polynomial(edges) == want, (base, lengths)
+        if len(edges) <= 14:  # the expansion by paths against the plain one
+            assert tutte_by_subsets(edges) == want, (base, lengths)
+    for _ in range(24):
+        edges = build_sp(random_sp_sequence(rng.randrange(3, 9), rng)).edge_list()
+        edges += rng.sample(edges, 2)
+        assert tutte_polynomial(edges) == tutte_by_subsets(edges), edges
+
+
+def test_tutte_takes_a_series_class_in_one_step(monkeypatch):
+    calls = []
+    solve = planar._tutte
+
+    def spy(edges, memo, w, wd):
+        calls.append(edges)
+        return solve(edges, memo, w, wd)
+
+    monkeypatch.setattr(planar, "_tutte", spy)
+    # the 5-edge path goes at once: T(G / S) is two loops and T(G - S) a digon
+    want = XY({(0, 2): 1}) + XY({(i, 0): 1 for i in range(5)}) * XY({(1, 0): 1, (0, 1): 1})
+    assert tutte_polynomial(theta(1, 1, 5)) == want == tutte_by_subsets(theta(1, 1, 5))
+    assert len(calls) == 3 and sorted(calls)[:2] == [((0, 0), (0, 0)), ((0, 1), (0, 1))]
+
+
+def test_tutte_of_the_plane_dual_swaps_x_and_y():
+    # a series class of G is a parallel class of its dual, so the two rules check each other
+    rng = random.Random(1110)
+    for _ in range(30):
+        seq = random_sp_sequence(rng.randrange(1, 16), rng)
+        t = tutte_polynomial(build_sp(seq))
+        swapped = XY({(j, i): c for (i, j), c in t.terms.items()})
+        assert tutte_polynomial(build_sp(sp_dual(seq))) == swapped, seq.ops
 
 
 def test_tutte_of_a_cactus_is_the_product_over_its_triangles():

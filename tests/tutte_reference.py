@@ -5,7 +5,8 @@ T(G; x, y) is the sum over all edge subsets A of
 vertices minus the number of components of (V, A), found by union-find.
 It shares nothing with the deletion/contraction route of
 ``planar.tutte_polynomial`` and takes 2^|E| steps, so it is for small
-inputs only.
+inputs only.  Given a length per edge, it expands the graph with each edge
+a path of that length, still in 2^|E| steps of the unsubdivided graph.
 
 ``matrix_tree_count`` gives t(G; 1, 1), the number of spanning trees, by
 Kirchhoff's matrix-tree theorem instead, for graphs of hundreds of vertices.
@@ -40,19 +41,37 @@ def rank(edges: list, subset: int) -> int:
     return r
 
 
-def tutte_by_subsets(edges) -> SparsePoly:
+def tutte_by_subsets(edges, lengths=None) -> SparsePoly:
+    """T(G; x, y) by the subset expansion; with ``lengths``, of G with edge k a path.
+
+    Edge k then stands for a path of ``lengths[k]`` edges through new inner
+    vertices, and the sum still runs over the subsets A of ``edges`` only:
+    A holds the paths taken whole.  A path of length l not taken whole is
+    one of its C(l, j) subsets of j < l edges, which adds j to the rank and
+    nothing to the nullity, so it contributes
+    sum_j C(l, j) (x - 1)^(l - 1 - j) = 1 + x + ... + x^(l - 1).
+    """
     edges = [tuple(e) for e in edges]
     m = len(edges)
+    paths = [k for k in range(m) if lengths and lengths[k] > 1]
     full = rank(edges, (1 << m) - 1)
     exps: Counter = Counter()
     for a in range(1 << m):
         r = rank(edges, a)
-        exps[full - r, a.bit_count() - r] += 1
+        apart = tuple(sorted(lengths[k] for k in paths if not a >> k & 1))
+        exps[full - r, a.bit_count() - r, apart] += 1
     terms: Counter = Counter()
-    for (p, q), count in exps.items():
-        for i in range(p + 1):
+    for (p, q, apart), count in exps.items():
+        xs = Counter({i: comb(p, i) * (-1) ** (p - i) for i in range(p + 1)})
+        for length in apart:  # times 1 + x + ... + x^(length - 1)
+            times: Counter = Counter()
+            for i, c in xs.items():
+                for j in range(length):
+                    times[i + j] += c
+            xs = times
+        for i, c in xs.items():
             for j in range(q + 1):
-                terms[i, j] += count * comb(p, i) * comb(q, j) * (-1) ** (p - i + q - j)
+                terms[i, j] += count * c * comb(q, j) * (-1) ** (q - j)
     return SparsePoly(("x", "y"), terms)
 
 
