@@ -284,8 +284,9 @@ def _series_class(edges: tuple) -> tuple[int, int, set[int]] | None:
     """Ends u, v and edge indices of a path of 2+ edges whose inner vertices have degree 2.
 
     The walk runs both ways from the first vertex of degree 2; None if there
-    is none.  The edges are normalized and loop-free, so their vertices are
-    0, 1, ..., n - 1, and the end of edge i other than z is sum(edges[i]) - z.
+    is none.  ``edges`` is one normalized block that is not a cycle, so the
+    walk stops, its vertices are 0, 1, ..., n - 1, and the end of edge i other
+    than z is sum(edges[i]) - z.
     """
     at: list[list[int]] = [[] for _ in range(1 + max(v for _, v in edges))]
     for i, (a, b) in enumerate(edges):
